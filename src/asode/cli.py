@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 from typing import Optional
@@ -92,7 +93,8 @@ def _conv_which(text: str) -> str:
     return text
 
 
-# per-subcommand config schema: key -> (converter for file values, default)
+# per-subcommand config schema: key -> (converter, default); the converter
+# checks a key's flag value and its config-file value alike
 _SOLVE_SCHEMA = {
     "problem": (str, None),
     "method": (_conv_method, "asode3"),
@@ -209,11 +211,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _SOLVE_SCHEMA)
     if cfg["problem"] is None:
         raise ConfigError("--problem is required (flag or config file)")
-    problem = builtin(cfg["problem"])
-    if cfg["tol_file"] is not None:
-        tol = _load_tol_file(cfg["tol_file"], problem.n)
-    else:
-        tol = Tolerances.uniform(cfg["tol"], problem.n)
+    overrides = {key: cfg[key] for key in ("t_end", "h0")
+                 if cfg[key] is not None}
+    try:
+        # SplitProblem and Tolerances check the span, h0 and tolerances
+        problem = dataclasses.replace(builtin(cfg["problem"]), **overrides)
+        if cfg["tol_file"] is not None:
+            tol = _load_tol_file(cfg["tol_file"], problem.n)
+        else:
+            tol = Tolerances.uniform(cfg["tol"], problem.n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     want_trace = cfg["trace"] is not None
 
     start = time.perf_counter()
@@ -223,15 +231,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         controller = ControllerConfig(
             stability_control=cfg["stability_control"])
         result = integrate(problem, scheme, embedded, tol, controller,
-                           collect_trace=want_trace, t_end=cfg["t_end"],
-                           h0=cfg["h0"])
+                           collect_trace=want_trace)
         t, y, stats, trace = result.t, result.y, result.stats, result.trace
     else:
         tableau = TABLEAUS[cfg["method"]]
-        t_stop = cfg["t_end"] if cfg["t_end"] is not None else problem.t_end
-        h0 = cfg["h0"] if cfg["h0"] is not None else problem.h0
         out = rk_integrate(tableau, problem.full, tuple(problem.y0),
-                           (problem.t0, t_stop), tol, h0,
+                           (problem.t0, problem.t_end), tol, problem.h0,
                            collect_trace=want_trace)
         trace = out[3] if want_trace else None
         t, y, stats = out[0], out[1], out[2]
@@ -361,80 +366,70 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _add_flags(parser: argparse.ArgumentParser, schema: dict,
+               helps: dict) -> None:
+    """One flag per schema key, converted by that key's schema converter.
+
+    A ConfigError raised by a converter passes through argparse unchanged.
+    """
+    for key, (convert, _) in schema.items():
+        flag = "--" + key.replace("_", "-")
+        if convert is _conv_bool:
+            parser.add_argument(flag, default=None, help=helps.get(key),
+                                action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(flag, default=None, help=helps.get(key),
+                                type=convert)
+    parser.add_argument("--config", default=None,
+                        help="key=value file; flags override it")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="asode",
                      description="Additive third-order solver for stiff "
                                  "split systems, with benchmark and "
                                  "analysis commands.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p_solve = sub.add_parser(
-        "solve", help="integrate one built-in problem")
-    p_solve.add_argument("--problem", default=None,
-                         help=f"one of: {', '.join(BUILTIN_NAMES)}")
-    p_solve.add_argument("--method", default=None, choices=SOLVE_METHODS)
-    p_solve.add_argument("--tol", type=float, default=None,
-                         help="uniform absolute and relative tolerance")
-    p_solve.add_argument("--tol-file", default=None,
-                         help="per-component tolerances, one 'atol rtol' "
-                              "pair per line (overrides --tol)")
-    p_solve.add_argument("--h0", type=float, default=None,
-                         help="initial stepsize (default: the problem's)")
-    p_solve.add_argument("--t-end", type=float, default=None,
-                         help="override the problem's end time")
-    p_solve.add_argument("--trace", default=None,
-                         help="write per-step CSV trace to this path")
-    p_solve.add_argument("--stability-control", default=None,
-                         action=argparse.BooleanOptionalAction,
-                         help="stepsize cap from the explicit-part "
-                              "stability estimate (asode3 only)")
-    p_solve.add_argument("--config", default=None,
-                         help="key=value file; flags override it")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the full benchmark matrix")
-    p_bench.add_argument("--csv", default=None,
-                         help="also write the matrix as CSV to this path")
-    p_bench.add_argument("--config", default=None)
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_order = sub.add_parser(
-        "order-study", help="fixed-step convergence slopes")
-    p_order.add_argument("--problem", default=None)
-    p_order.add_argument("--h0", type=float, default=None,
-                         help="coarsest step of the h, h/2, h/4, h/8 ladder")
-    p_order.add_argument("--ref-tol", type=float, default=None,
-                         help="tolerance of the reference run for problems "
-                              "without a closed-form solution")
-    p_order.add_argument("--config", default=None)
-    p_order.set_defaults(func=cmd_order_study)
-
-    p_region = sub.add_parser(
-        "stability-region", help="|R| over an (x, z) grid as CSV")
-    p_region.add_argument("--x-min", type=float, default=None)
-    p_region.add_argument("--x-max", type=float, default=None)
-    p_region.add_argument("--x-points", type=int, default=None)
-    p_region.add_argument("--z-min", type=float, default=None)
-    p_region.add_argument("--z-max", type=float, default=None)
-    p_region.add_argument("--z-points", type=int, default=None)
-    p_region.add_argument("--which", default=None,
-                          choices=("main", "embedded"))
-    p_region.add_argument("--out", default=None,
-                          help="CSV path (default: stdout)")
-    p_region.add_argument("--config", default=None)
-    p_region.set_defaults(func=cmd_stability_region)
-
-    p_coeffs = sub.add_parser(
-        "coeffs", help="derived scheme and estimator coefficients")
-    p_coeffs.add_argument("--a", type=float, default=None,
-                          help="free scheme parameter (default: the "
-                               "L-stable design root)")
-    p_coeffs.add_argument("--csv", default=None,
-                          help="also write name,value rows to this path")
-    p_coeffs.add_argument("--config", default=None)
-    p_coeffs.set_defaults(func=cmd_coeffs)
-
+    commands = (
+        ("solve", "integrate one built-in problem", cmd_solve,
+         _SOLVE_SCHEMA, {
+             "problem": f"one of: {', '.join(BUILTIN_NAMES)}",
+             "method": f"one of: {', '.join(SOLVE_METHODS)}",
+             "tol": "uniform absolute and relative tolerance",
+             "tol_file": "per-component tolerances, one 'atol rtol' pair "
+                         "per line (overrides --tol)",
+             "h0": "initial stepsize (default: the problem's)",
+             "t_end": "override the problem's end time",
+             "trace": "write per-step CSV trace to this path",
+             "stability_control": "stepsize cap from the explicit-part "
+                                  "stability estimate (asode3 only)",
+         }),
+        ("bench", "run the full benchmark matrix", cmd_bench,
+         _BENCH_SCHEMA, {
+             "csv": "also write the matrix as CSV to this path",
+         }),
+        ("order-study", "fixed-step convergence slopes", cmd_order_study,
+         _ORDER_SCHEMA, {
+             "h0": "coarsest step of the h, h/2, h/4, h/8 ladder",
+             "ref_tol": "tolerance of the reference run for problems "
+                        "without a closed-form solution",
+         }),
+        ("stability-region", "|R| over an (x, z) grid as CSV",
+         cmd_stability_region, _REGION_SCHEMA, {
+             "which": "'main' or 'embedded'",
+             "out": "CSV path (default: stdout)",
+         }),
+        ("coeffs", "derived scheme and estimator coefficients", cmd_coeffs,
+         _COEFFS_SCHEMA, {
+             "a": "free scheme parameter (default: the L-stable design "
+                  "root)",
+             "csv": "also write name,value rows to this path",
+         }),
+    )
+    for name, summary, func, schema, helps in commands:
+        p = sub.add_parser(name, help=summary)
+        _add_flags(p, schema, helps)
+        p.set_defaults(func=func)
     return parser
 
 

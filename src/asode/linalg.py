@@ -139,8 +139,3 @@ def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
             raise SingularMatrix(f"pivot below {PIVOT_FLOOR:.0e} * scale")
         return _DenseFactorization(lu, piv, B.dim)
     raise DimensionMismatch(f"unsupported matrix type {type(B).__name__}")
-
-
-def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
-    """Back-substitute one right-hand side through a factorization."""
-    return f.solve(rhs)

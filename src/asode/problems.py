@@ -36,6 +36,8 @@ class Tolerances:
         rtol = np.asarray(self.rtol, dtype=float)
         if atol.ndim != 1 or rtol.ndim != 1 or atol.shape != rtol.shape:
             raise ValueError("atol and rtol must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(atol)) and np.all(np.isfinite(rtol))):
+            raise ValueError("tolerances must be finite")
         if np.any(atol < 0.0) or np.any(rtol < 0.0):
             raise ValueError("tolerances must be non-negative")
         if np.any((atol == 0.0) & (rtol == 0.0)):

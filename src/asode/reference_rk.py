@@ -290,12 +290,16 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     the true trajectory, after which no stepsize recovers.  As a side
     effect of both mechanisms the work count is nearly
     tolerance-independent whenever stability rather than accuracy limits
-    the step.  A non-finite result halves the step like any failure.
+    the step.  A non-finite result halves the step like any failure; a
+    span whose end does not exceed its start (NaN included) raises
+    ValueError.
     Returns (t, y, RunStatistics) with every right-hand-side evaluation
     counted in phi_evals; with collect_trace a list of per-step rows
     (t, h_used, err, v, y) is returned as a fourth element.
     """
     t, t_end = float(span[0]), float(span[1])
+    if not t_end > t:
+        raise ValueError("span end must exceed its start")
     y = tuple(float(v) for v in y0)
     if not all(math.isfinite(v) for v in y):
         raise NonFiniteState("initial state is not finite")

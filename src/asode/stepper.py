@@ -60,6 +60,15 @@ PROBE_FLOOR = 1e-14
 # growth along the dominant direction and can exceed the spectral radius
 # by orders of magnitude
 PROBE_SHARE_FLOOR = 0.1
+# probe offsets: alpha21 = alpha31 + alpha32 makes the two probe stages
+# collapse to a power-method iteration on the non-stiff Jacobian.  They are
+# small so the probe displacement alpha21*k1 stays well inside the step's
+# trust region even when the split parts are large and mutually canceling
+# (near a slow manifold the first stage can dwarf the state); on linear
+# problems the estimate does not depend on their size at all.
+PROBE_ALPHA31 = 5e-6
+PROBE_ALPHA32 = 5e-6
+PROBE_ALPHA21 = PROBE_ALPHA31 + PROBE_ALPHA32
 # explicit-part stability interval length used by the growth cap
 EXPLICIT_STABILITY_SPAN = 2.0
 
@@ -67,14 +76,6 @@ EXPLICIT_STABILITY_SPAN = 2.0
 @dataclass
 class ControllerConfig:
     """Stepsize controller settings.
-
-    The probe coefficients must satisfy alpha21 = alpha31 + alpha32 so the
-    two probe stages collapse to a power-method iteration on the non-stiff
-    Jacobian.  They are kept small so the probe displacement alpha21*k1
-    stays well inside the step's trust region even when the split parts
-    are large and mutually canceling (near a slow manifold the first
-    stage can dwarf the state); on linear problems the estimate does not
-    depend on their size at all.
 
     drift_budget is the scaled norm (tolerance units, same scaling as
     err) the damped sum of committed step errors may reach before the
@@ -87,9 +88,6 @@ class ControllerConfig:
     h_min: float = 1e-12
     h_max: float = math.inf
     max_rejects_per_step: int = 20
-    alpha21: float = 1e-5
-    alpha31: float = 5e-6
-    alpha32: float = 5e-6
     drift_guard: bool = True
     drift_budget: float = 30.0
 
@@ -100,10 +98,6 @@ class ControllerConfig:
             raise ValueError("need 0 < h_min <= h_max")
         if self.max_rejects_per_step < 1:
             raise ValueError("max_rejects_per_step must be >= 1")
-        if abs(self.alpha21 - self.alpha31 - self.alpha32) > 1e-14:
-            raise ValueError("probe coefficients need alpha21 = alpha31 + alpha32")
-        if self.alpha32 == 0.0:
-            raise ValueError("alpha32 must be nonzero")
         if self.drift_budget <= 0.0:
             raise ValueError("drift_budget must be positive")
 
@@ -130,23 +124,6 @@ class RunStatistics:
         }
 
 
-class StepWorkspace:
-    """Stage and state buffers allocated once per integration."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.k1 = np.zeros(n)
-        self.k2 = np.zeros(n)
-        self.k3 = np.zeros(n)
-        self.k4 = np.zeros(n)
-        self.k5 = np.zeros(n)
-        self.k6 = np.zeros(n)
-        self.k5_emb = np.zeros(n)
-        self.y_next = np.zeros(n)
-        self.y_emb = np.zeros(n)
-        self.b_diag = np.zeros(n)
-
-
 @dataclass
 class StepReport:
     """Outcome of one step attempt."""
@@ -157,7 +134,11 @@ class StepReport:
     h_used: float
     h_next: float
     retry_underflow: bool
+    # set on acceptance: the new state, its embedded companion and the
+    # stage matrix diagonal the drift guard decays by
     y_next: Optional[np.ndarray] = field(default=None)
+    y_emb: Optional[np.ndarray] = field(default=None)
+    b_diag: Optional[np.ndarray] = field(default=None)
 
 
 @dataclass(frozen=True)
@@ -185,8 +166,7 @@ def error_norm(y: np.ndarray, y2: np.ndarray, tol: Tolerances) -> float:
 
 
 def stability_estimate(phi, y: np.ndarray, k1: np.ndarray,
-                       h: float, cfg: ControllerConfig,
-                       stats: RunStatistics) -> float:
+                       h: float, stats: RunStatistics) -> float:
     """Power-method estimate of h times the dominant non-stiff eigenvalue.
 
     phi is the current step's non-stiff part.  Costs two evaluations of
@@ -195,8 +175,8 @@ def stability_estimate(phi, y: np.ndarray, k1: np.ndarray,
     largest component of the iterate d1 - k1 -- are skipped; if all
     components are skipped the estimate is 0 (no stability information).
     """
-    d1 = h * phi(y + cfg.alpha21 * k1)
-    d2 = h * phi(y + cfg.alpha31 * k1 + cfg.alpha32 * d1)
+    d1 = h * phi(y + PROBE_ALPHA21 * k1)
+    d2 = h * phi(y + PROBE_ALPHA31 * k1 + PROBE_ALPHA32 * d1)
     stats.phi_evals += 2
     den = np.abs(d1 - k1)
     keep = den >= np.maximum(PROBE_SHARE_FLOOR * np.max(den),
@@ -204,7 +184,7 @@ def stability_estimate(phi, y: np.ndarray, k1: np.ndarray,
     if not np.any(keep):
         return 0.0
     ratio = np.max(np.abs(d2 - d1)[keep] / den[keep])
-    return float(ratio / abs(cfg.alpha32))
+    return float(ratio / PROBE_ALPHA32)
 
 
 def propose_next_h(h: float, err: float, v: Optional[float],
@@ -239,11 +219,11 @@ def propose_next_h(h: float, err: float, v: Optional[float],
 
 def _stages(problem: SplitProblem, y: np.ndarray, h: float,
             scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
-            stats: RunStatistics, ws: StepWorkspace) -> tuple:
-    """Evaluate all stages; returns (phi, k1, y_next, y_emb).
+            stats: RunStatistics) -> tuple:
+    """Evaluate all stages; returns (phi, k1, y_next, y_emb, b_diag).
 
     phi is the step-local non-stiff part u -> f(u) - B*u with B held at
-    its start-of-step value; y_next/y_emb live in workspace buffers.
+    its start-of-step value; b_diag is the diagonal of B.
     Work per call: 1 factorization, 5 linear solves, 3 evaluations of the
     right-hand side and 2 stiff-part applications.  Raises SingularMatrix
     when the stage matrix cannot be factored.
@@ -256,9 +236,10 @@ def _stages(problem: SplitProblem, y: np.ndarray, h: float,
 
     B = problem.jac(y)
     if isinstance(B, DiagonalMatrix):
-        ws.b_diag[:] = B.values
+        b_diag = B.values
     else:
-        ws.b_diag[:] = np.diagonal(B.as_dense())
+        # a copy: a view would keep the dense B alive in the step report
+        b_diag = np.diagonal(B.as_dense()).copy()
     stats.factorizations += 1
     fact = factor(B, scheme.a * h)
     full = problem.full
@@ -267,40 +248,37 @@ def _stages(problem: SplitProblem, y: np.ndarray, h: float,
         return np.asarray(full(u), dtype=float) - B.matvec(u)
 
     f0 = np.asarray(full(y), dtype=float)
-    ws.k1[:] = h * (f0 - B.matvec(y))
+    k1 = h * (f0 - B.matvec(y))
     # the non-stiff and stiff parts are both taken at y, so their sum
     # collapses to the full right-hand side
     stats.phi_evals += 1
     stats.g_evals += 1
 
-    ws.k2[:] = fact.solve(h * f0)
-    ws.k3[:] = fact.solve(ws.k2)
+    k2 = fact.solve(h * f0)
+    k3 = fact.solve(k2)
     # first-stage weights of the combination rows are structurally zero
-    u = y + b42 * ws.k2 + b43 * ws.k3
-    w = y + a42 * ws.k2 + a43 * ws.k3
+    u = y + b42 * k2 + b43 * k3
+    w = y + a42 * k2 + a43 * k3
     # h*phi(u) + h*(B*w) regrouped around one right-hand-side evaluation
     rhs4 = h * np.asarray(full(u), dtype=float) + h * B.matvec(w - u)
     stats.phi_evals += 1
     stats.g_evals += 1
-    ws.k4[:] = fact.solve(rhs4)
-    ws.k5[:] = fact.solve(ws.k4 + scheme.gamma * ws.k3)
-    u6 = y + b63 * ws.k3 + b64 * ws.k4 + b65 * ws.k5
-    ws.k6[:] = h * phi(u6)
+    k4 = fact.solve(rhs4)
+    k5 = fact.solve(k4 + scheme.gamma * k3)
+    k6 = h * phi(y + b63 * k3 + b64 * k4 + b65 * k5)
     stats.phi_evals += 1
-    ws.k5_emb[:] = fact.solve(ws.k4)
+    k5_emb = fact.solve(k4)
     stats.linear_solves += 5
 
-    ws.y_next[:] = (y + p1 * ws.k1 + p2 * ws.k2 + p3 * ws.k3
-                    + p4 * ws.k4 + p5 * ws.k5 + p6 * ws.k6)
-    ws.y_emb[:] = (y + r1 * ws.k1 + r2 * ws.k2 + r3 * ws.k3
-                   + r4 * ws.k4 + r5 * ws.k5_emb)
-    return phi, ws.k1, ws.y_next, ws.y_emb
+    y_next = y + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6
+    y_emb = y + r1 * k1 + r2 * k2 + r3 * k3 + r4 * k4 + r5 * k5_emb
+    return phi, k1, y_next, y_emb, b_diag
 
 
 def attempt_step(problem: SplitProblem, y: np.ndarray, h: float,
                  scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
                  tol: Tolerances, cfg: ControllerConfig,
-                 stats: RunStatistics, ws: StepWorkspace,
+                 stats: RunStatistics,
                  lam: Optional[float] = None,
                  pressure: float = 1.0) -> StepReport:
     """Attempt one step of size h from state y.
@@ -312,32 +290,30 @@ def attempt_step(problem: SplitProblem, y: np.ndarray, h: float,
     acceptance.  A singular stage matrix or a non-finite result is
     reported as a rejection with the stepsize halved.
     """
-    try:
-        phi, k1, y_next, y_emb = _stages(problem, y, h, scheme, embedded,
-                                         stats, ws)
-    except SingularMatrix:
-        h_next = max(0.5 * h, cfg.h_min)
-        return StepReport(accepted=False, err=math.inf, v=None, h_used=h,
-                          h_next=h_next, retry_underflow=0.5 * h < cfg.h_min)
-
     v: Optional[float] = None
-    if cfg.stability_control:
-        if lam is None:
-            v = stability_estimate(phi, y, k1, h, cfg, stats)
-        else:
-            v = lam * h
-
-    if not (np.all(np.isfinite(y_next)) and np.all(np.isfinite(y_emb))):
-        h_next = max(0.5 * h, cfg.h_min)
+    try:
+        phi, k1, y_next, y_emb, b_diag = _stages(problem, y, h, scheme,
+                                                 embedded, stats)
+    except SingularMatrix:
+        finite = False
+    else:
+        if cfg.stability_control:
+            if lam is None:
+                v = stability_estimate(phi, y, k1, h, stats)
+            else:
+                v = lam * h
+        finite = np.all(np.isfinite(y_next)) and np.all(np.isfinite(y_emb))
+    if not finite:
         return StepReport(accepted=False, err=math.inf, v=v, h_used=h,
-                          h_next=h_next, retry_underflow=0.5 * h < cfg.h_min)
+                          h_next=max(0.5 * h, cfg.h_min),
+                          retry_underflow=0.5 * h < cfg.h_min)
 
     err = error_norm(y_next, y_emb, tol)
     proposal = propose_next_h(h, err, v, cfg, pressure=pressure)
     if err <= 1.0:
         return StepReport(accepted=True, err=err, v=v, h_used=h,
                           h_next=proposal.h_accept, retry_underflow=False,
-                          y_next=y_next.copy())
+                          y_next=y_next, y_emb=y_emb, b_diag=b_diag)
     return StepReport(accepted=False, err=err, v=v, h_used=h,
                       h_next=proposal.h_retry,
                       retry_underflow=proposal.retry_underflow)
@@ -346,10 +322,7 @@ def attempt_step(problem: SplitProblem, y: np.ndarray, h: float,
 def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
               embedded: EmbeddedCoefficients, tol: Tolerances,
               cfg: Optional[ControllerConfig] = None,
-              collect_trace: bool = False,
-              t_end: Optional[float] = None,
-              y0: Optional[np.ndarray] = None,
-              h0: Optional[float] = None) -> IntegrationResult:
+              collect_trace: bool = False) -> IntegrationResult:
     """Integrate from t0 to t_end with adaptive stepsize.
 
     The trace, when requested, records (t, h, err, v, y) per accepted
@@ -358,20 +331,16 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     at their own linearized rates; once the sum's scaled norm exceeds the
     budget, subsequent stepsize proposals are divided by the overshoot
     factor.  Raises StepsizeUnderflow when a rejection pushes h below
-    h_min, MaxRejectsExceeded when one step keeps failing, and
-    NonFiniteState when the initial state is not finite.
+    h_min and MaxRejectsExceeded when one step keeps failing.
     """
     cfg = cfg if cfg is not None else ControllerConfig()
     t = problem.t0
-    t_stop = problem.t_end if t_end is None else float(t_end)
-    y = np.array(problem.y0 if y0 is None else y0, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteState("initial state is not finite")
-    h = problem.h0 if h0 is None else float(h0)
-    h = min(max(h, cfg.h_min), cfg.h_max)
+    t_stop = problem.t_end
+    # the one copy: a result never aliases the problem's y0
+    y = problem.y0.copy()
+    h = min(max(problem.h0, cfg.h_min), cfg.h_max)
 
     stats = RunStatistics()
-    ws = StepWorkspace(problem.n)
     trace: Optional[list] = [] if collect_trace else None
     span = t_stop - t
     drift = np.zeros(problem.n) if cfg.drift_guard else None
@@ -385,7 +354,7 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
         rejects = 0
         while True:
             report = attempt_step(problem, y, h, scheme, embedded, tol,
-                                  cfg, stats, ws, lam=lam, pressure=pressure)
+                                  cfg, stats, lam=lam, pressure=pressure)
             if report.v is not None and lam is None and report.h_used > 0.0:
                 lam = report.v / report.h_used
             if report.accepted:
@@ -393,15 +362,14 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
                 y = report.y_next
                 stats.steps_accepted += 1
                 if drift is not None:
-                    drift *= np.exp(np.minimum(0.0,
-                                               report.h_used * ws.b_diag))
-                    drift += y - ws.y_emb
+                    drift *= np.exp(
+                        np.minimum(0.0, report.h_used * report.b_diag))
+                    drift += y - report.y_emb
                     den = tol.atol + tol.rtol * np.abs(y)
                     g_norm = float(np.max(np.abs(drift) / den))
                     pressure = max(1.0, g_norm / cfg.drift_budget)
                 if trace is not None:
-                    trace.append((t, report.h_used, report.err, report.v,
-                                  y.copy()))
+                    trace.append((t, report.h_used, report.err, report.v, y))
                 h = report.h_next
                 break
             stats.steps_rejected += 1
@@ -421,9 +389,7 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
 
 def integrate_fixed(problem: SplitProblem, h: float,
                     scheme: SchemeCoefficients,
-                    embedded: EmbeddedCoefficients,
-                    t_end: Optional[float] = None,
-                    y0: Optional[np.ndarray] = None) -> IntegrationResult:
+                    embedded: EmbeddedCoefficients) -> IntegrationResult:
     """Integrate with a constant stepsize and no error control.
 
     The span is covered by round(span/h) equal steps (h is honored
@@ -431,19 +397,15 @@ def integrate_fixed(problem: SplitProblem, h: float,
     NonFiniteState; order studies use this entry point.
     """
     t = problem.t0
-    t_stop = problem.t_end if t_end is None else float(t_end)
-    y = np.array(problem.y0 if y0 is None else y0, dtype=float)
-    span = t_stop - t
+    y = problem.y0
+    span = problem.t_end - t
     n_steps = max(1, round(span / h))
     h_eff = span / n_steps
     stats = RunStatistics()
-    ws = StepWorkspace(problem.n)
     for i in range(n_steps):
-        _, _, y_next, _ = _stages(problem, y, h_eff, scheme, embedded,
-                                  stats, ws)
-        if not np.all(np.isfinite(y_next)):
+        _, _, y, _, _ = _stages(problem, y, h_eff, scheme, embedded, stats)
+        if not np.all(np.isfinite(y)):
             raise NonFiniteState(f"state became non-finite at t={t:.6g}")
-        y = y_next.copy()
         t = problem.t0 + (i + 1) * h_eff
         stats.steps_accepted += 1
     return IntegrationResult(t=t, y=y, stats=stats)
@@ -451,11 +413,8 @@ def integrate_fixed(problem: SplitProblem, h: float,
 
 def embedded_difference(problem: SplitProblem, h: float,
                         scheme: SchemeCoefficients,
-                        embedded: EmbeddedCoefficients,
-                        y0: Optional[np.ndarray] = None) -> float:
+                        embedded: EmbeddedCoefficients) -> float:
     """Max-norm gap between main and embedded solutions after one step."""
-    y = np.array(problem.y0 if y0 is None else y0, dtype=float)
-    stats = RunStatistics()
-    ws = StepWorkspace(problem.n)
-    _, _, y_next, y_emb = _stages(problem, y, h, scheme, embedded, stats, ws)
+    _, _, y_next, y_emb, _ = _stages(problem, problem.y0, h, scheme, embedded,
+                                     RunStatistics())
     return float(np.max(np.abs(y_next - y_emb)))

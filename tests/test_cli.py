@@ -52,7 +52,33 @@ class TestSolve:
     def test_bad_flag_value_exits_one(self, capsys):
         assert main(["solve", "--problem", "example4",
                      "--tol", "abc"]) == 1
-        assert "invalid float value" in capsys.readouterr().err
+        assert "expected a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+        ["--t-end", "-5"], ["--t-end", "nan"],
+        ["--t-end", "-5", "--method", "merson"],
+        ["--t-end", "nan", "--method", "merson"],
+        ["--h0", "0"], ["--method", "bogus"],
+    ])
+    def test_invalid_input_exits_one_with_one_line(self, flags, capsys):
+        # flags go through the config file's converters, the problem's and
+        # the tolerances' own checks: one line, never a traceback or the
+        # initial state reported as a result
+        assert main(["solve", "--problem", "example1"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_flag_and_file_share_converter(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem = example4\ntol = 0\n")
+        assert main(["solve", "--config", str(cfg)]) == 1
+        from_file = capsys.readouterr().err
+        assert main(["solve", "--problem", "example4", "--tol", "0"]) == 1
+        assert capsys.readouterr().err == from_file
+        assert "expected a positive number" in from_file
 
     def test_solver_failure_exits_two(self, monkeypatch, capsys):
         def boom(*args, **kwargs):

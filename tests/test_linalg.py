@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from asode.exceptions import DimensionMismatch, SingularMatrix
-from asode.linalg import DenseMatrix, DiagonalMatrix, factor, solve
+from asode.linalg import DenseMatrix, DiagonalMatrix, factor
 
 
 def full_pivot_solve(A, b):
@@ -43,7 +43,7 @@ def test_dense_solve_matches_full_pivot_oracle():
         if abs(np.linalg.det(D)) < 1e-6:
             continue
         rhs = rng.standard_normal(n)
-        got = solve(factor(B, c), rhs)
+        got = factor(B, c).solve(rhs)
         expected = full_pivot_solve(D, rhs)
         assert np.allclose(got, expected, atol=1e-10, rtol=1e-10)
 
@@ -56,7 +56,7 @@ def test_dense_round_trip_residual():
         c = 0.3
         D = np.eye(n) - c * B.values
         rhs = rng.standard_normal(n)
-        x = solve(factor(B, c), rhs)
+        x = factor(B, c).solve(rhs)
         scale = max(1.0, np.max(np.abs(D)))
         assert np.max(np.abs(D @ x - rhs)) < 1e-12 * scale * 10
 
@@ -68,7 +68,7 @@ def test_diagonal_round_trip_residual():
         B = DiagonalMatrix(rng.uniform(-100.0, 0.0, n))
         c = float(rng.uniform(0.01, 1.0))
         rhs = rng.standard_normal(n)
-        x = solve(factor(B, c), rhs)
+        x = factor(B, c).solve(rhs)
         residual = (1.0 - c * B.values) * x - rhs
         assert np.max(np.abs(residual)) < 1e-12
 
@@ -80,15 +80,15 @@ def test_diagonal_and_dense_paths_agree():
         diag_vals = rng.uniform(-50.0, 5.0, n)
         c = float(rng.uniform(0.05, 1.5))
         rhs = rng.standard_normal(n)
-        x_diag = solve(factor(DiagonalMatrix(diag_vals), c), rhs)
-        x_dense = solve(factor(DenseMatrix(np.diag(diag_vals)), c), rhs)
+        x_diag = factor(DiagonalMatrix(diag_vals), c).solve(rhs)
+        x_dense = factor(DenseMatrix(np.diag(diag_vals)), c).solve(rhs)
         assert np.allclose(x_diag, x_dense, atol=1e-13, rtol=1e-13)
 
 
 def test_identity_shortcut():
     # B = 0 leaves D = E and the solve must return rhs unchanged
     rhs = np.array([1.0, -2.0, 3.5])
-    x = solve(factor(DiagonalMatrix(np.zeros(3)), 0.7), rhs)
+    x = factor(DiagonalMatrix(np.zeros(3)), 0.7).solve(rhs)
     assert np.array_equal(x, rhs)
 
 

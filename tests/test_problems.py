@@ -193,5 +193,12 @@ def test_tolerances_validation():
         Tolerances(atol=np.array([0.0, 1e-6]), rtol=np.array([0.0, 1e-6]))
     with pytest.raises(ValueError):
         Tolerances(atol=np.zeros((2, 2)), rtol=np.zeros(2))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(atol=np.array([1e-6, bad]), rtol=np.array([1e-6, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(atol=np.array([1e-6, 0.0]), rtol=np.array([bad, 1e-6]))
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances.uniform(bad, 3)
     # mixed zero patterns are fine as long as each component keeps one
     Tolerances(atol=np.array([0.0, 1e-2]), rtol=np.array([1e-2, 0.0]))

@@ -161,14 +161,14 @@ class TestRkIntegrate:
         assert abs(y[0] - math.exp(-1.0)) < 5e-4
         assert stats.steps_accepted > 0
 
-    def test_zero_span_takes_no_steps(self):
+    @pytest.mark.parametrize("span", [(1.0, 1.0), (0.0, -5.0),
+                                      (0.0, math.nan)])
+    def test_empty_span_rejected(self, span):
+        # an empty, backward or NaN span is an input error, not a run that
+        # hands back the initial state
         tol = Tolerances.uniform(1e-4, 1)
-        t, y, stats = rk_integrate(MERSON, lambda s: (-s[0],), (0.7,),
-                                   (1.0, 1.0), tol, 1e-3)
-        assert t == 1.0
-        assert y == (0.7,)
-        assert stats.steps_accepted == 0
-        assert stats.phi_evals == 0
+        with pytest.raises(ValueError, match="span end must exceed"):
+            rk_integrate(MERSON, lambda s: (-s[0],), (0.7,), span, tol, 1e-3)
 
     def test_every_attempt_costs_the_stage_count(self):
         for tab in (MERSON, FEHLBERG45):
