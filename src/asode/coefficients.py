@@ -25,6 +25,7 @@ back-substitution, giving a local error estimate for stepsize control.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,9 +147,12 @@ def _guarded_div(num: float, den: float, label: str) -> float:
 def derive_scheme(a: float = DEFAULT_A) -> SchemeCoefficients:
     """Derive every scheme weight from the free parameter `a`.
 
-    Raises DegenerateParameter when `a` makes any closed-form denominator
-    smaller than 1e-14 in magnitude (this includes a = 0 and a = 1).
+    Raises DegenerateParameter when `a` is not finite or makes any
+    closed-form denominator smaller than 1e-14 in magnitude (this includes
+    a = 0 and a = 1).
     """
+    if not math.isfinite(a):
+        raise DegenerateParameter(f"parameter a = {a} must be finite")
     if abs(a) < _DENOM_FLOOR or abs(a - 1.0) < _DENOM_FLOOR:
         raise DegenerateParameter(f"parameter a = {a} must differ from 0 and 1")
 

@@ -92,13 +92,14 @@ class ControllerConfig:
     drift_budget: float = 30.0
 
     def __post_init__(self):
+        # each rule states the valid range, so NaN fails it
         if not 0.0 < self.safety <= 1.0:
             raise ValueError("safety must lie in (0, 1]")
-        if self.h_min <= 0.0 or self.h_max < self.h_min:
+        if not 0.0 < self.h_min <= self.h_max:
             raise ValueError("need 0 < h_min <= h_max")
-        if self.max_rejects_per_step < 1:
+        if not self.max_rejects_per_step >= 1:
             raise ValueError("max_rejects_per_step must be >= 1")
-        if self.drift_budget <= 0.0:
+        if not self.drift_budget > 0.0:
             raise ValueError("drift_budget must be positive")
 
 

@@ -26,11 +26,21 @@ SCHEME = asode.derive_scheme()
 EMBEDDED = asode.derive_embedded(SCHEME)
 
 
-@pytest.mark.parametrize("variant", ["dense", "diagonal"])
+# bruss4 (n = 8) is too small for the banded LU; bruss64 (n = 128) takes it
+FACTORIZATION = {"dense": ("bruss4", asode.linalg._DenseFactorization),
+                 "diagonal": ("bruss4", asode.linalg._DiagonalFactorization),
+                 "banded": ("bruss64", asode.linalg._BandedFactorization)}
+
+
+@pytest.mark.parametrize("variant", ["dense", "diagonal", "banded"])
 def test_traced_bruss_solve_sees_every_layer(variant):
-    problem = workloads.make_problem("bruss4", seed=1, smoke=True)
+    name, factorization = FACTORIZATION[variant]
+    problem = workloads.make_problem(name, seed=1, smoke=True)
     if variant == "diagonal":
         problem = workloads.diagonal_variant(problem)
+    # the tracer wraps solve on direct subclasses of Factorization only
+    assert factorization.__bases__ == (asode.linalg.Factorization,)
+    assert type(asode.factor(problem.jac(problem.y0), 0.1)) is factorization
     assert problem.t_end - problem.t0 == pytest.approx(
         workloads.SMOKE_SPAN * workloads.BRUSS_T_END)
     tracer = layertrace.Tracer()

@@ -339,6 +339,15 @@ class TestCoeffsCommand:
         assert main(["coeffs", "--a", "1.0"]) == 1
         assert "must differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_exits_one_with_one_line(self, value,
+                                                          capsys):
+        assert main(["coeffs", "--a", value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: parameter a = {float(value)} must be finite"]
+
 
 class TestTopLevel:
     def test_no_subcommand_exits_one(self, capsys):

@@ -6,6 +6,8 @@ weights against the published 14-digit table, and every weight set against
 the full algebraic condition systems.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,9 @@ def test_degenerate_parameters_raise():
         derive_scheme(1.0)
     with pytest.raises(DegenerateParameter):
         derive_scheme(1.0 + 5e-15)
+    for a in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateParameter, match="must be finite"):
+            derive_scheme(a)
     # polish a root of the gamma denominator, then expect rejection
     den = [6.0, -18.0, 9.0, -1.0]
     root = min((r.real for r in np.roots(den) if abs(r.imag) < 1e-12),

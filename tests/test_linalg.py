@@ -1,10 +1,29 @@
 """Factorization tests with an independent full-pivot elimination oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
+from asode import linalg
 from asode.exceptions import DimensionMismatch, SingularMatrix
 from asode.linalg import DenseMatrix, DiagonalMatrix, factor
+
+# (n, kl, ku) with BAND_RATIO * (kl + ku) < n: factored as banded
+BANDED = [(40, 3, 1), (40, 0, 4), (40, 5, 0), (33, 2, 2), (64, 1, 6)]
+
+
+def random_banded(rng, n, kl, ku):
+    """Dense B whose nonzero entries fill exactly the band (kl, ku).
+
+    The diagonal leans negative, like a stiff Jacobian's, so D = E - c*B
+    stays well conditioned for c <= 2 (cond(D) below about 1e4), while
+    rows that do not dominate make the LU pivot.
+    """
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    A[A == 0.0] = 0.5
+    A[np.diag_indices(n)] = rng.uniform(-kl - ku - 1.0, 0.5, n)
+    return DenseMatrix(np.triu(np.tril(A, ku), -kl))
 
 
 def full_pivot_solve(A, b):
@@ -46,6 +65,15 @@ def test_dense_solve_matches_full_pivot_oracle():
         got = factor(B, c).solve(rhs)
         expected = full_pivot_solve(D, rhs)
         assert np.allclose(got, expected, atol=1e-10, rtol=1e-10)
+    for n, kl, ku in BANDED:
+        B = random_banded(rng, n, kl, ku)
+        c = float(rng.uniform(0.05, 2.0))
+        rhs = rng.standard_normal(n)
+        fact = factor(B, c)
+        assert isinstance(fact, linalg._BandedFactorization)
+        expected = full_pivot_solve(np.eye(n) - c * B.values, rhs)
+        assert np.allclose(fact.solve(rhs), expected, atol=1e-10,
+                           rtol=1e-10)
 
 
 def test_dense_round_trip_residual():
@@ -59,6 +87,64 @@ def test_dense_round_trip_residual():
         x = factor(B, c).solve(rhs)
         scale = max(1.0, np.max(np.abs(D)))
         assert np.max(np.abs(D @ x - rhs)) < 1e-12 * scale * 10
+    for n, kl, ku in BANDED:
+        B = random_banded(rng, n, kl, ku)
+        D = np.eye(n) - 0.3 * B.values
+        rhs = rng.standard_normal(n)
+        x = factor(B, 0.3).solve(rhs)
+        scale = max(1.0, np.max(np.abs(D)))
+        assert np.max(np.abs(D @ x - rhs)) < 1e-12 * scale * 10
+
+
+@pytest.mark.parametrize("n, kl, ku", BANDED)
+def test_banded_and_dense_paths_agree(n, kl, ku, monkeypatch):
+    rng = np.random.default_rng(n + 10 * kl + 100 * ku)
+    B = random_banded(rng, n, kl, ku)
+    c = float(rng.uniform(0.05, 2.0))
+    rhs = rng.standard_normal(n)
+    banded = factor(B, c)
+    monkeypatch.setattr(linalg, "BAND_RATIO", math.inf)
+    dense = factor(B, c)
+    assert isinstance(banded, linalg._BandedFactorization)
+    assert isinstance(dense, linalg._DenseFactorization)
+    # the two LUs round differently, so they agree to within the
+    # conditioning of D, not bit for bit
+    x_dense = dense.solve(rhs)
+    cond = np.linalg.cond(np.eye(n) - c * B.values)
+    bound = 100 * np.finfo(float).eps * cond * np.max(np.abs(x_dense))
+    assert np.max(np.abs(banded.solve(rhs) - x_dense)) <= bound
+
+
+@pytest.mark.parametrize("kl, ku, path", [
+    (5, 4, linalg._BandedFactorization),   # 4 * 9 < 40
+    (5, 5, linalg._DenseFactorization),    # 4 * 10 == 40
+    (0, 9, linalg._BandedFactorization),
+    (0, 10, linalg._DenseFactorization),
+])
+def test_selection_rule_boundary(kl, ku, path):
+    n = 40
+    assert linalg.BAND_RATIO == 4
+    rng = np.random.default_rng(kl + 10 * ku)
+    B = random_banded(rng, n, kl, ku)
+    rhs = rng.standard_normal(n)
+    fact = factor(B, 0.7)
+    assert type(fact) is path
+    expected = full_pivot_solve(np.eye(n) - 0.7 * B.values, rhs)
+    assert np.allclose(fact.solve(rhs), expected, atol=1e-10, rtol=1e-10)
+
+
+def test_bandwidths():
+    A = np.zeros((6, 6))
+    assert linalg._bandwidths(A) == (0, 0)
+    A[2, 0] = 1.0       # lower bandwidth 2
+    A[1, 4] = -3.0      # upper bandwidth 3
+    assert linalg._bandwidths(A) == (2, 3)
+    A[5, 5] = 2.0       # rows 3 and 4 stay all zero
+    assert linalg._bandwidths(A) == (2, 3)
+    A[0, 5] = np.nan    # non-finite entries count as nonzero
+    assert linalg._bandwidths(A) == (2, 5)
+    # only strictly upper entries: the band still holds the diagonal
+    assert linalg._bandwidths(np.triu(np.ones((4, 4)), 2)) == (0, 3)
 
 
 def test_diagonal_round_trip_residual():
@@ -106,6 +192,14 @@ def test_singular_dense_raises():
     # D = [[-1, -1], [1, 1]] is singular
     with pytest.raises(SingularMatrix):
         factor(B, c)
+    # the same 2x2 block on the diagonal of a banded B, with D = E - B
+    n = 40
+    D = np.diag(np.linspace(1.0, 2.0, n)) + 0.1 * np.eye(n, k=1)
+    D[10:12, 10:12] = [[-1.0, -1.0], [1.0, 1.0]]
+    B = DenseMatrix(np.eye(n) - D)
+    assert linalg._bandwidths(B.values) == (1, 1)
+    with pytest.raises(SingularMatrix):
+        factor(B, 1.0)
 
 
 def test_non_finite_matrix_raises():
@@ -113,6 +207,21 @@ def test_non_finite_matrix_raises():
         factor(DiagonalMatrix(np.array([np.nan, 1.0])), 0.5)
     with pytest.raises(SingularMatrix):
         factor(DenseMatrix(np.array([[np.inf, 0.0], [0.0, 1.0]])), 0.5)
+    with pytest.raises(SingularMatrix):
+        factor(DenseMatrix(np.array([[1.0, 2.0, 3.0], [4.0, np.nan, 6.0],
+                                     [7.0, 8.0, 9.0]])), 0.5)
+    # NaN inside the band of a banded B, and NaN far off the band, which
+    # widens it past the rule and sends B down the dense path
+    B = random_banded(np.random.default_rng(5), 40, 2, 1).values
+    inside = B.copy()
+    inside[20, 18] = np.nan
+    assert linalg._bandwidths(inside) == (2, 1)
+    outside = B.copy()
+    outside[0, 39] = np.nan
+    assert linalg._bandwidths(outside) == (2, 39)
+    for values in (inside, outside):
+        with pytest.raises(SingularMatrix):
+            factor(DenseMatrix(values), 0.5)
 
 
 def test_dimension_mismatch_raises():
@@ -123,9 +232,14 @@ def test_dimension_mismatch_raises():
     f = factor(DiagonalMatrix(np.array([-1.0, -2.0])), 0.5)
     with pytest.raises(DimensionMismatch):
         f.solve(np.zeros(3))
-    fd = factor(DenseMatrix(np.eye(2)), 0.5)
+    fd = factor(DenseMatrix(np.array([[1.0, 2.0], [3.0, 4.0]])), 0.5)
     with pytest.raises(DimensionMismatch):
         fd.solve(np.zeros(3))
+    fb = factor(random_banded(np.random.default_rng(1), 40, 1, 2), 0.5)
+    assert isinstance(fb, linalg._BandedFactorization)
+    for rhs in (np.zeros(39), np.zeros(41), np.zeros((40, 1))):
+        with pytest.raises(DimensionMismatch):
+            fb.solve(rhs)
     with pytest.raises(DimensionMismatch):
         DiagonalMatrix(np.array([-1.0, -2.0])).matvec(np.zeros(3))
 

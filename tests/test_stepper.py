@@ -189,6 +189,9 @@ class TestControllerConfig:
         {"drift_budget": -3.0},
         {"safety": math.nan},
         {"h_min": -1e-3},
+        {"h_min": math.nan},
+        {"h_max": math.nan},
+        {"drift_budget": math.nan},
     ])
     def test_invalid_settings_rejected(self, kw):
         with pytest.raises(ValueError):
