@@ -24,7 +24,6 @@ import numpy as np
 
 from .coefficients import (
     DEFAULT_A,
-    EmbeddedCoefficients,
     SchemeCoefficients,
     derive_embedded,
     derive_scheme,
@@ -36,6 +35,13 @@ POLE_TOL = 1e-12
 
 _DEFAULT_SCHEME = derive_scheme(DEFAULT_A)
 _DEFAULT_EMBEDDED = derive_embedded(_DEFAULT_SCHEME)
+
+
+def _with_embedded(coeffs: Optional[SchemeCoefficients]) -> tuple:
+    """The scheme (default when None) and its companion coefficients."""
+    if coeffs is None:
+        return _DEFAULT_SCHEME, _DEFAULT_EMBEDDED
+    return coeffs, derive_embedded(coeffs)
 
 
 def _stage_denominator(a: float, z: complex) -> complex:
@@ -80,16 +86,13 @@ def eval_R(x: complex, z: complex,
 
 def embedded_step_factor(x: complex, z: complex,
                          coeffs: Optional[SchemeCoefficients] = None,
-                         embedded: Optional[EmbeddedCoefficients] = None,
                          ) -> complex:
     """Companion-solution factor evaluated by running the scalar step.
 
     Independent evaluation route for `eval_R2`: the five-stage estimator
     scheme executed stage by stage, nothing shared with the closed form.
     """
-    c = coeffs if coeffs is not None else _DEFAULT_SCHEME
-    e = embedded if embedded is not None else (
-        _DEFAULT_EMBEDDED if coeffs is None else derive_embedded(c))
+    c, e = _with_embedded(coeffs)
     x = complex(x)
     z = complex(z)
     d, k1, k2, k3, k4 = _shared_stages(x, z, c)
@@ -99,17 +102,14 @@ def embedded_step_factor(x: complex, z: complex,
 
 
 def eval_R2(x: complex, z: complex,
-            coeffs: Optional[SchemeCoefficients] = None,
-            embedded: Optional[EmbeddedCoefficients] = None) -> complex:
+            coeffs: Optional[SchemeCoefficients] = None) -> complex:
     """Companion-solution amplification factor, closed rational form.
 
     Numerator polynomial in (x, z) over (1 - a*z)^4, written out in terms
     of the scheme parameter a, the stage-4 combination weight sum b4, and
     the companion weights r2..r5.
     """
-    c = coeffs if coeffs is not None else _DEFAULT_SCHEME
-    e = embedded if embedded is not None else (
-        _DEFAULT_EMBEDDED if coeffs is None else derive_embedded(c))
+    c, e = _with_embedded(coeffs)
     x = complex(x)
     z = complex(z)
     a = c.a
@@ -136,16 +136,13 @@ def eval_R2(x: complex, z: complex,
     return num / d**4
 
 
-def stability_region_scan(x_grid, z_grid, which: str = "main",
-                          coeffs: Optional[SchemeCoefficients] = None,
-                          embedded: Optional[EmbeddedCoefficients] = None,
-                          ) -> np.ndarray:
+def stability_region_scan(x_grid, z_grid, which: str = "main") -> np.ndarray:
     """Grid of |R| with rows following z_grid and columns following x_grid.
 
-    `which` selects the propagated ("main") or companion ("embedded")
-    factor.  Grid points must be finite; a point too close to the stage
-    pole contributes inf rather than aborting the scan, so region plots
-    that straddle z = 1/a stay usable.
+    `which` selects the default scheme's propagated ("main") or companion
+    ("embedded") factor.  Grid points must be finite; a point too close to
+    the stage pole contributes inf rather than aborting the scan, so
+    region plots that straddle z = 1/a stay usable.
     """
     if which not in ("main", "embedded"):
         raise ValueError(f"unknown stability function {which!r}; "
@@ -156,19 +153,12 @@ def stability_region_scan(x_grid, z_grid, which: str = "main",
         raise ValueError("grids must be non-empty")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(zs))):
         raise ValueError("grid points must be finite")
-    c = coeffs if coeffs is not None else _DEFAULT_SCHEME
-    if which == "embedded":
-        e = embedded if embedded is not None else (
-            _DEFAULT_EMBEDDED if coeffs is None else derive_embedded(c))
+    factor = eval_R if which == "main" else eval_R2
     out = np.empty((zs.size, xs.size), dtype=float)
     for i, z in enumerate(zs):
         for j, x in enumerate(xs):
             try:
-                if which == "main":
-                    r = eval_R(x, z, c)
-                else:
-                    r = eval_R2(x, z, c, e)
-                out[i, j] = abs(r)
+                out[i, j] = abs(factor(x, z))
             except PoleProximity:
                 out[i, j] = math.inf
     return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from .coefficients import derive_embedded, derive_scheme
 from .exceptions import NonFiniteState, ReferenceUnavailable, SolverError
-from .problems import Tolerances, builtin
+from .problems import SplitProblem, Tolerances, builtin
 from .reference_rk import FEHLBERG45, MERSON, TABLEAUS, rk_integrate, rk_step
 from .stepper import (
     ControllerConfig,
@@ -34,7 +34,9 @@ from .stepper import (
 
 BENCH_PROBLEMS = ("example1", "example2", "example3", "example4")
 BENCH_TOLS = (1e-2, 1e-4)
-BENCH_METHODS = ("asode3", "asode3-nocontrol", "merson", "rkf45")
+# the methods `asode solve` accepts and each benchmark cell runs, in
+# table order
+METHODS = ("asode3", "asode3-nocontrol", "merson", "rkf45")
 
 CSV_COLUMNS = ("problem", "tol", "method", "phi_evals", "g_evals",
                "factorizations", "solves", "steps_acc", "steps_rej")
@@ -71,7 +73,31 @@ def default_matrix() -> list:
     return [CellSpec(p, tol, m)
             for p in BENCH_PROBLEMS
             for tol in BENCH_TOLS
-            for m in BENCH_METHODS]
+            for m in METHODS]
+
+
+def run_method(method: str, problem: SplitProblem, tol: Tolerances,
+               stats: RunStatistics, collect_trace: bool = False) -> tuple:
+    """Solve problem with the named method; returns (t, y, stats, trace).
+
+    An explicit comparator counts its work into the given stats as it
+    goes, so the attempts of a failed run stay readable there; the
+    additive integrator returns its own statistics and leaves stats
+    untouched.  trace is None unless collect_trace is set.
+    """
+    if method in ("asode3", "asode3-nocontrol"):
+        scheme = derive_scheme()
+        emb = derive_embedded(scheme)
+        cfg = ControllerConfig(stability_control=(method == "asode3"))
+        res = integrate(problem, scheme, emb, tol, cfg,
+                        collect_trace=collect_trace)
+        return res.t, res.y, res.stats, res.trace
+    if method in TABLEAUS:
+        out = rk_integrate(TABLEAUS[method], problem.full, tuple(problem.y0),
+                           (problem.t0, problem.t_end), tol, problem.h0,
+                           stats=stats, collect_trace=collect_trace)
+        return out if collect_trace else out + (None,)
+    raise ValueError(f"unknown benchmark method {method!r}")
 
 
 def run_cell(spec: CellSpec) -> CellResult:
@@ -87,19 +113,7 @@ def run_cell(spec: CellSpec) -> CellResult:
     ok, err_msg, t, y = True, "", math.nan, ()
     start = time.perf_counter()
     try:
-        if spec.method in ("asode3", "asode3-nocontrol"):
-            scheme = derive_scheme()
-            emb = derive_embedded(scheme)
-            cfg = ControllerConfig(
-                stability_control=(spec.method == "asode3"))
-            res = integrate(p, scheme, emb, tol, cfg)
-            stats, t, y = res.stats, res.t, tuple(res.y)
-        elif spec.method in TABLEAUS:
-            t, y, stats = rk_integrate(TABLEAUS[spec.method], p.full,
-                                       tuple(p.y0), (p.t0, p.t_end), tol,
-                                       p.h0, stats=stats)
-        else:
-            raise ValueError(f"unknown benchmark method {spec.method!r}")
+        t, y, stats, _ = run_method(spec.method, p, tol, stats)
     except SolverError as exc:
         ok = False
         err_msg = f"{type(exc).__name__}: {exc}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import time
 from typing import Optional
@@ -32,10 +33,7 @@ from .coefficients import (
 )
 from .exceptions import DegenerateParameter, SolverError, UnknownProblem
 from .problems import BUILTIN_NAMES, Tolerances, builtin
-from .reference_rk import TABLEAUS, rk_integrate
-from .stepper import ControllerConfig, integrate
-
-SOLVE_METHODS = ("asode3",) + tuple(sorted(TABLEAUS))
+from .stepper import RunStatistics
 
 
 class ConfigError(Exception):
@@ -51,6 +49,13 @@ def _conv_float(text: str) -> float:
         return float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+
+
+def _conv_finite_float(text: str) -> float:
+    val = _conv_float(text)
+    if not math.isfinite(val):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return val
 
 
 def _conv_positive_float(text: str) -> float:
@@ -70,19 +75,10 @@ def _conv_positive_int(text: str) -> int:
     return val
 
 
-def _conv_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _conv_method(text: str) -> str:
-    if text not in SOLVE_METHODS:
+    if text not in benchmark.METHODS:
         raise ConfigError(f"unknown method {text!r}; "
-                          f"choose from {', '.join(SOLVE_METHODS)}")
+                          f"choose from {', '.join(benchmark.METHODS)}")
     return text
 
 
@@ -103,7 +99,6 @@ _SOLVE_SCHEMA = {
     "h0": (_conv_positive_float, None),
     "t_end": (_conv_float, None),
     "trace": (str, None),
-    "stability_control": (_conv_bool, True),
 }
 _BENCH_SCHEMA = {
     "csv": (str, None),
@@ -114,11 +109,11 @@ _ORDER_SCHEMA = {
     "ref_tol": (_conv_positive_float, 1e-10),
 }
 _REGION_SCHEMA = {
-    "x_min": (_conv_float, -3.0),
-    "x_max": (_conv_float, 0.5),
+    "x_min": (_conv_finite_float, -3.0),
+    "x_max": (_conv_finite_float, 0.5),
     "x_points": (_conv_positive_int, 71),
-    "z_min": (_conv_float, -5.0),
-    "z_max": (_conv_float, 1.0),
+    "z_min": (_conv_finite_float, -5.0),
+    "z_max": (_conv_finite_float, 1.0),
     "z_points": (_conv_positive_int, 121),
     "which": (_conv_which, "main"),
     "out": (str, None),
@@ -225,21 +220,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     want_trace = cfg["trace"] is not None
 
     start = time.perf_counter()
-    if cfg["method"] == "asode3":
-        scheme = derive_scheme()
-        embedded = derive_embedded(scheme)
-        controller = ControllerConfig(
-            stability_control=cfg["stability_control"])
-        result = integrate(problem, scheme, embedded, tol, controller,
-                           collect_trace=want_trace)
-        t, y, stats, trace = result.t, result.y, result.stats, result.trace
-    else:
-        tableau = TABLEAUS[cfg["method"]]
-        out = rk_integrate(tableau, problem.full, tuple(problem.y0),
-                           (problem.t0, problem.t_end), tol, problem.h0,
-                           collect_trace=want_trace)
-        trace = out[3] if want_trace else None
-        t, y, stats = out[0], out[1], out[2]
+    t, y, stats, trace = benchmark.run_method(
+        cfg["method"], problem, tol, RunStatistics(), collect_trace=want_trace)
     wall = time.perf_counter() - start
 
     if want_trace:
@@ -250,9 +232,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"tol:             per-component from {cfg['tol_file']}")
     else:
         print(f"tol:             {cfg['tol']:g}")
-    if cfg["method"] == "asode3":
-        state = "on" if cfg["stability_control"] else "off"
-        print(f"stability ctrl:  {state}")
     print(f"reached t:       {_g17(t)}")
     print(f"final state:     {' '.join(_g17(c) for c in y)}")
     for key, value in (("phi_evals", stats.phi_evals),
@@ -374,12 +353,8 @@ def _add_flags(parser: argparse.ArgumentParser, schema: dict,
     """
     for key, (convert, _) in schema.items():
         flag = "--" + key.replace("_", "-")
-        if convert is _conv_bool:
-            parser.add_argument(flag, default=None, help=helps.get(key),
-                                action=argparse.BooleanOptionalAction)
-        else:
-            parser.add_argument(flag, default=None, help=helps.get(key),
-                                type=convert)
+        parser.add_argument(flag, default=None, help=helps.get(key),
+                            type=convert)
     parser.add_argument("--config", default=None,
                         help="key=value file; flags override it")
 
@@ -394,15 +369,13 @@ def build_parser() -> _Parser:
         ("solve", "integrate one built-in problem", cmd_solve,
          _SOLVE_SCHEMA, {
              "problem": f"one of: {', '.join(BUILTIN_NAMES)}",
-             "method": f"one of: {', '.join(SOLVE_METHODS)}",
+             "method": f"one of: {', '.join(benchmark.METHODS)}",
              "tol": "uniform absolute and relative tolerance",
              "tol_file": "per-component tolerances, one 'atol rtol' pair "
                          "per line (overrides --tol)",
              "h0": "initial stepsize (default: the problem's)",
              "t_end": "override the problem's end time",
              "trace": "write per-step CSV trace to this path",
-             "stability_control": "stepsize cap from the explicit-part "
-                                  "stability estimate (asode3 only)",
          }),
         ("bench", "run the full benchmark matrix", cmd_bench,
          _BENCH_SCHEMA, {
@@ -442,10 +415,9 @@ def main(argv: Optional[list] = None) -> int:
             print("error: a subcommand is required", file=sys.stderr)
             return 1
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (UnknownProblem, DegenerateParameter) as exc:
+    except (ConfigError, UnknownProblem, DegenerateParameter,
+            OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -38,6 +38,11 @@ DEFAULT_A = 0.57281606248213
 # Descending coefficients of the design quartic.
 DESIGN_QUARTIC = (24.0, -96.0, 72.0, -16.0, 1.0)
 
+# The root scan covers [SCAN_LO, SCAN_HI] in SCAN_STEPS equal cells.
+SCAN_LO = -1.0
+SCAN_HI = 4.0
+SCAN_STEPS = 5000
+
 _DENOM_FLOOR = 1e-14
 
 
@@ -69,17 +74,16 @@ class QuarticRoots:
         return self.roots[2]
 
 
-def solve_design_quartic(scan_lo: float = -1.0, scan_hi: float = 4.0,
-                         scan_steps: int = 5000) -> QuarticRoots:
-    """Locate all real roots of the design quartic on [scan_lo, scan_hi].
+def solve_design_quartic() -> QuarticRoots:
+    """Locate all real roots of the design quartic on [SCAN_LO, SCAN_HI].
 
     A coarse scan brackets sign changes, bisection tightens each bracket
     and a few Newton iterations polish the result.
     """
-    xs = np.linspace(scan_lo, scan_hi, scan_steps + 1)
+    xs = np.linspace(SCAN_LO, SCAN_HI, SCAN_STEPS + 1)
     vals = [design_quartic(x) for x in xs]
     roots = []
-    for i in range(scan_steps):
+    for i in range(SCAN_STEPS):
         lo, hi = xs[i], xs[i + 1]
         flo, fhi = vals[i], vals[i + 1]
         if flo == 0.0:
@@ -106,7 +110,7 @@ def solve_design_quartic(scan_lo: float = -1.0, scan_hi: float = 4.0,
         roots.append(root)
     if len(roots) != 4:
         raise DegenerateParameter(
-            f"expected 4 real quartic roots in [{scan_lo}, {scan_hi}], "
+            f"expected 4 real quartic roots in [{SCAN_LO}, {SCAN_HI}], "
             f"found {len(roots)}")
     roots.sort()
     return QuarticRoots(roots=tuple(roots))

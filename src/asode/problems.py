@@ -80,8 +80,8 @@ class SplitProblem:
             raise ValueError(f"y0 shape {y0.shape} != ({self.n},)")
         if not np.all(np.isfinite(y0)):
             raise ValueError("y0 must be finite")
-        if not self.t_end > self.t0:
-            raise ValueError("t_end must exceed t0")
+        if not (math.isfinite(self.t0) and self.t0 < self.t_end < math.inf):
+            raise ValueError("t_end must exceed t0 and both must be finite")
         if not self.h0 > 0.0:
             raise ValueError("h0 must be positive")
         object.__setattr__(self, "y0", y0)

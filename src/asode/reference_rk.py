@@ -50,6 +50,8 @@ _ORDER_CONDITIONS = [
 ]
 
 _VERIFY_TOL = 1e-12
+# smallest stepsize a run may take or retry with
+H_MIN = 1e-14
 
 
 def order_condition_residuals(a_rows, weights, nodes, order: int) -> list:
@@ -269,8 +271,6 @@ def rk_step(tableau: ExplicitTableau, f: Callable, y: tuple,
 def rk_integrate(tableau: ExplicitTableau, f: Callable,
                  y0: Sequence[float], span: Tuple[float, float],
                  tol: Tolerances, h0: float,
-                 h_min: float = 1e-14,
-                 h_max: float = math.inf,
                  stats: Optional[RunStatistics] = None,
                  collect_trace: bool = False) -> tuple:
     """Adaptive integration with accuracy and stability stepsize control.
@@ -291,15 +291,16 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     effect of both mechanisms the work count is nearly
     tolerance-independent whenever stability rather than accuracy limits
     the step.  A non-finite result halves the step like any failure; a
-    span whose end does not exceed its start (NaN included) raises
-    ValueError.
+    span whose end does not exceed its start, or that is not finite,
+    raises ValueError.
     Returns (t, y, RunStatistics) with every right-hand-side evaluation
     counted in phi_evals; with collect_trace a list of per-step rows
     (t, h_used, err, v, y) is returned as a fourth element.
     """
     t, t_end = float(span[0]), float(span[1])
-    if not t_end > t:
-        raise ValueError("span end must exceed its start")
+    if not (math.isfinite(t) and t < t_end < math.inf):
+        raise ValueError("span end must exceed its start and both must be "
+                         "finite")
     y = tuple(float(v) for v in y0)
     if not all(math.isfinite(v) for v in y):
         raise NonFiniteState("initial state is not finite")
@@ -308,7 +309,7 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     if len(atol) != len(y) or len(rtol) != len(y):
         raise ValueError("tolerance length does not match the state")
     stats = stats if stats is not None else RunStatistics()
-    h = min(max(float(h0), h_min), h_max)
+    h = max(float(h0), H_MIN)
     s = tableau.stages
     double_below = 2.0 ** -(tableau.order_hat + 2)
     v_cap = 0.9 * tableau.stability_span
@@ -345,14 +346,14 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
             if err < double_below and not just_rejected:
                 h = 2.0 * h
             just_rejected = False
-            h = min(max(min(h, h_stab), h_min), h_max)
+            h = max(min(h, h_stab), H_MIN)
         else:
             stats.steps_rejected += 1
             just_rejected = True
             new_h = min(0.5 * h, h_stab)
-            if new_h < h_min:
+            if new_h < H_MIN:
                 raise StepsizeUnderflow(
-                    f"retry stepsize fell below h_min={h_min:g} at "
+                    f"retry stepsize fell below h_min={H_MIN:g} at "
                     f"t={t:.6g} (err={err:.3g})")
             h = new_h
 

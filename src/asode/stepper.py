@@ -71,36 +71,23 @@ PROBE_ALPHA32 = 5e-6
 PROBE_ALPHA21 = PROBE_ALPHA31 + PROBE_ALPHA32
 # explicit-part stability interval length used by the growth cap
 EXPLICIT_STABILITY_SPAN = 2.0
+# safety factor on the accuracy-predicted stepsize
+SAFETY = 0.9
+# smallest stepsize a run may take or retry with
+H_MIN = 1e-12
+# rejections of one step after which the run gives up
+MAX_REJECTS = 20
+# scaled norm (tolerance units, same scaling as err) the damped sum of
+# committed step errors may reach before the drift guard starts pressing
+# the stepsize down; within the budget the controller is untouched
+DRIFT_BUDGET = 30.0
 
 
 @dataclass
 class ControllerConfig:
-    """Stepsize controller settings.
-
-    drift_budget is the scaled norm (tolerance units, same scaling as
-    err) the damped sum of committed step errors may reach before the
-    guard starts pressing the stepsize down; it is only meaningful with
-    drift_guard enabled.  Within the budget the controller is untouched.
-    """
+    """Stepsize controller switch: the stability probe and its growth cap."""
 
     stability_control: bool = True
-    safety: float = 0.9
-    h_min: float = 1e-12
-    h_max: float = math.inf
-    max_rejects_per_step: int = 20
-    drift_guard: bool = True
-    drift_budget: float = 30.0
-
-    def __post_init__(self):
-        # each rule states the valid range, so NaN fails it
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
-        if not 0.0 < self.h_min <= self.h_max:
-            raise ValueError("need 0 < h_min <= h_max")
-        if not self.max_rejects_per_step >= 1:
-            raise ValueError("max_rejects_per_step must be >= 1")
-        if not self.drift_budget > 0.0:
-            raise ValueError("drift_budget must be positive")
 
 
 @dataclass
@@ -189,7 +176,6 @@ def stability_estimate(phi, y: np.ndarray, k1: np.ndarray,
 
 
 def propose_next_h(h: float, err: float, v: Optional[float],
-                   cfg: ControllerConfig,
                    pressure: float = 1.0) -> StepProposal:
     """Stepsizes suggested by the error and stability models.
 
@@ -200,10 +186,10 @@ def propose_next_h(h: float, err: float, v: Optional[float],
     divided by the pressure -- the one case where the next step may
     shrink after an acceptance.  h_retry applies after a rejection and
     never grows; retry_underflow flags that the unclamped retry fell
-    below h_min.
+    below H_MIN.
     """
     q1 = (1.0 / max(err, ERR_FLOOR)) ** (1.0 / 3.0)
-    h_acc = cfg.safety * q1 * h
+    h_acc = SAFETY * q1 * h
     if v is not None and v > 0.0:
         h_st = (EXPLICIT_STABILITY_SPAN / v) * h
     else:
@@ -211,11 +197,10 @@ def propose_next_h(h: float, err: float, v: Optional[float],
     h_accept = max(h, min(h_acc, h_st))
     if pressure > 1.0:
         h_accept = min(h_accept, h_acc / pressure)
-    h_accept = min(max(h_accept, cfg.h_min), cfg.h_max)
-    raw_retry = cfg.safety * q1 * h
-    h_retry = min(max(raw_retry, cfg.h_min), h)
+    h_accept = max(h_accept, H_MIN)
+    h_retry = min(max(h_acc, H_MIN), h)
     return StepProposal(h_accept=h_accept, h_retry=h_retry,
-                        retry_underflow=raw_retry < cfg.h_min)
+                        retry_underflow=h_acc < H_MIN)
 
 
 def _stages(problem: SplitProblem, y: np.ndarray, h: float,
@@ -306,11 +291,11 @@ def attempt_step(problem: SplitProblem, y: np.ndarray, h: float,
         finite = np.all(np.isfinite(y_next)) and np.all(np.isfinite(y_emb))
     if not finite:
         return StepReport(accepted=False, err=math.inf, v=v, h_used=h,
-                          h_next=max(0.5 * h, cfg.h_min),
-                          retry_underflow=0.5 * h < cfg.h_min)
+                          h_next=max(0.5 * h, H_MIN),
+                          retry_underflow=0.5 * h < H_MIN)
 
     err = error_norm(y_next, y_emb, tol)
-    proposal = propose_next_h(h, err, v, cfg, pressure=pressure)
+    proposal = propose_next_h(h, err, v, pressure=pressure)
     if err <= 1.0:
         return StepReport(accepted=True, err=err, v=v, h_used=h,
                           h_next=proposal.h_accept, retry_underflow=False,
@@ -327,24 +312,24 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     """Integrate from t0 to t_end with adaptive stepsize.
 
     The trace, when requested, records (t, h, err, v, y) per accepted
-    step.  With the drift guard enabled, every accepted step folds its
-    main-vs-embedded difference into a running sum whose components decay
-    at their own linearized rates; once the sum's scaled norm exceeds the
-    budget, subsequent stepsize proposals are divided by the overshoot
-    factor.  Raises StepsizeUnderflow when a rejection pushes h below
-    h_min and MaxRejectsExceeded when one step keeps failing.
+    step.  The drift guard folds every accepted step's main-vs-embedded
+    difference into a running sum whose components decay at their own
+    linearized rates; once the sum's scaled norm exceeds DRIFT_BUDGET,
+    subsequent stepsize proposals are divided by the overshoot factor.
+    Raises StepsizeUnderflow when a rejection pushes h below H_MIN and
+    MaxRejectsExceeded when one step keeps failing.
     """
     cfg = cfg if cfg is not None else ControllerConfig()
     t = problem.t0
     t_stop = problem.t_end
     # the one copy: a result never aliases the problem's y0
     y = problem.y0.copy()
-    h = min(max(problem.h0, cfg.h_min), cfg.h_max)
+    h = max(problem.h0, H_MIN)
 
     stats = RunStatistics()
     trace: Optional[list] = [] if collect_trace else None
     span = t_stop - t
-    drift = np.zeros(problem.n) if cfg.drift_guard else None
+    drift = np.zeros(problem.n)
     pressure = 1.0
 
     while t_stop - t > 1e-14 * max(abs(span), abs(t_stop)):
@@ -362,13 +347,11 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
                 t += report.h_used
                 y = report.y_next
                 stats.steps_accepted += 1
-                if drift is not None:
-                    drift *= np.exp(
-                        np.minimum(0.0, report.h_used * report.b_diag))
-                    drift += y - report.y_emb
-                    den = tol.atol + tol.rtol * np.abs(y)
-                    g_norm = float(np.max(np.abs(drift) / den))
-                    pressure = max(1.0, g_norm / cfg.drift_budget)
+                drift *= np.exp(np.minimum(0.0, report.h_used * report.b_diag))
+                drift += y - report.y_emb
+                den = tol.atol + tol.rtol * np.abs(y)
+                g_norm = float(np.max(np.abs(drift) / den))
+                pressure = max(1.0, g_norm / DRIFT_BUDGET)
                 if trace is not None:
                     trace.append((t, report.h_used, report.err, report.v, y))
                 h = report.h_next
@@ -377,9 +360,9 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
             rejects += 1
             if report.retry_underflow:
                 raise StepsizeUnderflow(
-                    f"retry stepsize fell below h_min={cfg.h_min:g} at "
+                    f"retry stepsize fell below h_min={H_MIN:g} at "
                     f"t={t:.6g} (err={report.err:.3g})")
-            if rejects > cfg.max_rejects_per_step:
+            if rejects > MAX_REJECTS:
                 raise MaxRejectsExceeded(
                     f"step at t={t:.6g} rejected {rejects} times "
                     f"(h={report.h_used:.3g}, err={report.err:.3g})")
@@ -394,9 +377,12 @@ def integrate_fixed(problem: SplitProblem, h: float,
     """Integrate with a constant stepsize and no error control.
 
     The span is covered by round(span/h) equal steps (h is honored
-    exactly when it divides the span).  Non-finite states abort with
-    NonFiniteState; order studies use this entry point.
+    exactly when it divides the span).  h must be finite and positive.
+    Non-finite states abort with NonFiniteState; order studies use this
+    entry point.
     """
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h!r}")
     t = problem.t0
     y = problem.y0
     span = problem.t_end - t

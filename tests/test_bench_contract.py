@@ -20,6 +20,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
 sys.path.insert(0, PERFBENCH)
 
 import layertrace  # noqa: E402
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 SCHEME = asode.derive_scheme()
@@ -57,3 +58,15 @@ def test_traced_bruss_solve_sees_every_layer(variant):
     assert tracer.calls["stepper.stages"] == attempts
     assert tracer.calls["stepper.control"] == attempts
     assert tracer.calls["stepper.probe"] == stats.steps_accepted
+
+
+@pytest.mark.parametrize("method", ["asode3-nocontrol", "merson"])
+def test_untraced_solve_calls_the_package_as_the_benchmark_does(method):
+    # Runner.solve builds ControllerConfig and calls rk_integrate with the
+    # arguments the benchmark uses; a signature change there would turn
+    # every cell into a failure
+    problem = workloads.make_problem("bruss4", seed=1, smoke=True)
+    status, y, counters = worker.Runner().solve(
+        workloads.Cell("bruss4", 1e-3, method), problem)
+    assert status == "ok"
+    assert y is not None and counters["steps_acc"] > 0

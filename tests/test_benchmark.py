@@ -10,10 +10,10 @@ import pytest
 from asode import benchmark, problems
 from asode.linalg import DiagonalMatrix
 from asode.benchmark import (
-    BENCH_METHODS,
     BENCH_PROBLEMS,
     BENCH_TOLS,
     CSV_COLUMNS,
+    METHODS,
     CellResult,
     CellSpec,
     default_matrix,
@@ -35,7 +35,7 @@ class TestMatrix:
     def test_default_matrix_covers_every_cell(self):
         specs = default_matrix()
         assert len(specs) == (len(BENCH_PROBLEMS) * len(BENCH_TOLS)
-                              * len(BENCH_METHODS))
+                              * len(METHODS))
         assert len(set(specs)) == len(specs)
         assert specs[0] == CellSpec("example1", 1e-2, "asode3")
         assert specs[-1] == CellSpec("example4", 1e-4, "rkf45")

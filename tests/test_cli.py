@@ -60,6 +60,7 @@ class TestSolve:
         ["--t-end", "-5", "--method", "merson"],
         ["--t-end", "nan", "--method", "merson"],
         ["--h0", "0"], ["--method", "bogus"],
+        ["--t-end", "inf"], ["--t-end", "inf", "--method", "merson"],
     ])
     def test_invalid_input_exits_one_with_one_line(self, flags, capsys):
         # flags go through the config file's converters, the problem's and
@@ -84,7 +85,7 @@ class TestSolve:
         def boom(*args, **kwargs):
             raise StepsizeUnderflow("stepsize collapsed")
 
-        monkeypatch.setattr(cli, "integrate", boom)
+        monkeypatch.setattr(benchmark, "integrate", boom)
         assert main(["solve", "--problem", "example4"]) == 2
         assert "stepsize collapsed" in capsys.readouterr().err
 
@@ -111,7 +112,7 @@ class TestSolve:
         path = tmp_path / "trace.csv"
         assert main(["solve", "--problem", "example4", "--tol", "1e-2",
                      "--trace", str(path),
-                     "--no-stability-control"]) == 0
+                     "--method", "asode3-nocontrol"]) == 0
         capsys.readouterr()
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -122,17 +123,19 @@ class TestSolve:
         cfg.write_text("problem = example4\n"
                        "\n"
                        "# dashes in keys normalize to underscores\n"
-                       "stability-control = off\n"
+                       "t-end = 5\n"
+                       "method = asode3-nocontrol\n"
                        "tol = 1e-2  # trailing comment\n")
         assert main(["solve", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        assert _grep(out, "stability ctrl") == "off"
+        assert _grep(out, "method") == "asode3-nocontrol"
+        assert _grep(out, "reached t") == "5"
         assert _grep(out, "tol") == "0.01"
         # an explicit flag wins over the file entry
         assert main(["solve", "--config", str(cfg),
-                     "--stability-control"]) == 0
+                     "--method", "asode3"]) == 0
         out = capsys.readouterr().out
-        assert _grep(out, "stability ctrl") == "on"
+        assert _grep(out, "method") == "asode3"
 
     def test_config_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -311,6 +314,17 @@ class TestStabilityRegionCommand:
                      "--x-max", "0"]) == 1
         assert "x_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["x_min", "x_max", "z_min", "z_max"])
+    def test_non_finite_bound_exits_one(self, key, tmp_path, capsys):
+        flag = "--" + key.replace("_", "-")
+        assert main(["stability-region", flag, "inf"]) == 1
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"{key} = nan\n")
+        assert main(["stability-region", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: expected a finite number, got 'inf'",
+                       "error: expected a finite number, got 'nan'"]
+
 
 class TestCoeffsCommand:
     def test_prints_derived_values(self, tmp_path, capsys):
@@ -363,3 +377,17 @@ class TestTopLevel:
             main(["--help"])
         assert exc.value.code == 0
         assert "solve" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flag", [
+        (["solve", "--problem", "example4", "--tol", "1e-2"], "--trace"),
+        (["coeffs"], "--csv"),
+        (["stability-region", "--x-points", "2", "--z-points", "2"],
+         "--out"),
+    ])
+    def test_unwritable_output_exits_one(self, command, flag, tmp_path,
+                                         capsys):
+        path = tmp_path / "missing" / "out.csv"
+        assert main(command + [flag, str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(path) in err[0]

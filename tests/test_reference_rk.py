@@ -162,10 +162,11 @@ class TestRkIntegrate:
         assert stats.steps_accepted > 0
 
     @pytest.mark.parametrize("span", [(1.0, 1.0), (0.0, -5.0),
-                                      (0.0, math.nan)])
+                                      (0.0, math.nan), (0.0, math.inf),
+                                      (-math.inf, 1.0)])
     def test_empty_span_rejected(self, span):
-        # an empty, backward or NaN span is an input error, not a run that
-        # hands back the initial state
+        # an empty, backward, NaN or infinite span is an input error, not a
+        # run that hands back the initial state
         tol = Tolerances.uniform(1e-4, 1)
         with pytest.raises(ValueError, match="span end must exceed"):
             rk_integrate(MERSON, lambda s: (-s[0],), (0.7,), span, tol, 1e-3)
@@ -195,14 +196,6 @@ class TestRkIntegrate:
             assert 0.0 <= row[2] <= 1.0  # accepted err
             assert row[3] >= 0.0         # v
             assert len(row[4]) == 2
-
-    def test_h_max_is_respected(self):
-        tol = Tolerances.uniform(1e-3, 1)
-        _, _, _, trace = rk_integrate(MERSON, lambda s: (-s[0],), (1.0,),
-                                      (0.0, 1.0), tol, 1e-3, h_max=0.01,
-                                      collect_trace=True)
-        # the endpoint stretch may lengthen the final step by up to 0.01%
-        assert max(row[1] for row in trace) <= 0.01 * 1.0002
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unresolvable_step_underflows(self):
