@@ -243,7 +243,11 @@ def _fit_slope(hs, errors) -> float:
 
 def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
                 ref_tol: float = 1e-10) -> OrderStudy:
-    """Convergence study at steps h0, h0/2, h0/4, h0/8.
+    """Convergence study at steps near h0, h0/2, h0/4, h0/8.
+
+    Each rung covers the span in round(span/h) equal steps, and the
+    slopes are fitted against those steps; an h0 so large that two rungs
+    take the same number of steps raises ValueError.
 
     Measures three ladders against a reference final state: the additive
     scheme's fixed-step global error, the one-step gap between its main
@@ -268,8 +272,12 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
                 f"run at tol={ref_tol:g} failed: {exc}") from exc
         y_ref = np.asarray(res.y, dtype=float)
 
-    hs = tuple(h0 / 2.0 ** i for i in range(4))
     span = p.t_end - p.t0
+    counts = [max(1, round(span / (h0 / 2.0 ** i))) for i in range(4)]
+    if len(set(counts)) < len(counts):
+        raise ValueError(f"h0={h0:g} is too large for the span {span:g}: "
+                         f"the rungs take {counts} steps")
+    hs = tuple(span / n for n in counts)
 
     additive = []
     for h in hs:
@@ -279,12 +287,10 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
     gap = [embedded_difference(p, h, scheme, emb) for h in hs]
 
     explicit = []
-    for h in hs:
-        n = max(1, round(span / h))
-        h_eff = span / n
+    for n, h in zip(counts, hs):
         y = tuple(p.y0)
         for _ in range(n):
-            y, _ = rk_step(MERSON, p.full, y, h_eff)
+            y, _ = rk_step(MERSON, p.full, y, h)
         if not all(math.isfinite(v) for v in y):
             raise NonFiniteState(
                 f"merson fixed-step run diverged at h={h:g}; "

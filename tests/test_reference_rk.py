@@ -1,12 +1,15 @@
 """Comparator tableau construction, stepping, probe, and driver tests."""
 
 import dataclasses
+import linecache
 import math
 
 import numpy as np
 import pytest
 
+from asode import reference_rk
 from asode.exceptions import (
+    DimensionMismatch,
     NonFiniteState,
     StepsizeUnderflow,
     ZeroToleranceDenominator,
@@ -16,7 +19,9 @@ from asode.reference_rk import (
     FEHLBERG45,
     MERSON,
     TABLEAUS,
+    UNROLL_MAX_N,
     _rk_step_full,
+    _rk_step_loop,
     linear_growth_factor,
     order_condition_residuals,
     rk_integrate,
@@ -150,6 +155,154 @@ class TestRkStep:
         for tab in (MERSON, FEHLBERG45):
             _, _, v = _rk_step_full(tab, f, (0.2, 0.4), 0.05)
             assert v == 0.0
+
+
+def _scripted_field(n, seed, kind, specials):
+    """A right-hand side whose outputs come from a seeded generator.
+
+    Each call returns n values of random sign and magnitude (1e-12 to
+    1e6), some of them signed zeros and, with specials, some inf, -inf or
+    NaN, as a tuple, a list, a tuple of np.float64 or an array.  It
+    records the arguments it was called with.
+    """
+    rng = np.random.default_rng(seed)
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        vals = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12, 6, n)
+        zero = rng.random(n) < 0.15
+        vals[zero] = np.copysign(0.0, vals[zero])
+        if specials:
+            pick = rng.random(n)
+            vals[pick < 0.1] = math.nan
+            vals[(pick >= 0.1) & (pick < 0.15)] = math.inf
+            vals[(pick >= 0.15) & (pick < 0.2)] = -math.inf
+        if kind == "list":
+            return vals.tolist()
+        if kind == "float64":
+            return tuple(vals)
+        if kind == "array":
+            return vals
+        return tuple(vals.tolist())
+
+    return f, calls
+
+
+def _signed_zero_field(tab, n):
+    """Zeros signed so that every error-estimate term h*d_j*k_j is -0.0.
+
+    For h > 0 the estimate is then +0.0 only because its sum starts
+    from 0.0, as in the loop.
+    """
+    calls = []
+
+    def f(y):
+        calls.append(y)
+        return (0.0 if tab.d[len(calls) - 1] < 0.0 else -0.0,) * n
+
+    return f
+
+
+def _same(a, b):
+    # bit-identical floats of the same type; NaN matches NaN
+    if type(a) is not type(b):
+        return False
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _same_step(out, ref):
+    (y_a, e_a, v_a), (y_b, e_b, v_b) = out, ref
+    return (len(y_a) == len(y_b) == len(e_a) == len(e_b)
+            and all(map(_same, y_a, y_b)) and all(map(_same, e_a, e_b))
+            and _same(v_a, v_b))
+
+
+class TestGeneratedStep:
+    """The generated straight-line step against the loop it unrolls."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("n", range(1, UNROLL_MAX_N + 1))
+    def test_bit_identical_to_loop(self, tab, n):
+        rng = np.random.default_rng(1000 * n + tab.stages)
+        smooth = [
+            # a stiff linear field with a quadratic term, and one with
+            # components that are always zero
+            lambda y: tuple(-(10.0 ** (m % 4)) * v + 0.5 * v * v
+                            for m, v in enumerate(y)),
+            lambda y: tuple(0.0 if m % 2 else -3.0 * v
+                            for m, v in enumerate(y)),
+        ]
+        for trial in range(16):
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+            y[rng.random(n) < 0.2] = 0.0
+            y = tuple(y.tolist())
+            h = 10.0 ** rng.uniform(-8, 1)
+            for kind in ("tuple", "list", "float64", "array"):
+                for specials in (False, True):
+                    seed = int(rng.integers(2**31))
+                    f, calls = _scripted_field(n, seed, kind, specials)
+                    g, ref_calls = _scripted_field(n, seed, kind, specials)
+                    out = _rk_step_full(tab, f, y, h)
+                    ref = _rk_step_loop(tab, g, y, h)
+                    assert _same_step(out, ref), (kind, specials, y, h)
+                    assert calls[0] is y
+                    assert all(type(c) is tuple for c in calls)
+                    assert len(calls) == len(ref_calls) == tab.stages
+                    for c, rc in zip(calls, ref_calls):
+                        assert all(map(_same, c, rc))
+            for f in smooth:
+                out = _rk_step_full(tab, f, y, h)
+                assert _same_step(out, _rk_step_loop(tab, f, y, h))
+            out = _rk_step_full(tab, _signed_zero_field(tab, n), y, h)
+            ref = _rk_step_loop(tab, _signed_zero_field(tab, n), y, h)
+            assert _same_step(out, ref)
+        assert n in tab._steps
+
+    def test_large_state_takes_the_loop(self, monkeypatch):
+        taken = []
+
+        def loop(tab, f, y, h):
+            taken.append(len(y))
+            return _rk_step_loop(tab, f, y, h)
+
+        monkeypatch.setattr(reference_rk, "_rk_step_loop", loop)
+        f = lambda y: tuple(-v for v in y)
+        tab = dataclasses.replace(MERSON)
+        for n in (UNROLL_MAX_N, UNROLL_MAX_N + 1):
+            _rk_step_full(tab, f, (1.0,) * n, 0.1)
+        assert taken == [UNROLL_MAX_N + 1]
+        assert set(tab._steps) == {UNROLL_MAX_N}
+
+    def test_generated_on_first_use_with_source_lines(self):
+        tab = dataclasses.replace(FEHLBERG45)
+        assert tab._steps == {}
+        _rk_step_full(tab, lambda y: (-y[0], -y[1]), (1.0, 2.0), 0.1)
+        code = tab._steps[2].__code__
+        assert linecache.getline(code.co_filename, code.co_firstlineno) \
+            .startswith("def ")
+
+    @pytest.mark.parametrize("n", [3, UNROLL_MAX_N + 1],
+                             ids=["generated", "loop"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("bad_call", [0, 2])
+    def test_wrong_length_rhs_raises(self, n, extra, bad_call):
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            m = n + extra if len(calls) == bad_call + 1 else n
+            return tuple(-0.5 * v for v in y[:m]) + (1.0,) * (m - n)
+
+        with pytest.raises(DimensionMismatch,
+                           match=f"returned {n + extra} components "
+                                 f"for a state of {n}"):
+            _rk_step_full(MERSON, f, (1.0,) * n, 0.1)
+        assert len(calls) == bad_call + 1
 
 
 class TestRkIntegrate:
