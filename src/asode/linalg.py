@@ -14,6 +14,14 @@ BAND_RATIO * (kl + ku) < n.  Both paths build the same D and apply the same
 singularity checks.  The band LU pivots as the dense one does but orders its
 arithmetic differently, so its solutions differ from the dense LU's at
 rounding level.
+
+A DiagonalMatrix of at most SMALL_N entries is checked and inverted on
+Python floats rather than numpy arrays: on a handful of components
+numpy's cost per call is many times the arithmetic.  The checks are the
+same (non-finite entries are singular, the scale is max(1, max|d|), the
+pivot floor applies) and so are the reciprocals, bit for bit.  Its
+factorization solves a list of floats into a list and an array into an
+array.
 """
 
 from __future__ import annotations
@@ -44,6 +52,10 @@ PIVOT_FLOOR = 1e-14
 # The band wins down to n/(kl+ku) of about 2 and ties near it; the ratio 4
 # stays a factor of 2 inside that crossover, which moves with host and BLAS.
 BAND_RATIO = 4
+# a DiagonalMatrix with at most this many entries is factored on Python
+# floats; the additive stepper runs its whole attempt on floats for the
+# same B, and the comparators generate a straight-line step up to it
+SMALL_N = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,12 +128,20 @@ class Factorization:
 
 
 class _DiagonalFactorization(Factorization):
-    def __init__(self, reciprocals: np.ndarray):
-        self._recip = reciprocals
-        self.dim = reciprocals.shape[0]
+    """Reciprocals of D's diagonal: an array, or a list for a small B."""
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._recip * self._checked(rhs)
+    def __init__(self, reciprocals):
+        self._recip = reciprocals
+        self.dim = len(reciprocals)
+
+    def solve(self, rhs):
+        recip = self._recip
+        if type(rhs) is list and type(recip) is list:
+            if len(rhs) != self.dim:
+                raise DimensionMismatch(
+                    f"rhs length {len(rhs)} != {self.dim}")
+            return [r * x for r, x in zip(recip, rhs)]
+        return np.asarray(recip) * self._checked(rhs)
 
 
 class _DenseFactorization(Factorization):
@@ -200,15 +220,32 @@ def _factor_banded(values: np.ndarray, a_times_h: float, kl: int,
     return _BandedFactorization(lu, piv, kl, ku)
 
 
+def _factor_diagonal_floats(values: list,
+                            a_times_h: float) -> _DiagonalFactorization:
+    """factor's diagonal branch on Python floats, with the same checks."""
+    a_times_h = float(a_times_h)
+    d = [1.0 - a_times_h * b for b in values]
+    if not all(map(math.isfinite, d)):
+        raise SingularMatrix("non-finite entries in stage matrix")
+    scale = max(1.0, max(map(abs, d)))
+    if min(map(abs, d)) < PIVOT_FLOOR * scale:
+        raise SingularMatrix(
+            f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
+    return _DiagonalFactorization([1.0 / x for x in d])
+
+
 def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
     """Factor D = E - a_times_h * B for repeated stage solves.
 
-    A DenseMatrix with a narrow band of nonzero entries is factored in band
+    A DiagonalMatrix of at most SMALL_N entries is factored on Python
+    floats, and a DenseMatrix with a narrow band of nonzero entries in band
     storage (see BAND_RATIO).  Raises SingularMatrix when any pivot falls
     below 1e-14 times the matrix scale (non-finite input counts as
     singular).
     """
     if isinstance(B, DiagonalMatrix):
+        if B.dim <= SMALL_N:
+            return _factor_diagonal_floats(B.values.tolist(), a_times_h)
         d = 1.0 - a_times_h * B.values
         scale = _scale(d)
         if float(np.min(np.abs(d))) < PIVOT_FLOOR * scale:

@@ -26,14 +26,19 @@ from .linalg import DiagonalMatrix, JacobianApprox
 
 @dataclass(frozen=True, eq=False)
 class Tolerances:
-    """Per-component absolute and relative error tolerances."""
+    """Per-component absolute and relative error tolerances.
+
+    atol and rtol are read-only copies, so the lists of floats taken from
+    them once at construction (as_lists, for the stepper's float path)
+    always match them.
+    """
 
     atol: np.ndarray
     rtol: np.ndarray
 
     def __post_init__(self):
-        atol = np.asarray(self.atol, dtype=float)
-        rtol = np.asarray(self.rtol, dtype=float)
+        atol = np.array(self.atol, dtype=float)
+        rtol = np.array(self.rtol, dtype=float)
         if atol.ndim != 1 or rtol.ndim != 1 or atol.shape != rtol.shape:
             raise ValueError("atol and rtol must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(atol)) and np.all(np.isfinite(rtol))):
@@ -42,8 +47,15 @@ class Tolerances:
             raise ValueError("tolerances must be non-negative")
         if np.any((atol == 0.0) & (rtol == 0.0)):
             raise ValueError("some component has atol = rtol = 0")
+        atol.setflags(write=False)
+        rtol.setflags(write=False)
         object.__setattr__(self, "atol", atol)
         object.__setattr__(self, "rtol", rtol)
+        object.__setattr__(self, "_lists", (atol.tolist(), rtol.tolist()))
+
+    def as_lists(self) -> tuple:
+        """(atol, rtol) as lists of Python floats."""
+        return self._lists
 
     @classmethod
     def uniform(cls, tol: float, n: int) -> "Tolerances":

@@ -8,9 +8,11 @@ constructed rather than trusted as literals.
 
 The step and driver work on plain tuples of floats.  Explicit methods on
 stiff benchmark problems take millions of steps, so the hot path avoids
-array-object overhead entirely.  For states of up to UNROLL_MAX_N
-components the step is a straight-line function generated on first use
-for each (tableau, dimension) and kept on the tableau: every component is
+array-object overhead entirely.  For states of up to SMALL_N (16)
+components, the same bound up to which the additive stepper runs a
+diagonal-B attempt on Python floats, the step is a straight-line function
+generated on first use for each (tableau, dimension) and kept on the
+tableau: every component is
 a local, zero coefficients are left out, and each sum runs in the loop's
 order from the loop's start value, so the results are bit-identical to the
 loop's.  On the three-component kinetics problems that cuts the cost of
@@ -37,7 +39,7 @@ from .exceptions import (
     ZeroToleranceDenominator,
 )
 from .problems import Tolerances
-from .stepper import PROBE_FLOOR, PROBE_SHARE_FLOOR, RunStatistics
+from .stepper import PROBE_FLOOR, PROBE_SHARE_FLOOR, SMALL_N, RunStatistics
 
 # rooted-tree order conditions up to order five: (order, weight, 1/density)
 # with the elementary weight written in terms of A, b, c
@@ -64,9 +66,6 @@ _ORDER_CONDITIONS = [
 _VERIFY_TOL = 1e-12
 # smallest stepsize a run may take or retry with
 H_MIN = 1e-14
-# largest state dimension that gets a generated straight-line step; the
-# generated source grows with n, so larger states run the loop
-UNROLL_MAX_N = 16
 
 
 def order_condition_residuals(a_rows, weights, nodes, order: int) -> list:
@@ -233,13 +232,13 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
     boundary while the error estimate is still quiet.  When no component
     has a signal (constant field, zero denominators, overflow) v is 0.
 
-    States of at most UNROLL_MAX_N components take the tableau's
+    States of at most SMALL_N components take the tableau's
     generated straight-line step for their dimension, larger ones the
     loop; both do the same arithmetic.  A right-hand side that returns
     the wrong number of components raises DimensionMismatch.
     """
     n = len(y)
-    if n > UNROLL_MAX_N:
+    if n > SMALL_N:
         return _rk_step_loop(tableau, f, y, h)
     step = tableau._steps.get(n)
     if step is None:

@@ -30,6 +30,19 @@ dynamics forget errors.  When its scaled norm exceeds a budget, the
 stepsize proposals are pressed down until the per-step bias is small
 enough to respect the budget over the whole run.  Acceptance still means
 err <= 1; the guard only makes the controller aim lower.
+
+An attempt runs on one of two paths, picked once per attempt in _stages
+from the B that the Jacobian provider returns.  A DiagonalMatrix of at
+most SMALL_N components takes the float path: the stages, the probe, the
+error norm and the drift update work on lists of Python floats, since on a
+handful of components numpy's cost per call dwarfs the arithmetic.  Every
+other B takes the numpy path, which is the reference the tests hold the
+float path to.  The two give bit-identical results: each sum keeps
+numpy's association and order, the maxima let NaN win as np.max does, and
+the drift decay still calls np.exp.  The user's right-hand side and
+Jacobian provider receive arrays on both paths.  The controller
+(attempt_step, propose_next_h and the drift guard's pressure rule) is one
+copy that both paths share.
 """
 
 from __future__ import annotations
@@ -42,13 +55,14 @@ import numpy as np
 
 from .coefficients import EmbeddedCoefficients, SchemeCoefficients
 from .exceptions import (
+    DimensionMismatch,
     MaxRejectsExceeded,
     NonFiniteState,
     SingularMatrix,
     StepsizeUnderflow,
     ZeroToleranceDenominator,
 )
-from .linalg import DiagonalMatrix, factor
+from .linalg import SMALL_N, DiagonalMatrix, factor
 from .problems import SplitProblem, Tolerances
 
 # err below this floor is treated as exact when inverting the error model
@@ -122,10 +136,11 @@ class StepReport:
     h_used: float
     h_next: float
     retry_underflow: bool
-    # set on acceptance: the new state, its embedded companion and the
-    # stage matrix diagonal the drift guard decays by
-    y_next: Optional[np.ndarray] = field(default=None)
-    y_emb: Optional[np.ndarray] = field(default=None)
+    # set on acceptance: the new state, its embedded companion (arrays, or
+    # lists of floats from the float path) and the stage matrix diagonal
+    # the drift guard decays by
+    y_next: Optional[np.ndarray | list] = field(default=None)
+    y_emb: Optional[np.ndarray | list] = field(default=None)
     b_diag: Optional[np.ndarray] = field(default=None)
 
 
@@ -144,8 +159,34 @@ class IntegrationResult:
     trace: Optional[list] = field(default=None)
 
 
-def error_norm(y: np.ndarray, y2: np.ndarray, tol: Tolerances) -> float:
-    """Scaled maximum deviation max_i |y_i - y2_i| / (atol_i + rtol_i*|y_i|)."""
+def _nan_max(values) -> float:
+    """Largest of values, or NaN when any is NaN, as np.max gives."""
+    top = -math.inf
+    for x in values:
+        if not x <= top:
+            if x != x:
+                return x
+            top = x
+    return top
+
+
+def _all_finite(x) -> bool:
+    if type(x) is list:
+        return all(map(math.isfinite, x))
+    return bool(np.all(np.isfinite(x)))
+
+
+def _as_array(y) -> np.ndarray:
+    return np.array(y) if type(y) is list else y
+
+
+def error_norm(y, y2, tol: Tolerances) -> float:
+    """Scaled maximum deviation max_i |y_i - y2_i| / (atol_i + rtol_i*|y_i|).
+
+    y and y2 are arrays, or lists of floats on the float path.
+    """
+    if type(y) is list:
+        return _error_norm_floats(y, y2, tol)
     den = tol.atol + tol.rtol * np.abs(y)
     if np.any(den == 0.0):
         raise ZeroToleranceDenominator(
@@ -153,8 +194,20 @@ def error_norm(y: np.ndarray, y2: np.ndarray, tol: Tolerances) -> float:
     return float(np.max(np.abs(y - y2) / den))
 
 
-def stability_estimate(phi, y: np.ndarray, k1: np.ndarray,
-                       h: float, stats: RunStatistics) -> float:
+def _error_norm_floats(y: list, y2: list, tol: Tolerances) -> float:
+    atol, rtol = tol.as_lists()
+    if not len(y) == len(y2) == len(atol):
+        # zip would silently drop the extra components
+        raise DimensionMismatch(f"lengths {len(y)}, {len(y2)} and "
+                                f"{len(atol)} tolerances differ")
+    den = [a + r * abs(x) for a, r, x in zip(atol, rtol, y)]
+    if 0.0 in den:
+        raise ZeroToleranceDenominator(
+            "atol + rtol*|y| vanished for some component")
+    return _nan_max([abs(a - b) / d for a, b, d in zip(y, y2, den)])
+
+
+def stability_estimate(phi, y, k1, h: float, stats: RunStatistics) -> float:
     """Power-method estimate of h times the dominant non-stiff eigenvalue.
 
     phi is the current step's non-stiff part.  Costs two evaluations of
@@ -162,7 +215,11 @@ def stability_estimate(phi, y: np.ndarray, k1: np.ndarray,
     either in absolute terms, 1e-14*(1 + |k1|), or relative to the
     largest component of the iterate d1 - k1 -- are skipped; if all
     components are skipped the estimate is 0 (no stability information).
+    k1 is an array, or a list of floats on the float path (phi then maps
+    lists to lists).
     """
+    if type(k1) is list:
+        return _stability_estimate_floats(phi, y, k1, h, stats)
     d1 = h * phi(y + PROBE_ALPHA21 * k1)
     d2 = h * phi(y + PROBE_ALPHA31 * k1 + PROBE_ALPHA32 * d1)
     stats.phi_evals += 2
@@ -173,6 +230,28 @@ def stability_estimate(phi, y: np.ndarray, k1: np.ndarray,
         return 0.0
     ratio = np.max(np.abs(d2 - d1)[keep] / den[keep])
     return float(ratio / PROBE_ALPHA32)
+
+
+def _stability_estimate_floats(phi, y, k1: list, h: float,
+                               stats: RunStatistics) -> float:
+    if type(y) is not list:
+        y = y.tolist()
+    a21, a31, a32 = PROBE_ALPHA21, PROBE_ALPHA31, PROBE_ALPHA32
+    d1 = [h * x for x in phi([u + a21 * k for u, k in zip(y, k1)])]
+    d2 = [h * x for x in phi([u + a31 * k + a32 * d
+                              for u, k, d in zip(y, k1, d1)])]
+    stats.phi_evals += 2
+    den = [abs(d - k) for d, k in zip(d1, k1)]
+    share = PROBE_SHARE_FLOOR * _nan_max(den)
+    # den >= max(share, floor) with NaN winning the max, as np.maximum
+    # has it: a comparison with NaN is false, so a NaN share keeps
+    # nothing and a NaN floor drops its component
+    ratios = [abs(b - a) / d
+              for a, b, d, k in zip(d1, d2, den, k1)
+              if d >= share and d >= PROBE_FLOOR * (1.0 + abs(k))]
+    if not ratios:
+        return 0.0
+    return _nan_max(ratios) / a32
 
 
 def propose_next_h(h: float, err: float, v: Optional[float],
@@ -203,24 +282,43 @@ def propose_next_h(h: float, err: float, v: Optional[float],
                         retry_underflow=h_acc < H_MIN)
 
 
-def _stages(problem: SplitProblem, y: np.ndarray, h: float,
+def _rhs(full, u: np.ndarray) -> np.ndarray:
+    """full(u) as a float array of u's shape, else DimensionMismatch."""
+    f = np.asarray(full(u), dtype=float)
+    if f.shape != u.shape:
+        raise DimensionMismatch(f"right-hand side returned shape {f.shape} "
+                                f"for a state of shape {u.shape}")
+    return f
+
+
+def _stages(problem: SplitProblem, y, h: float,
             scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
             stats: RunStatistics) -> tuple:
     """Evaluate all stages; returns (phi, k1, y_next, y_emb, b_diag).
 
     phi is the step-local non-stiff part u -> f(u) - B*u with B held at
-    its start-of-step value; b_diag is the diagonal of B.
-    Work per call: 1 factorization, 5 linear solves, 3 evaluations of the
-    right-hand side and 2 stiff-part applications.  Raises SingularMatrix
-    when the stage matrix cannot be factored.
+    its start-of-step value; b_diag is the diagonal of B, an array.
+    This is where an attempt picks its path: a DiagonalMatrix B of at most
+    SMALL_N components runs the stages on floats, and phi, k1, y_next and
+    y_emb are then lists; any other B runs them on arrays.  y may be
+    either.  Work per call: 1 factorization, 5 linear solves, 3
+    evaluations of the right-hand side and 2 stiff-part applications.
+    Raises SingularMatrix when the stage matrix cannot be factored and
+    DimensionMismatch when the right-hand side returns the wrong number of
+    components.
     """
+    y_arr = np.array(y) if type(y) is list else y
+    B = problem.jac(y_arr)
+    if isinstance(B, DiagonalMatrix) and B.dim <= SMALL_N:
+        return _stages_floats(problem.full, B, y, y_arr, h, scheme,
+                              embedded, stats)
+    y = y_arr
     a42, a43 = scheme.alpha4[1], scheme.alpha4[2]
     b42, b43 = scheme.beta4[1], scheme.beta4[2]
     b63, b64, b65 = scheme.beta6[2], scheme.beta6[3], scheme.beta6[4]
     p1, p2, p3, p4, p5, p6 = scheme.p
     r1, r2, r3, r4, r5 = embedded.r
 
-    B = problem.jac(y)
     if isinstance(B, DiagonalMatrix):
         b_diag = B.values
     else:
@@ -231,9 +329,9 @@ def _stages(problem: SplitProblem, y: np.ndarray, h: float,
     full = problem.full
 
     def phi(u):
-        return np.asarray(full(u), dtype=float) - B.matvec(u)
+        return _rhs(full, u) - B.matvec(u)
 
-    f0 = np.asarray(full(y), dtype=float)
+    f0 = _rhs(full, y)
     k1 = h * (f0 - B.matvec(y))
     # the non-stiff and stiff parts are both taken at y, so their sum
     # collapses to the full right-hand side
@@ -246,7 +344,7 @@ def _stages(problem: SplitProblem, y: np.ndarray, h: float,
     u = y + b42 * k2 + b43 * k3
     w = y + a42 * k2 + a43 * k3
     # h*phi(u) + h*(B*w) regrouped around one right-hand-side evaluation
-    rhs4 = h * np.asarray(full(u), dtype=float) + h * B.matvec(w - u)
+    rhs4 = h * _rhs(full, u) + h * B.matvec(w - u)
     stats.phi_evals += 1
     stats.g_evals += 1
     k4 = fact.solve(rhs4)
@@ -261,13 +359,75 @@ def _stages(problem: SplitProblem, y: np.ndarray, h: float,
     return phi, k1, y_next, y_emb, b_diag
 
 
-def attempt_step(problem: SplitProblem, y: np.ndarray, h: float,
+def _stages_floats(full, B: DiagonalMatrix, y, y_arr: np.ndarray, h: float,
+                   scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
+                   stats: RunStatistics) -> tuple:
+    """_stages on lists of floats for a small diagonal B, same arithmetic.
+
+    Every expression is _stages' with each array operation spelled out
+    per component in numpy's association and order.
+    """
+    n = len(y_arr)
+    if B.dim != n:
+        raise DimensionMismatch(f"vector length {n} != {B.dim}")
+    y = y if type(y) is list else y_arr.tolist()
+    # the weights as Python floats: an np.float64 factor would turn every
+    # product into an np.float64
+    alpha4, beta4 = scheme.alpha4.tolist(), scheme.beta4.tolist()
+    beta6 = scheme.beta6.tolist()
+    a42, a43 = alpha4[1], alpha4[2]
+    b42, b43 = beta4[1], beta4[2]
+    b63, b64, b65 = beta6[2], beta6[3], beta6[4]
+    p1, p2, p3, p4, p5, p6 = scheme.p.tolist()
+    r1, r2, r3, r4, r5 = embedded.r.tolist()
+    gamma = float(scheme.gamma)
+
+    b = B.values.tolist()
+    stats.factorizations += 1
+    solve = factor(B, scheme.a * h).solve
+
+    def f(u: list) -> list:
+        return _rhs(full, np.array(u)).tolist()
+
+    def phi(u: list) -> list:
+        return [fu - bi * ui for fu, bi, ui in zip(f(u), b, u)]
+
+    f0 = _rhs(full, y_arr).tolist()
+    k1 = [h * (fi - bi * yi) for fi, bi, yi in zip(f0, b, y)]
+    stats.phi_evals += 1
+    stats.g_evals += 1
+
+    k2 = solve([h * fi for fi in f0])
+    k3 = solve(k2)
+    u = [yi + b42 * c2 + b43 * c3 for yi, c2, c3 in zip(y, k2, k3)]
+    w = [yi + a42 * c2 + a43 * c3 for yi, c2, c3 in zip(y, k2, k3)]
+    rhs4 = [h * fu + h * (bi * (wi - ui))
+            for fu, bi, wi, ui in zip(f(u), b, w, u)]
+    stats.phi_evals += 1
+    stats.g_evals += 1
+    k4 = solve(rhs4)
+    k5 = solve([c4 + gamma * c3 for c4, c3 in zip(k4, k3)])
+    k6 = [h * x for x in phi([yi + b63 * c3 + b64 * c4 + b65 * c5
+                              for yi, c3, c4, c5 in zip(y, k3, k4, k5)])]
+    stats.phi_evals += 1
+    k5_emb = solve(k4)
+    stats.linear_solves += 5
+
+    y_next = [yi + p1 * c1 + p2 * c2 + p3 * c3 + p4 * c4 + p5 * c5 + p6 * c6
+              for yi, c1, c2, c3, c4, c5, c6
+              in zip(y, k1, k2, k3, k4, k5, k6)]
+    y_emb = [yi + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5
+             for yi, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5_emb)]
+    return phi, k1, y_next, y_emb, B.values
+
+
+def attempt_step(problem: SplitProblem, y, h: float,
                  scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
                  tol: Tolerances, cfg: ControllerConfig,
                  stats: RunStatistics,
                  lam: Optional[float] = None,
                  pressure: float = 1.0) -> StepReport:
-    """Attempt one step of size h from state y.
+    """Attempt one step of size h from state y (an array, or a list).
 
     lam carries the per-unit-h stability estimate from an earlier attempt
     of the same step; when None and stability control is on, fresh probes
@@ -288,7 +448,7 @@ def attempt_step(problem: SplitProblem, y: np.ndarray, h: float,
                 v = stability_estimate(phi, y, k1, h, stats)
             else:
                 v = lam * h
-        finite = np.all(np.isfinite(y_next)) and np.all(np.isfinite(y_emb))
+        finite = _all_finite(y_next) and _all_finite(y_emb)
     if not finite:
         return StepReport(accepted=False, err=math.inf, v=v, h_used=h,
                           h_next=max(0.5 * h, H_MIN),
@@ -305,6 +465,38 @@ def attempt_step(problem: SplitProblem, y: np.ndarray, h: float,
                       retry_underflow=proposal.retry_underflow)
 
 
+def _drift_update(drift, report: StepReport, tol: Tolerances) -> tuple:
+    """Fold an accepted step into the drift sum; returns (drift, pressure).
+
+    The sum decays by exp(min(0, h*b_i)) per component before the step's
+    main-vs-embedded difference is added, and the pressure is its scaled
+    norm over DRIFT_BUDGET, at least 1.  drift is an array, or a list on
+    the float path.
+    """
+    decay = np.exp(np.minimum(0.0, report.h_used * report.b_diag))
+    y, y_emb = report.y_next, report.y_emb
+    if type(y) is list:
+        drift, g_norm = _drift_sum_floats(drift, decay.tolist(), y, y_emb,
+                                          tol)
+    else:
+        drift = np.asarray(drift) * decay + (y - y_emb)
+        den = tol.atol + tol.rtol * np.abs(y)
+        g_norm = float(np.max(np.abs(drift) / den))
+    return drift, max(1.0, g_norm / DRIFT_BUDGET)
+
+
+def _drift_sum_floats(drift, decay: list, y: list, y_emb: list,
+                      tol: Tolerances) -> tuple:
+    """_drift_update's new sum and its scaled norm, on floats."""
+    if type(drift) is not list:
+        drift = drift.tolist()
+    atol, rtol = tol.as_lists()
+    drift = [g * e + (a - b) for g, e, a, b in zip(drift, decay, y, y_emb)]
+    # error_norm has ruled out a zero denominator at this y
+    return drift, _nan_max([abs(g) / (at + rt * abs(a))
+                            for g, at, rt, a in zip(drift, atol, rtol, y)])
+
+
 def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
               embedded: EmbeddedCoefficients, tol: Tolerances,
               cfg: Optional[ControllerConfig] = None,
@@ -312,12 +504,12 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     """Integrate from t0 to t_end with adaptive stepsize.
 
     The trace, when requested, records (t, h, err, v, y) per accepted
-    step.  The drift guard folds every accepted step's main-vs-embedded
-    difference into a running sum whose components decay at their own
-    linearized rates; once the sum's scaled norm exceeds DRIFT_BUDGET,
-    subsequent stepsize proposals are divided by the overshoot factor.
-    Raises StepsizeUnderflow when a rejection pushes h below H_MIN and
-    MaxRejectsExceeded when one step keeps failing.
+    step, y as an array.  The drift guard folds every accepted step's
+    main-vs-embedded difference into a running sum whose components decay
+    at their own linearized rates; once the sum's scaled norm exceeds
+    DRIFT_BUDGET, subsequent stepsize proposals are divided by the
+    overshoot factor.  Raises StepsizeUnderflow when a rejection pushes h
+    below H_MIN and MaxRejectsExceeded when one step keeps failing.
     """
     cfg = cfg if cfg is not None else ControllerConfig()
     t = problem.t0
@@ -329,7 +521,7 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     stats = RunStatistics()
     trace: Optional[list] = [] if collect_trace else None
     span = t_stop - t
-    drift = np.zeros(problem.n)
+    drift = [0.0] * problem.n
     pressure = 1.0
 
     while t_stop - t > 1e-14 * max(abs(span), abs(t_stop)):
@@ -347,13 +539,10 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
                 t += report.h_used
                 y = report.y_next
                 stats.steps_accepted += 1
-                drift *= np.exp(np.minimum(0.0, report.h_used * report.b_diag))
-                drift += y - report.y_emb
-                den = tol.atol + tol.rtol * np.abs(y)
-                g_norm = float(np.max(np.abs(drift) / den))
-                pressure = max(1.0, g_norm / DRIFT_BUDGET)
+                drift, pressure = _drift_update(drift, report, tol)
                 if trace is not None:
-                    trace.append((t, report.h_used, report.err, report.v, y))
+                    trace.append((t, report.h_used, report.err, report.v,
+                                  _as_array(y)))
                 h = report.h_next
                 break
             stats.steps_rejected += 1
@@ -368,7 +557,7 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
                     f"(h={report.h_used:.3g}, err={report.err:.3g})")
             h = report.h_next
 
-    return IntegrationResult(t=t, y=y, stats=stats, trace=trace)
+    return IntegrationResult(t=t, y=_as_array(y), stats=stats, trace=trace)
 
 
 def integrate_fixed(problem: SplitProblem, h: float,
@@ -391,11 +580,11 @@ def integrate_fixed(problem: SplitProblem, h: float,
     stats = RunStatistics()
     for i in range(n_steps):
         _, _, y, _, _ = _stages(problem, y, h_eff, scheme, embedded, stats)
-        if not np.all(np.isfinite(y)):
+        if not _all_finite(y):
             raise NonFiniteState(f"state became non-finite at t={t:.6g}")
         t = problem.t0 + (i + 1) * h_eff
         stats.steps_accepted += 1
-    return IntegrationResult(t=t, y=y, stats=stats)
+    return IntegrationResult(t=t, y=_as_array(y), stats=stats)
 
 
 def embedded_difference(problem: SplitProblem, h: float,
@@ -404,4 +593,4 @@ def embedded_difference(problem: SplitProblem, h: float,
     """Max-norm gap between main and embedded solutions after one step."""
     _, _, y_next, y_emb, _ = _stages(problem, problem.y0, h, scheme, embedded,
                                      RunStatistics())
-    return float(np.max(np.abs(y_next - y_emb)))
+    return float(np.max(np.abs(_as_array(y_next) - _as_array(y_emb))))

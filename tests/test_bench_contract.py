@@ -91,3 +91,34 @@ def test_traced_comparator_counts_every_step(method):
     assert stats.steps_accepted > 0
     assert tracer.calls["reference_rk.step"] == (stats.steps_accepted
                                                  + stats.steps_rejected)
+
+
+@pytest.mark.parametrize("control", [True, False], ids=["control", "plain"])
+def test_traced_float_path_counts_every_call(control):
+    # example4 (n = 4, diagonal B) runs its attempts on Python floats; the
+    # traced names must still see one factor, five solves and every
+    # right-hand-side call per attempt, as the counters do
+    problem = asode.builtin("example4")
+    problem = dataclasses.replace(problem, t_end=problem.t0 + 0.05)
+    assert problem.n <= asode.stepper.SMALL_N
+    _, k1, _, _, _ = asode.stepper._stages(
+        problem, problem.y0, problem.h0, SCHEME, EMBEDDED,
+        asode.RunStatistics())
+    assert type(k1) is list
+    cfg = asode.ControllerConfig(stability_control=control)
+    tracer = layertrace.Tracer()
+    with tracer.installed(asode):
+        traced = worker.Runner(tracer).prepare(problem)
+        res = asode.integrate(traced, SCHEME, EMBEDDED,
+                              asode.Tolerances.uniform(1e-2, problem.n), cfg)
+        absent = tracer.absent
+    assert absent == []
+    stats = res.stats
+    attempts = stats.steps_accepted + stats.steps_rejected
+    assert attempts > 0
+    assert tracer.calls["linalg.factor"] == stats.factorizations == attempts
+    assert tracer.calls["linalg.solve"] == stats.linear_solves
+    assert tracer.calls["stepper.stages"] == attempts
+    assert tracer.calls["stepper.probe"] == (stats.steps_accepted if control
+                                             else 0)
+    assert tracer.calls["problems.rhs"] == stats.phi_evals

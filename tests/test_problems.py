@@ -183,6 +183,21 @@ def test_make_split_with_dense_matrix():
         assert np.allclose(phi(y) + g(y), f(y), atol=1e-13)
 
 
+def test_tolerances_are_read_only_copies():
+    # the float lists are taken once, so the arrays must not change later
+    atol = np.array([1e-6, 2e-6])
+    t = Tolerances(atol=atol, rtol=np.array([1e-3, 0.0]))
+    atol[0] = 5.0
+    assert t.atol[0] == 1e-6
+    with pytest.raises(ValueError):
+        t.atol[0] = 5.0
+    with pytest.raises(ValueError):
+        t.rtol[1] = 5.0
+    lists = t.as_lists()
+    assert lists == ([1e-6, 2e-6], [1e-3, 0.0])
+    assert all(type(v) is float for part in lists for v in part)
+
+
 def test_tolerances_validation():
     t = Tolerances.uniform(1e-4, 3)
     assert np.array_equal(t.atol, [1e-4] * 3)

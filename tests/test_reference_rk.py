@@ -18,8 +18,8 @@ from asode.problems import Tolerances, builtin
 from asode.reference_rk import (
     FEHLBERG45,
     MERSON,
+    SMALL_N,
     TABLEAUS,
-    UNROLL_MAX_N,
     _rk_step_full,
     _rk_step_loop,
     linear_growth_factor,
@@ -226,7 +226,7 @@ class TestGeneratedStep:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
                              ids=lambda t: t.name)
-    @pytest.mark.parametrize("n", range(1, UNROLL_MAX_N + 1))
+    @pytest.mark.parametrize("n", range(1, SMALL_N + 1))
     def test_bit_identical_to_loop(self, tab, n):
         rng = np.random.default_rng(1000 * n + tab.stages)
         smooth = [
@@ -273,10 +273,10 @@ class TestGeneratedStep:
         monkeypatch.setattr(reference_rk, "_rk_step_loop", loop)
         f = lambda y: tuple(-v for v in y)
         tab = dataclasses.replace(MERSON)
-        for n in (UNROLL_MAX_N, UNROLL_MAX_N + 1):
+        for n in (SMALL_N, SMALL_N + 1):
             _rk_step_full(tab, f, (1.0,) * n, 0.1)
-        assert taken == [UNROLL_MAX_N + 1]
-        assert set(tab._steps) == {UNROLL_MAX_N}
+        assert taken == [SMALL_N + 1]
+        assert set(tab._steps) == {SMALL_N}
 
     def test_generated_on_first_use_with_source_lines(self):
         tab = dataclasses.replace(FEHLBERG45)
@@ -286,7 +286,7 @@ class TestGeneratedStep:
         assert linecache.getline(code.co_filename, code.co_firstlineno) \
             .startswith("def ")
 
-    @pytest.mark.parametrize("n", [3, UNROLL_MAX_N + 1],
+    @pytest.mark.parametrize("n", [3, SMALL_N + 1],
                              ids=["generated", "loop"])
     @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
     @pytest.mark.parametrize("bad_call", [0, 2])

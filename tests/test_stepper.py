@@ -10,12 +10,13 @@ import pytest
 
 from asode.coefficients import derive_embedded, derive_scheme
 from asode.exceptions import (
+    DimensionMismatch,
     MaxRejectsExceeded,
     StepsizeUnderflow,
     ZeroToleranceDenominator,
 )
 from asode.linalg import DiagonalMatrix
-from asode import stepper
+from asode import linalg, stepper
 from asode.problems import SplitProblem, Tolerances, builtin, make_split
 from asode.stepper import (
     ControllerConfig,
@@ -380,6 +381,27 @@ class TestIntegrate:
                             t0=0.0, t_end=1.0, h0=1.0)
         with pytest.raises(MaxRejectsExceeded):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 1))
+
+    @pytest.mark.parametrize("path", ["floats", "numpy"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_rhs_raises(self, length, path, monkeypatch):
+        # numpy used to broadcast a short return into a ValueError, and a
+        # zip over lists would silently truncate it
+        if path == "numpy":
+            monkeypatch.setattr(stepper, "SMALL_N", 0)
+            monkeypatch.setattr(linalg, "SMALL_N", 0)
+        B = DiagonalMatrix(np.full(3, -1.0))
+
+        def full(y):
+            return np.resize(-y, length)
+
+        phi, g = make_split(full, lambda y: B)
+        prob = SplitProblem(name="short", n=3, phi=phi, g=g,
+                            jac=lambda y: B, full=full,
+                            y0=np.array([1.0, 2.0, 3.0]), t0=0.0, t_end=1.0,
+                            h0=0.1)
+        with pytest.raises(DimensionMismatch, match="right-hand side"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
 
     def test_nonfinite_initial_state_raises(self):
         # rejected where the problem is built, before any integration
