@@ -433,9 +433,5 @@ def main(argv: Optional[list] = None) -> int:
         return 2
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -38,28 +38,7 @@ DEFAULT_A = 0.57281606248213
 # Descending coefficients of the design quartic.
 DESIGN_QUARTIC = (24.0, -96.0, 72.0, -16.0, 1.0)
 
-# The root scan covers [SCAN_LO, SCAN_HI] in SCAN_STEPS equal cells.
-SCAN_LO = -1.0
-SCAN_HI = 4.0
-SCAN_STEPS = 5000
-
 _DENOM_FLOOR = 1e-14
-
-
-def design_quartic(a: float) -> float:
-    """Evaluate the design quartic at `a` (Horner form)."""
-    acc = 0.0
-    for c in DESIGN_QUARTIC:
-        acc = acc * a + c
-    return acc
-
-
-def _design_quartic_deriv(a: float) -> float:
-    n = len(DESIGN_QUARTIC) - 1
-    acc = 0.0
-    for i, c in enumerate(DESIGN_QUARTIC[:-1]):
-        acc = acc * a + (n - i) * c
-    return acc
 
 
 @dataclass(frozen=True)
@@ -75,45 +54,15 @@ class QuarticRoots:
 
 
 def solve_design_quartic() -> QuarticRoots:
-    """Locate all real roots of the design quartic on [SCAN_LO, SCAN_HI].
+    """The four real roots of the design quartic, ascending.
 
-    A coarse scan brackets sign changes, bisection tightens each bracket
-    and a few Newton iterations polish the result.
+    np.roots takes them as the eigenvalues of the quartic's companion
+    matrix; DegenerateParameter is raised if any of them is complex.
     """
-    xs = np.linspace(SCAN_LO, SCAN_HI, SCAN_STEPS + 1)
-    vals = [design_quartic(x) for x in xs]
-    roots = []
-    for i in range(SCAN_STEPS):
-        lo, hi = xs[i], xs[i + 1]
-        flo, fhi = vals[i], vals[i + 1]
-        if flo == 0.0:
-            roots.append(lo)
-            continue
-        if flo * fhi >= 0.0:
-            continue
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fmid = design_quartic(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if flo * fmid < 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        root = 0.5 * (lo + hi)
-        for _ in range(4):
-            d = _design_quartic_deriv(root)
-            if d == 0.0:
-                break
-            root -= design_quartic(root) / d
-        roots.append(root)
-    if len(roots) != 4:
-        raise DegenerateParameter(
-            f"expected 4 real quartic roots in [{SCAN_LO}, {SCAN_HI}], "
-            f"found {len(roots)}")
-    roots.sort()
-    return QuarticRoots(roots=tuple(roots))
+    roots = np.roots(DESIGN_QUARTIC)
+    if np.iscomplexobj(roots):
+        raise DegenerateParameter(f"design quartic has complex roots {roots}")
+    return QuarticRoots(roots=tuple(sorted(roots.tolist())))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,13 +7,13 @@ per step serves the five stage solves, so the factor object is separate
 from the solve call.
 
 A dense B whose nonzero entries lie in a narrow band is factored in LAPACK
-band storage (gbtrf/gbtrs) instead of as a full matrix.  The lower and
-upper bandwidths kl, ku are read off B's entries on every call (NaN and
-inf count as nonzero), and the band path is taken when
-BAND_RATIO * (kl + ku) < n.  Both paths build the same D and apply the same
-singularity checks.  The band LU pivots as the dense one does but orders its
-arithmetic differently, so its solutions differ from the dense LU's at
-rounding level.
+band storage (gbtrf/gbtrs) instead of as a full matrix (getrf/getrs); both
+paths call LAPACK directly.  The lower and upper bandwidths kl, ku come
+from scipy.linalg.bandwidth on every call (NaN and inf count as nonzero),
+and the band path is taken when BAND_RATIO * (kl + ku) < n.  Both paths
+build the same D and apply the same singularity checks.  The band LU pivots
+as the dense one does but orders its arithmetic differently, so its
+solutions differ from the dense LU's at rounding level.
 
 A DiagonalMatrix of at most SMALL_N entries is checked and inverted on
 Python floats rather than numpy arrays: on a handful of components
@@ -27,12 +27,11 @@ array.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 from .exceptions import DimensionMismatch, SingularMatrix
 
@@ -41,16 +40,18 @@ PIVOT_FLOOR = 1e-14
 # A dense B with bandwidths kl, ku is factored as banded when
 # BAND_RATIO * (kl + ku) < n.  One factor() plus five solves, banded / dense
 # path, in microseconds (one OpenBLAS thread, 2-CPU x86-64 VM, numpy 2.4,
-# scipy 1.17; best of 5 timeit repeats):
+# scipy 1.17; best of 5 timeit repeats, lowest of 3 runs):
 #
 #       n  n/(kl+ku) = 8       4          3          2          1.5
-#      64       90/192    205/277    235/267    286/304    367/312
-#     128      265/587    231/339    269/329    523/365    654/412
-#     256     480/1776   735/1338   948/1265  1369/1604  1272/1165
-#     512    1059/6777  1614/8533  2540/6938  3188/6804  5526/7561
+#      64       92/78     110/77     127/76     193/85     278/92
+#     128     222/320    247/303    312/283    404/280    678/325
+#     256    427/1859   754/1375   889/1215  1353/1206  1814/1077
+#     512  1219/11829  1904/9045  3077/7996  5373/8214  6717/7949
 #
-# The band wins down to n/(kl+ku) of about 2 and ties near it; the ratio 4
-# stays a factor of 2 inside that crossover, which moves with host and BLAS.
+# With getrf/getrs called directly the dense LU ties or beats the band LU
+# at n = 64 at every ratio; from n = 128 on the band wins at ratio 4 and up.
+# The ratio stays 4: the benchmark's Brusselator Jacobians (n/(kl+ku) = 32
+# and 128) take the band path under any ratio in the table.
 BAND_RATIO = 4
 # a DiagonalMatrix with at most this many entries is factored on Python
 # floats; the additive stepper runs its whole attempt on floats for the
@@ -145,14 +146,17 @@ class _DiagonalFactorization(Factorization):
 
 
 class _DenseFactorization(Factorization):
-    def __init__(self, lu, piv, dim: int):
+    """getrf factors of D."""
+
+    def __init__(self, lu, piv):
         self._lu = lu
         self._piv = piv
-        self.dim = dim
+        self.dim = lu.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve((self._lu, self._piv),
-                                     self._checked(rhs), check_finite=False)
+        # getrs reports only malformed arguments, which _checked rules out
+        x, _ = dgetrs(self._lu, self._piv, self._checked(rhs))
+        return x
 
 
 class _BandedFactorization(Factorization):
@@ -170,26 +174,6 @@ class _BandedFactorization(Factorization):
         x, _ = dgbtrs(self._lu, self._kl, self._ku, self._checked(rhs),
                       self._piv)
         return x
-
-
-def _bandwidths(values: np.ndarray) -> tuple:
-    """Lower and upper bandwidths (kl, ku) of a square matrix's entries.
-
-    Every entry that is not exactly zero counts, NaN and inf included, so a
-    non-finite entry is either inside the band or widens it.  An all-zero
-    matrix has bandwidths (0, 0).
-    """
-    nonzero = values != 0
-    rows = np.arange(values.shape[0])
-    first = np.argmax(nonzero, axis=1)
-    last = values.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    # argmax is 0 on an all-zero row; such rows set no bandwidth
-    used = nonzero[rows, first]
-    if not used.any():
-        return 0, 0
-    kl = int(np.max(rows[used] - first[used]))
-    ku = int(np.max(last[used] - rows[used]))
-    return max(kl, 0), max(ku, 0)
 
 
 def _scale(entries: np.ndarray) -> float:
@@ -241,7 +225,7 @@ def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
     floats, and a DenseMatrix with a narrow band of nonzero entries in band
     storage (see BAND_RATIO).  Raises SingularMatrix when any pivot falls
     below 1e-14 times the matrix scale (non-finite input counts as
-    singular).
+    singular), and DimensionMismatch when B is of neither matrix type.
     """
     if isinstance(B, DiagonalMatrix):
         if B.dim <= SMALL_N:
@@ -253,16 +237,16 @@ def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
                 f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
         return _DiagonalFactorization(1.0 / d)
     if isinstance(B, DenseMatrix):
-        kl, ku = _bandwidths(B.values)
+        kl, ku = scipy.linalg.bandwidth(B.values)
         if BAND_RATIO * (kl + ku) < B.dim:
             return _factor_banded(B.values, a_times_h, kl, ku)
         D = np.eye(B.dim) - a_times_h * B.values
         scale = _scale(D)
-        with warnings.catch_warnings():
-            # singularity is reported via SingularMatrix below
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(D, check_finite=False)
+        lu, piv, info = dgetrf(D, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"dgetrf rejected argument {-info}")
+        # info > 0 flags an exactly zero pivot, which the floor also catches
         if float(np.min(np.abs(np.diag(lu)))) < PIVOT_FLOOR * scale:
             raise SingularMatrix(f"pivot below {PIVOT_FLOOR:.0e} * scale")
-        return _DenseFactorization(lu, piv, B.dim)
+        return _DenseFactorization(lu, piv)
     raise DimensionMismatch(f"unsupported matrix type {type(B).__name__}")

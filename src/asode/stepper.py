@@ -305,7 +305,7 @@ def _stages(problem: SplitProblem, y, h: float,
     evaluations of the right-hand side and 2 stiff-part applications.
     Raises SingularMatrix when the stage matrix cannot be factored and
     DimensionMismatch when the right-hand side returns the wrong number of
-    components.
+    components or the Jacobian provider returns neither matrix type.
     """
     y_arr = np.array(y) if type(y) is list else y
     B = problem.jac(y_arr)
@@ -319,13 +319,14 @@ def _stages(problem: SplitProblem, y, h: float,
     p1, p2, p3, p4, p5, p6 = scheme.p
     r1, r2, r3, r4, r5 = embedded.r
 
+    stats.factorizations += 1
+    # factor first: it rejects a B of neither matrix type
+    fact = factor(B, scheme.a * h)
     if isinstance(B, DiagonalMatrix):
         b_diag = B.values
     else:
         # a copy: a view would keep the dense B alive in the step report
-        b_diag = np.diagonal(B.as_dense()).copy()
-    stats.factorizations += 1
-    fact = factor(B, scheme.a * h)
+        b_diag = np.diagonal(B.values).copy()
     full = problem.full
 
     def phi(u):
@@ -508,9 +509,13 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     main-vs-embedded difference into a running sum whose components decay
     at their own linearized rates; once the sum's scaled norm exceeds
     DRIFT_BUDGET, subsequent stepsize proposals are divided by the
-    overshoot factor.  Raises StepsizeUnderflow when a rejection pushes h
-    below H_MIN and MaxRejectsExceeded when one step keeps failing.
+    overshoot factor.  Raises ValueError when the tolerances do not have
+    one entry per state component, StepsizeUnderflow when a rejection
+    pushes h below H_MIN and MaxRejectsExceeded when one step keeps
+    failing.
     """
+    if len(tol.atol) != problem.n:
+        raise ValueError("tolerance length does not match the state")
     cfg = cfg if cfg is not None else ControllerConfig()
     t = problem.t0
     t_stop = problem.t_end

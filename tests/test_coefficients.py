@@ -16,7 +16,6 @@ from asode.coefficients import (
     DESIGN_QUARTIC,
     derive_embedded,
     derive_scheme,
-    design_quartic,
     solve_design_quartic,
     verify_embedded_conditions,
     verify_order_conditions,

@@ -1,9 +1,11 @@
 """Factorization tests with an independent full-pivot elimination oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from asode import linalg
 from asode.exceptions import DimensionMismatch, SingularMatrix
@@ -76,6 +78,24 @@ def test_dense_solve_matches_full_pivot_oracle():
                            rtol=1e-10)
 
 
+def test_dense_path_matches_lu_factor_bit_for_bit(monkeypatch):
+    # scipy's lu_factor/lu_solve as the reference, on dense D of every
+    # size up to 40 (n = 1 would take the band path under the rule)
+    monkeypatch.setattr(linalg, "BAND_RATIO", math.inf)
+    rng = np.random.default_rng(2024)
+    for n in range(1, 41):
+        B = DenseMatrix(rng.standard_normal((n, n)))
+        c = float(rng.uniform(0.05, 2.0))
+        fact = factor(B, c)
+        assert type(fact) is linalg._DenseFactorization
+        ref = scipy.linalg.lu_factor(np.eye(n) - c * B.values)
+        rhs = rng.standard_normal(n)
+        for _ in range(5):
+            x = fact.solve(rhs)
+            assert x.tobytes() == scipy.linalg.lu_solve(ref, rhs).tobytes()
+            rhs = x
+
+
 def test_dense_round_trip_residual():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -134,17 +154,30 @@ def test_selection_rule_boundary(kl, ku, path):
 
 
 def test_bandwidths():
+    # the properties of scipy.linalg.bandwidth that the band rule relies on
+    bandwidth = scipy.linalg.bandwidth
     A = np.zeros((6, 6))
-    assert linalg._bandwidths(A) == (0, 0)
+    assert bandwidth(A) == (0, 0)
     A[2, 0] = 1.0       # lower bandwidth 2
     A[1, 4] = -3.0      # upper bandwidth 3
-    assert linalg._bandwidths(A) == (2, 3)
+    assert bandwidth(A) == (2, 3)
     A[5, 5] = 2.0       # rows 3 and 4 stay all zero
-    assert linalg._bandwidths(A) == (2, 3)
+    assert bandwidth(A) == (2, 3)
     A[0, 5] = np.nan    # non-finite entries count as nonzero
-    assert linalg._bandwidths(A) == (2, 5)
+    assert bandwidth(A) == (2, 5)
+    A[5, 0] = -np.inf
+    assert bandwidth(A) == (5, 5)
     # only strictly upper entries: the band still holds the diagonal
-    assert linalg._bandwidths(np.triu(np.ones((4, 4)), 2)) == (0, 3)
+    assert bandwidth(np.triu(np.ones((4, 4)), 2)) == (0, 3)
+    # memory layout does not matter
+    B = np.zeros((8, 8))
+    B[4, 0] = 1e-300
+    B[0, 2] = -0.0      # negative zero is zero
+    B[2, 7] = 1.0
+    assert bandwidth(np.asfortranarray(B)) == (4, 5)
+    view = B[::2, ::2]
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    assert bandwidth(view) == bandwidth(view.copy()) == (2, 0)
 
 
 def test_diagonal_round_trip_residual():
@@ -189,15 +222,18 @@ def test_singular_dense_raises():
     # rank-one update makes D = E - c*B exactly singular
     c = 1.0
     B = DenseMatrix(np.array([[2.0, 1.0], [-1.0, 0.0]]))
-    # D = [[-1, -1], [1, 1]] is singular
-    with pytest.raises(SingularMatrix):
-        factor(B, c)
+    # D = [[-1, -1], [1, 1]] is singular; the zero pivot is reported by
+    # SingularMatrix alone, with no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix):
+            factor(B, c)
     # the same 2x2 block on the diagonal of a banded B, with D = E - B
     n = 40
     D = np.diag(np.linspace(1.0, 2.0, n)) + 0.1 * np.eye(n, k=1)
     D[10:12, 10:12] = [[-1.0, -1.0], [1.0, 1.0]]
     B = DenseMatrix(np.eye(n) - D)
-    assert linalg._bandwidths(B.values) == (1, 1)
+    assert scipy.linalg.bandwidth(B.values) == (1, 1)
     with pytest.raises(SingularMatrix):
         factor(B, 1.0)
 
@@ -215,10 +251,10 @@ def test_non_finite_matrix_raises():
     B = random_banded(np.random.default_rng(5), 40, 2, 1).values
     inside = B.copy()
     inside[20, 18] = np.nan
-    assert linalg._bandwidths(inside) == (2, 1)
+    assert scipy.linalg.bandwidth(inside) == (2, 1)
     outside = B.copy()
     outside[0, 39] = np.nan
-    assert linalg._bandwidths(outside) == (2, 39)
+    assert scipy.linalg.bandwidth(outside) == (2, 39)
     for values in (inside, outside):
         with pytest.raises(SingularMatrix):
             factor(DenseMatrix(values), 0.5)

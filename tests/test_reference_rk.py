@@ -370,10 +370,13 @@ class TestRkIntegrate:
                          tol, 1e-3)
 
     def test_tolerance_length_mismatch_rejected(self):
-        tol = Tolerances.uniform(1e-4, 3)
-        with pytest.raises(ValueError):
-            rk_integrate(MERSON, lambda s: (-s[0],), (1.0,), (0.0, 1.0),
-                         tol, 1e-3)
+        for n_tol, y0 in ((3, (1.0,)), (1, (1.0, 1.0))):
+            with pytest.raises(
+                    ValueError,
+                    match="tolerance length does not match the state"):
+                rk_integrate(MERSON, lambda s: tuple(-v for v in s), y0,
+                             (0.0, 1.0), Tolerances.uniform(1e-4, n_tol),
+                             1e-3)
 
     def test_crude_tolerance_on_quadratic_loss_problem(self):
         # The four-component benchmark problem with quadratic loss terms

@@ -403,6 +403,37 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatch, match="right-hand side"):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
 
+    @pytest.mark.parametrize("path", ["floats", "numpy", "dense"])
+    def test_tolerance_length_mismatch_raises_before_any_step(self, path,
+                                                               monkeypatch):
+        # one check at entry, whichever path B sends the attempts down;
+        # numpy alone would broadcast a 1-component tolerance
+        if path == "numpy":
+            monkeypatch.setattr(stepper, "SMALL_N", 0)
+            monkeypatch.setattr(linalg, "SMALL_N", 0)
+        base = builtin("smooth")
+        calls = []
+
+        def jac(y):
+            calls.append(y)
+            B = base.jac(y)
+            return linalg.DenseMatrix(B.as_dense()) if path == "dense" else B
+
+        prob = dataclasses.replace(base, jac=jac)
+        with pytest.raises(ValueError,
+                           match="tolerance length does not match the state"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-4, 1))
+        assert calls == []
+
+    @pytest.mark.parametrize("wrap", [np.diag, lambda d: np.diag(d).tolist()],
+                             ids=["ndarray", "list"])
+    def test_jac_of_unsupported_type_raises(self, wrap):
+        base = builtin("smooth")
+        prob = dataclasses.replace(
+            base, jac=lambda y: wrap(base.jac(y).values))
+        with pytest.raises(DimensionMismatch, match="unsupported matrix type"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-4, 2))
+
     def test_nonfinite_initial_state_raises(self):
         # rejected where the problem is built, before any integration
         with pytest.raises(ValueError, match="y0 must be finite"):
