@@ -38,8 +38,7 @@ BENCH_TOLS = (1e-2, 1e-4)
 # table order
 METHODS = ("asode3", "asode3-nocontrol", "merson", "rkf45")
 
-CSV_COLUMNS = ("problem", "tol", "method", "phi_evals", "g_evals",
-               "factorizations", "solves", "steps_acc", "steps_rej")
+CSV_COLUMNS = ("problem", "tol", "method") + tuple(RunStatistics().as_dict())
 
 
 class CellSpec(NamedTuple):
@@ -50,7 +49,11 @@ class CellSpec(NamedTuple):
 
 @dataclass(frozen=True)
 class CellResult:
-    """Outcome of one benchmark cell; wall_seconds never enters the CSV."""
+    """Outcome of one benchmark cell: its final state and the run's stats.
+
+    stats.as_dict() supplies the counter columns of the CSV and the table;
+    wall_seconds never enters the CSV.
+    """
 
     problem: str
     tol: float
@@ -59,12 +62,7 @@ class CellResult:
     error: str
     t_final: float
     y_final: tuple
-    phi_evals: int
-    g_evals: int
-    factorizations: int
-    solves: int
-    steps_accepted: int
-    steps_rejected: int
+    stats: RunStatistics
     wall_seconds: float
 
 
@@ -120,12 +118,7 @@ def run_cell(spec: CellSpec) -> CellResult:
     wall = time.perf_counter() - start
     return CellResult(problem=spec.problem, tol=spec.tol, method=spec.method,
                       ok=ok, error=err_msg, t_final=t, y_final=tuple(y),
-                      phi_evals=stats.phi_evals, g_evals=stats.g_evals,
-                      factorizations=stats.factorizations,
-                      solves=stats.linear_solves,
-                      steps_accepted=stats.steps_accepted,
-                      steps_rejected=stats.steps_rejected,
-                      wall_seconds=wall)
+                      stats=stats, wall_seconds=wall)
 
 
 def _worker_cap(n_cells: int) -> int:
@@ -145,20 +138,19 @@ def _worker_cap(n_cells: int) -> int:
     return max(1, min(cap, n_cells))
 
 
-def run_matrix(specs: Optional[Sequence[CellSpec]] = None,
-               max_workers: Optional[int] = None) -> list:
+def run_matrix(specs: Optional[Sequence[CellSpec]] = None) -> list:
     """Run benchmark cells, in parallel processes when workers permit.
 
     Results come back in spec order regardless of completion order.  The
-    worker count defaults to the CPU count capped by ASODE_THREADS; when
-    it resolves to one, or when the platform cannot spawn worker
-    processes, the cells run serially in this process.
+    worker count is the CPU count, capped by ASODE_THREADS when it is set
+    and by the number of cells; when it comes to one, or when the
+    platform cannot spawn worker processes, the cells run serially in
+    this process.
     """
     specs = list(specs) if specs is not None else default_matrix()
     if not specs:
         return []
-    workers = (max_workers if max_workers is not None
-               else _worker_cap(len(specs)))
+    workers = _worker_cap(len(specs))
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -170,19 +162,17 @@ def run_matrix(specs: Optional[Sequence[CellSpec]] = None,
 
 def format_table(results: Sequence[CellResult]) -> str:
     """Aligned text table of the benchmark matrix."""
-    headers = ("problem", "tol", "method", "phi_evals", "g_evals",
-               "factorizations", "solves", "steps_acc", "steps_rej",
-               "status", "wall_s")
+    headers = CSV_COLUMNS + ("status", "wall_s")
     rows = []
     for r in results:
         status = "ok" if r.ok else f"FAIL({r.error.split(':', 1)[0]})"
-        rows.append((r.problem, f"{r.tol:g}", r.method, str(r.phi_evals),
-                     str(r.g_evals), str(r.factorizations), str(r.solves),
-                     str(r.steps_accepted), str(r.steps_rejected), status,
+        rows.append((r.problem, f"{r.tol:g}", r.method,
+                     *map(str, r.stats.as_dict().values()), status,
                      f"{r.wall_seconds:.2f}"))
     widths = [max(len(h), max((len(row[i]) for row in rows), default=0))
               for i, h in enumerate(headers)]
-    right = {3, 4, 5, 6, 7, 8, 10}  # numeric columns
+    # numeric columns: the counters and wall_s
+    right = set(range(3, len(CSV_COLUMNS))) | {len(headers) - 1}
     def fmt(cells):
         return "  ".join(
             c.rjust(w) if i in right else c.ljust(w)
@@ -196,9 +186,8 @@ def write_csv(results: Sequence[CellResult], path: str) -> None:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for r in results:
-            w.writerow([r.problem, f"{r.tol:.17g}", r.method, r.phi_evals,
-                        r.g_evals, r.factorizations, r.solves,
-                        r.steps_accepted, r.steps_rejected])
+            w.writerow([r.problem, f"{r.tol:.17g}", r.method,
+                        *r.stats.as_dict().values()])
 
 
 def verify_comparator_orders() -> dict:

@@ -80,9 +80,6 @@ class DiagonalMatrix:
             raise DimensionMismatch(f"vector length {len(v)} != {self.dim}")
         return self.values * np.asarray(v, dtype=float)
 
-    def as_dense(self) -> np.ndarray:
-        return np.diag(self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
@@ -104,9 +101,6 @@ class DenseMatrix:
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector length {len(v)} != {self.dim}")
         return self.values @ np.asarray(v, dtype=float)
-
-    def as_dense(self) -> np.ndarray:
-        return self.values
 
 
 JacobianApprox = DiagonalMatrix | DenseMatrix

@@ -113,13 +113,6 @@ def make_split(f: Callable, B_provider: Callable) -> tuple[Callable, Callable]:
     return phi, g
 
 
-def _assemble(name, f, jac, y0, t_span, h0, exact=None) -> SplitProblem:
-    phi, g = make_split(f, jac)
-    return SplitProblem(name=name, n=len(y0), phi=phi, g=g, jac=jac,
-                        full=f, y0=np.asarray(y0, dtype=float),
-                        t0=t_span[0], t_end=t_span[1], h0=h0, exact=exact)
-
-
 # -- reaction kinetics with a fast third component ---------------------------
 
 def _ex1_f(y):
@@ -136,11 +129,6 @@ def _ex1_jac(y):
         -2500.0 * y3,
         -1000.0 * y1 - 2500.0 * y2,
     ]))
-
-
-def _example1() -> SplitProblem:
-    return _assemble("example1", _ex1_f, _ex1_jac,
-                     [1.0, 1.0, 0.0], (0.0, 50.0), 2.9e-4)
 
 
 # -- oscillating chemical reaction -------------------------------------------
@@ -161,11 +149,6 @@ def _ex2_jac(y):
     ]))
 
 
-def _example2() -> SplitProblem:
-    return _assemble("example2", _ex2_f, _ex2_jac,
-                     [4.0, 1.1, 4.0], (0.0, 300.0), 2e-3)
-
-
 # -- autocatalytic kinetics with quadratic loss -------------------------------
 
 def _ex3_f(y):
@@ -182,11 +165,6 @@ def _ex3_jac(y):
         -100.0 * y3 - 6000.0 * y2,
         0.0,
     ]))
-
-
-def _example3() -> SplitProblem:
-    return _assemble("example3", _ex3_f, _ex3_jac,
-                     [1.0, 0.0, 0.0], (0.0, 40.0), 1e-5)
 
 
 # -- four-component reaction with quadratic coupling --------------------------
@@ -209,11 +187,6 @@ def _ex4_jac(y):
         -1.0,
         -1.0,
     ]))
-
-
-def _example4() -> SplitProblem:
-    return _assemble("example4", _ex4_f, _ex4_jac,
-                     [1.0, 1.0, 0.0, 0.0], (0.0, 20.0), 2.5e-5)
 
 
 # -- smooth mildly stiff problem with closed-form solution --------------------
@@ -240,11 +213,6 @@ def _smooth_exact(t):
     return np.array([math.exp(-2.0 * t), math.exp(-t)])
 
 
-def _smooth() -> SplitProblem:
-    return _assemble("smooth", _smooth_f, _smooth_jac,
-                     [1.0, 1.0], (0.0, 2.0), 1e-3, exact=_smooth_exact)
-
-
 # -- nonstiff nonlinear problem with algebraic decay --------------------------
 #
 # Started at (1, 1) the solution is ((1+2t)^{-1/2}, (1+2t)^{-1}).  Nothing
@@ -268,18 +236,20 @@ def _powerlaw_exact(t):
     return np.array([w ** -0.5, 1.0 / w])
 
 
-def _powerlaw() -> SplitProblem:
-    return _assemble("powerlaw", _powerlaw_f, _powerlaw_jac,
-                     [1.0, 1.0], (0.0, 2.0), 1e-2, exact=_powerlaw_exact)
-
-
+# name -> (f, jac, y0, (t0, t_end), h0, exact or None)
 _REGISTRY = {
-    "example1": _example1,
-    "example2": _example2,
-    "example3": _example3,
-    "example4": _example4,
-    "smooth": _smooth,
-    "powerlaw": _powerlaw,
+    "example1": (_ex1_f, _ex1_jac, (1.0, 1.0, 0.0), (0.0, 50.0), 2.9e-4,
+                 None),
+    "example2": (_ex2_f, _ex2_jac, (4.0, 1.1, 4.0), (0.0, 300.0), 2e-3,
+                 None),
+    "example3": (_ex3_f, _ex3_jac, (1.0, 0.0, 0.0), (0.0, 40.0), 1e-5,
+                 None),
+    "example4": (_ex4_f, _ex4_jac, (1.0, 1.0, 0.0, 0.0), (0.0, 20.0),
+                 2.5e-5, None),
+    "smooth": (_smooth_f, _smooth_jac, (1.0, 1.0), (0.0, 2.0), 1e-3,
+               _smooth_exact),
+    "powerlaw": (_powerlaw_f, _powerlaw_jac, (1.0, 1.0), (0.0, 2.0), 1e-2,
+                 _powerlaw_exact),
 }
 
 BUILTIN_NAMES = tuple(sorted(_REGISTRY))
@@ -291,9 +261,11 @@ def builtin(name: str) -> SplitProblem:
     Raises UnknownProblem for names outside BUILTIN_NAMES.
     """
     try:
-        factory = _REGISTRY[name]
+        f, jac, y0, (t0, t_end), h0, exact = _REGISTRY[name]
     except KeyError:
         raise UnknownProblem(
             f"unknown problem {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         ) from None
-    return factory()
+    phi, g = make_split(f, jac)
+    return SplitProblem(name=name, n=len(y0), phi=phi, g=g, jac=jac, full=f,
+                        y0=y0, t0=t0, t_end=t_end, h0=h0, exact=exact)

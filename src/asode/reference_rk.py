@@ -433,8 +433,8 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     effect of both mechanisms the work count is nearly
     tolerance-independent whenever stability rather than accuracy limits
     the step.  A non-finite result halves the step like any failure; a
-    span whose end does not exceed its start, or that is not finite,
-    raises ValueError.
+    span whose end does not exceed its start, or that is not finite, and
+    an h0 that is not positive (NaN included) raise ValueError.
     Returns (t, y, RunStatistics) with every right-hand-side evaluation
     counted in phi_evals; with collect_trace a list of per-step rows
     (t, h_used, err, v, y) is returned as a fourth element.
@@ -443,12 +443,13 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     if not (math.isfinite(t) and t < t_end < math.inf):
         raise ValueError("span end must exceed its start and both must be "
                          "finite")
+    if not h0 > 0.0:
+        raise ValueError("h0 must be positive")
     y = tuple(float(v) for v in y0)
     if not all(math.isfinite(v) for v in y):
         raise NonFiniteState("initial state is not finite")
-    atol = tuple(float(v) for v in tol.atol)
-    rtol = tuple(float(v) for v in tol.rtol)
-    if len(atol) != len(y) or len(rtol) != len(y):
+    atol, rtol = tol.as_lists()
+    if len(atol) != len(y):
         raise ValueError("tolerance length does not match the state")
     stats = stats if stats is not None else RunStatistics()
     h = max(float(h0), H_MIN)

@@ -116,6 +116,7 @@ class RunStatistics:
     steps_rejected: int = 0
 
     def as_dict(self) -> dict:
+        """The counters under the names of the bench CSV and table columns."""
         return {
             "phi_evals": self.phi_evals,
             "g_evals": self.g_evals,
@@ -185,6 +186,10 @@ def error_norm(y, y2, tol: Tolerances) -> float:
 
     y and y2 are arrays, or lists of floats on the float path.
     """
+    if not len(y) == len(y2) == len(tol.atol):
+        # zip would silently drop, and numpy broadcast, the extra components
+        raise DimensionMismatch(f"lengths {len(y)}, {len(y2)} and "
+                                f"{len(tol.atol)} tolerances differ")
     if type(y) is list:
         return _error_norm_floats(y, y2, tol)
     den = tol.atol + tol.rtol * np.abs(y)
@@ -196,10 +201,6 @@ def error_norm(y, y2, tol: Tolerances) -> float:
 
 def _error_norm_floats(y: list, y2: list, tol: Tolerances) -> float:
     atol, rtol = tol.as_lists()
-    if not len(y) == len(y2) == len(atol):
-        # zip would silently drop the extra components
-        raise DimensionMismatch(f"lengths {len(y)}, {len(y2)} and "
-                                f"{len(atol)} tolerances differ")
     den = [a + r * abs(x) for a, r, x in zip(atol, rtol, y)]
     if 0.0 in den:
         raise ZeroToleranceDenominator(

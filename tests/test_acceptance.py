@@ -172,7 +172,7 @@ def test_criterion_5_benchmark_matrix():
                 merson = results[CellSpec(problem, tol, "merson")]
                 additive = results[CellSpec(problem, tol,
                                             "asode3-nocontrol")]
-                ratio = merson.phi_evals / additive.phi_evals
+                ratio = merson.stats.phi_evals / additive.stats.phi_evals
                 assert ratio >= floor, (problem, tol, ratio)
 
         # All four solvers land on the same final state to within 100

@@ -15,12 +15,14 @@ import sys
 import pytest
 
 import asode
+from asode import benchmark
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 sys.path.insert(0, PERFBENCH)
 
 import layertrace  # noqa: E402
+import run  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
@@ -122,3 +124,10 @@ def test_traced_float_path_counts_every_call(control):
     assert tracer.calls["stepper.probe"] == (stats.steps_accepted if control
                                              else 0)
     assert tracer.calls["problems.rhs"] == stats.phi_evals
+
+
+def test_benchmark_counter_names_match_the_package():
+    # perfbench/run.py reads each solve's counters by these names; a
+    # renamed counter would otherwise surface only as a failing benchmark
+    assert (run.COUNTERS == tuple(asode.RunStatistics().as_dict())
+            == benchmark.CSV_COLUMNS[3:])

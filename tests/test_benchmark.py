@@ -1,7 +1,6 @@
 """Tests for the benchmark matrix, its report writers, and order studies."""
 
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +28,7 @@ from asode.exceptions import (
     ReferenceUnavailable,
     StepsizeUnderflow,
 )
+from asode.stepper import RunStatistics
 
 
 class TestMatrix:
@@ -45,26 +45,26 @@ class TestMatrix:
         assert r.ok and r.error == ""
         assert abs(r.t_final - 20.0) < 1e-9
         assert len(r.y_final) == 4
-        attempts = r.steps_accepted + r.steps_rejected
-        assert r.factorizations == attempts
-        assert r.solves == 5 * attempts
-        assert r.g_evals == 2 * attempts
-        assert r.phi_evals == 3 * attempts + 2 * r.steps_accepted
+        attempts = r.stats.steps_accepted + r.stats.steps_rejected
+        assert r.stats.factorizations == attempts
+        assert r.stats.linear_solves == 5 * attempts
+        assert r.stats.g_evals == 2 * attempts
+        assert r.stats.phi_evals == 3 * attempts + 2 * r.stats.steps_accepted
 
     def test_run_cell_without_stability_control(self):
         r = run_cell(CellSpec("example4", 1e-2, "asode3-nocontrol"))
         assert r.ok
-        attempts = r.steps_accepted + r.steps_rejected
-        assert r.phi_evals == 3 * attempts
+        attempts = r.stats.steps_accepted + r.stats.steps_rejected
+        assert r.stats.phi_evals == 3 * attempts
 
     def test_run_cell_explicit_counters(self):
         r = run_cell(CellSpec("example4", 1e-2, "merson"))
         assert r.ok
-        assert r.g_evals == 0
-        assert r.factorizations == 0
-        assert r.solves == 0
-        attempts = r.steps_accepted + r.steps_rejected
-        assert r.phi_evals == 5 * attempts
+        assert r.stats.g_evals == 0
+        assert r.stats.factorizations == 0
+        assert r.stats.linear_solves == 0
+        attempts = r.stats.steps_accepted + r.stats.steps_rejected
+        assert r.stats.phi_evals == 5 * attempts
 
     def test_run_cell_unknown_method(self):
         with pytest.raises(ValueError, match="unknown benchmark method"):
@@ -78,25 +78,28 @@ class TestMatrix:
         r = run_cell(CellSpec("example4", 1e-2, "asode3"))
         assert not r.ok
         assert r.error == "StepsizeUnderflow: stepsize collapsed"
-        assert r.phi_evals == 0
+        assert r.stats.phi_evals == 0
         assert math.isnan(r.t_final)
         assert r.y_final == ()
 
-    def test_run_matrix_preserves_spec_order(self):
+    def test_run_matrix_preserves_spec_order(self, monkeypatch):
         specs = [CellSpec("example4", 1e-2, m)
                  for m in ("merson", "asode3", "rkf45")]
-        results = run_matrix(specs, max_workers=1)
+        monkeypatch.setenv("ASODE_THREADS", "1")
+        results = run_matrix(specs)
         assert [r.method for r in results] == ["merson", "asode3", "rkf45"]
 
-    def test_run_matrix_parallel_matches_serial(self):
+    def test_run_matrix_parallel_matches_serial(self, monkeypatch):
         specs = [CellSpec("example4", 1e-2, m)
                  for m in ("asode3", "merson")]
-        serial = run_matrix(specs, max_workers=1)
-        parallel = run_matrix(specs, max_workers=2)
+        monkeypatch.setenv("ASODE_THREADS", "1")
+        serial = run_matrix(specs)
+        monkeypatch.setenv("ASODE_THREADS", "2")
+        parallel = run_matrix(specs)
         for a, b in zip(serial, parallel):
             assert a.method == b.method
-            assert a.phi_evals == b.phi_evals
-            assert a.steps_accepted == b.steps_accepted
+            assert a.stats.phi_evals == b.stats.phi_evals
+            assert a.stats.steps_accepted == b.stats.steps_accepted
             assert a.y_final == b.y_final
 
     def test_run_matrix_empty(self):
@@ -120,14 +123,16 @@ def _sample_results():
     good = CellResult(problem="example4", tol=1e-2, method="asode3",
                       ok=True, error="", t_final=20.0,
                       y_final=(0.5, 0.1, 0.4, 0.3),
-                      phi_evals=525, g_evals=246, factorizations=123,
-                      solves=615, steps_accepted=78, steps_rejected=45,
+                      stats=RunStatistics(
+                          phi_evals=525, g_evals=246, factorizations=123,
+                          linear_solves=615, steps_accepted=78,
+                          steps_rejected=45),
                       wall_seconds=0.0123)
     bad = CellResult(problem="example2", tol=1e-4, method="merson",
                      ok=False, error="StepsizeUnderflow: stepsize collapsed",
                      t_final=math.nan, y_final=(),
-                     phi_evals=40, g_evals=0, factorizations=0,
-                     solves=0, steps_accepted=3, steps_rejected=5,
+                     stats=RunStatistics(phi_evals=40, steps_accepted=3,
+                                         steps_rejected=5),
                      wall_seconds=0.5)
     return [good, bad]
 
@@ -162,12 +167,13 @@ class TestReporting:
         # wall-clock never enters the CSV
         assert all(len(row) == len(CSV_COLUMNS) for row in rows)
 
-    def test_write_csv_is_deterministic(self, tmp_path):
+    def test_write_csv_is_deterministic(self, tmp_path, monkeypatch):
         specs = [CellSpec("example4", 1e-2, "asode3"),
                  CellSpec("example4", 1e-2, "merson")]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(run_matrix(specs, max_workers=1), str(first))
-        write_csv(run_matrix(specs, max_workers=1), str(second))
+        monkeypatch.setenv("ASODE_THREADS", "1")
+        write_csv(run_matrix(specs), str(first))
+        write_csv(run_matrix(specs), str(second))
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -195,9 +201,8 @@ class TestOrderStudy:
         # Hide the closed form so the reference must come from an
         # adaptive run; the ladder steps are chosen large enough that
         # every rung's error dwarfs the reference's own error.
-        blind = dataclasses.replace(problems.builtin("powerlaw"),
-                                    exact=None)
-        monkeypatch.setitem(problems._REGISTRY, "blind", lambda: blind)
+        monkeypatch.setitem(problems._REGISTRY, "blind",
+                            problems._REGISTRY["powerlaw"][:-1] + (None,))
         study = order_study("blind", h0=0.16, ref_tol=1e-10)
         # 0.16 does not divide the span 2: the rungs take 12, 25, 50 and
         # 100 steps, and the slopes are fitted against those steps
@@ -224,11 +229,9 @@ class TestOrderStudy:
         # comparator amplifies every step at h0 and overflows.
         monkeypatch.setitem(
             problems._REGISTRY, "stiffdecay",
-            lambda: problems._assemble(
-                "stiffdecay",
-                lambda y: (-200.0 * y[0],),
-                lambda y: DiagonalMatrix(np.array([-200.0])),
-                [1.0], (0.0, 10.0), 1e-3,
-                exact=lambda t: np.array([math.exp(-200.0 * t)])))
+            (lambda y: (-200.0 * y[0],),
+             lambda y: DiagonalMatrix(np.array([-200.0])),
+             (1.0,), (0.0, 10.0), 1e-3,
+             lambda t: np.array([math.exp(-200.0 * t)])))
         with pytest.raises(NonFiniteState, match="smaller h0"):
             order_study("stiffdecay", h0=0.1)

@@ -168,11 +168,14 @@ class TestErrorNormKernel:
             assert same_bits(e_f, e_a), (y, y2)
 
     def test_length_mismatch_raises(self):
+        # lists would zip away, and arrays broadcast, the extra components
         tol = Tolerances.uniform(1e-3, 2)
         for y, y2 in (([1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0]),
                       ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])):
             with pytest.raises(DimensionMismatch):
                 error_norm(y, y2, tol)
+            with pytest.raises(DimensionMismatch):
+                error_norm(np.array(y), np.array(y2), tol)
 
     def test_zero_denominator_on_both_paths(self):
         tol = Tolerances(atol=np.array([1e-3, 0.0]),

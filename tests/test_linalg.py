@@ -285,4 +285,3 @@ def test_matvec():
     assert np.array_equal(d.matvec(np.array([1.0, 1.0])), [2.0, -3.0])
     m = DenseMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     assert np.array_equal(m.matvec(np.array([1.0, 1.0])), [3.0, 1.0])
-    assert np.array_equal(d.as_dense(), np.diag([2.0, -3.0]))

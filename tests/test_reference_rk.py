@@ -357,6 +357,15 @@ class TestRkIntegrate:
             rk_integrate(MERSON, lambda s: (math.inf,), (1.0,), (0.0, 1.0),
                          tol, 1e-3)
 
+    @pytest.mark.parametrize("h0", [math.nan, 0.0, -1.0])
+    def test_non_positive_h0_rejected(self, h0):
+        # a NaN step never halves below h_min, so its retries never end;
+        # 0 and negative steps are no steps at all
+        tol = Tolerances.uniform(1e-4, 1)
+        with pytest.raises(ValueError, match="h0 must be positive"):
+            rk_integrate(MERSON, lambda s: (-s[0],), (1.0,), (0.0, 1.0),
+                         tol, h0)
+
     def test_non_finite_initial_state_rejected(self):
         tol = Tolerances.uniform(1e-4, 1)
         with pytest.raises(NonFiniteState):
