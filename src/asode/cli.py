@@ -218,6 +218,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     want_trace = cfg["trace"] is not None
+    if want_trace:
+        # an unwritable path fails now, not after the whole solve
+        open(cfg["trace"], "a").close()
 
     start = time.perf_counter()
     t, y, stats, trace = benchmark.run_method(

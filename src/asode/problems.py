@@ -41,6 +41,8 @@ class Tolerances:
         rtol = np.array(self.rtol, dtype=float)
         if atol.ndim != 1 or rtol.ndim != 1 or atol.shape != rtol.shape:
             raise ValueError("atol and rtol must be 1-D arrays of equal length")
+        if atol.size == 0:
+            raise ValueError("tolerances need at least one component")
         if not (np.all(np.isfinite(atol)) and np.all(np.isfinite(rtol))):
             raise ValueError("tolerances must be finite")
         if np.any(atol < 0.0) or np.any(rtol < 0.0):
@@ -87,6 +89,9 @@ class SplitProblem:
     exact: Optional[Callable[[float], np.ndarray]] = field(default=None)
 
     def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"a problem needs at least one component, "
+                             f"got n={self.n}")
         y0 = np.asarray(self.y0, dtype=float)
         if y0.shape != (self.n,):
             raise ValueError(f"y0 shape {y0.shape} != ({self.n},)")

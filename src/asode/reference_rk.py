@@ -223,14 +223,16 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
     nothing.  The third direction, g2 - g1 - rho*(g1 - y) with
     rho = (c2 - c1)/c1, cancels that field term and leaves a multiple of
     k2 - k1, which the dominant eigenvalue repopulates every step like a
-    power iteration.  Components are skipped by the same floors the
-    additive solver's probe uses: below a 10% share of the largest
-    denominator component, or below an absolute noise floor.  The
-    componentwise form matters too: a ratio of norms dilutes a stiff
-    component by its share of the difference vector.  Any of these
-    under-reads, left alone, lets the step grow past the stability
-    boundary while the error estimate is still quiet.  When no component
-    has a signal (constant field, zero denominators, overflow) v is 0.
+    power iteration.  The additive solver reads its estimate the same
+    way, as a stage-difference quotient, from its first and last
+    non-stiff stages, and both skip components by the same floors: below
+    a 10% share of the largest denominator component, or below an
+    absolute noise floor.  The componentwise form matters too: a ratio
+    of norms dilutes a stiff component by its share of the difference
+    vector.  Any of these under-reads, left alone, lets the step grow past
+    the stability boundary while the error estimate is still quiet.  When
+    no component has a signal (constant field, zero denominators,
+    overflow) v is 0.
 
     States of at most SMALL_N components take the tableau's
     generated straight-line step for their dimension, larger ones the

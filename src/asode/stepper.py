@@ -12,10 +12,12 @@ One step attempt factors D = E - a*h*B once, performs five stage solves,
 three evaluations of the full right-hand side and two stiff-part
 applications, and produces both the third-order solution and the embedded
 second-order one.  The scaled maximum difference between the two drives
-acceptance (err <= 1) and stepsize selection.  An optional power-method
-probe of the non-stiff part bounds stepsize growth by the explicit
-stability interval; the probe costs two extra evaluations per step and is
-reused across rejection retries of the same step by rescaling with h.
+acceptance (err <= 1) and stepsize selection.  An optional stability
+estimate bounds stepsize growth by the explicit stability interval.  It
+reads h times the dominant non-stiff rate off two stages the attempt
+already has, the first and the last non-stiff evaluation, so it costs no
+evaluation; it is taken on accepted attempts only, since a retry's
+stepsize comes from the error model alone.
 
 Per-step error control alone cannot see errors that all push the same
 way: components with no restoring force (running integrals, neutrally
@@ -33,16 +35,16 @@ err <= 1; the guard only makes the controller aim lower.
 
 An attempt runs on one of two paths, picked once per attempt in _stages
 from the B that the Jacobian provider returns.  A DiagonalMatrix of at
-most SMALL_N components takes the float path: the stages, the probe, the
-error norm and the drift update work on lists of Python floats, since on a
-handful of components numpy's cost per call dwarfs the arithmetic.  Every
-other B takes the numpy path, which is the reference the tests hold the
-float path to.  The two give bit-identical results: each sum keeps
-numpy's association and order, the maxima let NaN win as np.max does, and
-the drift decay still calls np.exp.  The user's right-hand side and
-Jacobian provider receive arrays on both paths.  The controller
-(attempt_step, propose_next_h and the drift guard's pressure rule) is one
-copy that both paths share.
+most SMALL_N components takes the float path: the stages, the stability
+estimate, the error norm and the drift update work on lists of Python
+floats, since on a handful of components numpy's cost per call dwarfs the
+arithmetic.  Every other B takes the numpy path, which is the reference
+the tests hold the float path to.  The two give bit-identical results:
+each sum keeps numpy's association and order, the maxima let NaN win as
+np.max does, and the drift decay still calls np.exp.  The user's
+right-hand side and Jacobian provider receive arrays on both paths.  The
+controller (attempt_step, propose_next_h and the drift guard's pressure
+rule) is one copy that both paths share.
 """
 
 from __future__ import annotations
@@ -67,22 +69,14 @@ from .problems import SplitProblem, Tolerances
 
 # err below this floor is treated as exact when inverting the error model
 ERR_FLOOR = 1e-14
-# stability probe skips components with denominator below this scale
+# stability estimate skips components whose displacement falls below
+# this floor on the state scale
 PROBE_FLOOR = 1e-14
-# ... and components carrying less than this share of the probe iterate:
-# their ratios measure cross-coupling from larger components rather than
-# growth along the dominant direction and can exceed the spectral radius
-# by orders of magnitude
+# ... and components moving less than this share of the largest
+# displacement: their quotients measure cross-coupling from larger
+# components rather than growth along the dominant direction and can exceed
+# the spectral radius by orders of magnitude
 PROBE_SHARE_FLOOR = 0.1
-# probe offsets: alpha21 = alpha31 + alpha32 makes the two probe stages
-# collapse to a power-method iteration on the non-stiff Jacobian.  They are
-# small so the probe displacement alpha21*k1 stays well inside the step's
-# trust region even when the split parts are large and mutually canceling
-# (near a slow manifold the first stage can dwarf the state); on linear
-# problems the estimate does not depend on their size at all.
-PROBE_ALPHA31 = 5e-6
-PROBE_ALPHA32 = 5e-6
-PROBE_ALPHA21 = PROBE_ALPHA31 + PROBE_ALPHA32
 # explicit-part stability interval length used by the growth cap
 EXPLICIT_STABILITY_SPAN = 2.0
 # safety factor on the accuracy-predicted stepsize
@@ -99,7 +93,7 @@ DRIFT_BUDGET = 30.0
 
 @dataclass
 class ControllerConfig:
-    """Stepsize controller switch: the stability probe and its growth cap."""
+    """Stepsize controller switch: the stability estimate's growth cap."""
 
     stability_control: bool = True
 
@@ -208,51 +202,42 @@ def _error_norm_floats(y: list, y2: list, tol: Tolerances) -> float:
     return _nan_max([abs(a - b) / d for a, b, d in zip(y, y2, den)])
 
 
-def stability_estimate(phi, y, k1, h: float, stats: RunStatistics) -> float:
-    """Power-method estimate of h times the dominant non-stiff eigenvalue.
+def stability_estimate(y, u6, k1, k6) -> float:
+    """Stage-difference estimate of h times the dominant non-stiff rate.
 
-    phi is the current step's non-stiff part.  Costs two evaluations of
-    it.  Components whose denominator |d1 - k1| falls below a floor --
-    either in absolute terms, 1e-14*(1 + |k1|), or relative to the
-    largest component of the iterate d1 - k1 -- are skipped; if all
-    components are skipped the estimate is 0 (no stability information).
-    k1 is an array, or a list of floats on the float path (phi then maps
-    lists to lists).
+    k1 = h*phi(y) and k6 = h*phi(u6) are stages the attempt already has,
+    so v = max_i |k6_i - k1_i| / |u6_i - y_i| costs no evaluation; on a
+    linear diagonal field it is h*|lambda_i| exactly.  Components whose
+    displacement |u6_i - y_i| falls below a floor -- either on the state
+    scale, 1e-14*(1 + |y_i|), or relative to the largest displacement --
+    are skipped; if all components are skipped the estimate is 0 (no
+    stability information).  k1, u6 and k6 are arrays, or lists of
+    floats on the float path, where y may still be an array.
     """
     if type(k1) is list:
-        return _stability_estimate_floats(phi, y, k1, h, stats)
-    d1 = h * phi(y + PROBE_ALPHA21 * k1)
-    d2 = h * phi(y + PROBE_ALPHA31 * k1 + PROBE_ALPHA32 * d1)
-    stats.phi_evals += 2
-    den = np.abs(d1 - k1)
+        return _stability_estimate_floats(y, u6, k1, k6)
+    den = np.abs(u6 - y)
     keep = den >= np.maximum(PROBE_SHARE_FLOOR * np.max(den),
-                             PROBE_FLOOR * (1.0 + np.abs(k1)))
+                             PROBE_FLOOR * (1.0 + np.abs(y)))
     if not np.any(keep):
         return 0.0
-    ratio = np.max(np.abs(d2 - d1)[keep] / den[keep])
-    return float(ratio / PROBE_ALPHA32)
+    return float(np.max(np.abs(k6 - k1)[keep] / den[keep]))
 
 
-def _stability_estimate_floats(phi, y, k1: list, h: float,
-                               stats: RunStatistics) -> float:
+def _stability_estimate_floats(y, u6: list, k1: list, k6: list) -> float:
     if type(y) is not list:
         y = y.tolist()
-    a21, a31, a32 = PROBE_ALPHA21, PROBE_ALPHA31, PROBE_ALPHA32
-    d1 = [h * x for x in phi([u + a21 * k for u, k in zip(y, k1)])]
-    d2 = [h * x for x in phi([u + a31 * k + a32 * d
-                              for u, k, d in zip(y, k1, d1)])]
-    stats.phi_evals += 2
-    den = [abs(d - k) for d, k in zip(d1, k1)]
+    den = [abs(u - x) for u, x in zip(u6, y)]
     share = PROBE_SHARE_FLOOR * _nan_max(den)
     # den >= max(share, floor) with NaN winning the max, as np.maximum
     # has it: a comparison with NaN is false, so a NaN share keeps
     # nothing and a NaN floor drops its component
     ratios = [abs(b - a) / d
-              for a, b, d, k in zip(d1, d2, den, k1)
-              if d >= share and d >= PROBE_FLOOR * (1.0 + abs(k))]
+              for a, b, d, x in zip(k1, k6, den, y)
+              if d >= share and d >= PROBE_FLOOR * (1.0 + abs(x))]
     if not ratios:
         return 0.0
-    return _nan_max(ratios) / a32
+    return _nan_max(ratios)
 
 
 def propose_next_h(h: float, err: float, v: Optional[float],
@@ -295,13 +280,16 @@ def _rhs(full, u: np.ndarray) -> np.ndarray:
 def _stages(problem: SplitProblem, y, h: float,
             scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
             stats: RunStatistics) -> tuple:
-    """Evaluate all stages; returns (phi, k1, y_next, y_emb, b_diag).
+    """Evaluate all stages; returns ((u6, k6), k1, y_next, y_emb, b_diag).
 
-    phi is the step-local non-stiff part u -> f(u) - B*u with B held at
-    its start-of-step value; b_diag is the diagonal of B, an array.
-    This is where an attempt picks its path: a DiagonalMatrix B of at most
-    SMALL_N components runs the stages on floats, and phi, k1, y_next and
-    y_emb are then lists; any other B runs them on arrays.  y may be
+    k1 = h*phi(y) and k6 = h*phi(u6) are the first and last evaluations
+    of the step-local non-stiff part phi(u) = f(u) - B*u, with B held at
+    its start-of-step value, and u6 is the last stage's argument; the
+    stability estimate reads them.  b_diag is the diagonal of B, an
+    array.  This is where an attempt picks its path: a DiagonalMatrix B
+    of at most SMALL_N components runs the stages on floats, and u6, k6,
+    k1, y_next and y_emb are then lists; any other B runs them on
+    arrays.  y may be
     either.  Work per call: 1 factorization, 5 linear solves, 3
     evaluations of the right-hand side and 2 stiff-part applications.
     Raises SingularMatrix when the stage matrix cannot be factored and
@@ -329,10 +317,6 @@ def _stages(problem: SplitProblem, y, h: float,
         # a copy: a view would keep the dense B alive in the step report
         b_diag = np.diagonal(B.values).copy()
     full = problem.full
-
-    def phi(u):
-        return _rhs(full, u) - B.matvec(u)
-
     f0 = _rhs(full, y)
     k1 = h * (f0 - B.matvec(y))
     # the non-stiff and stiff parts are both taken at y, so their sum
@@ -351,14 +335,15 @@ def _stages(problem: SplitProblem, y, h: float,
     stats.g_evals += 1
     k4 = fact.solve(rhs4)
     k5 = fact.solve(k4 + scheme.gamma * k3)
-    k6 = h * phi(y + b63 * k3 + b64 * k4 + b65 * k5)
+    u6 = y + b63 * k3 + b64 * k4 + b65 * k5
+    k6 = h * (_rhs(full, u6) - B.matvec(u6))
     stats.phi_evals += 1
     k5_emb = fact.solve(k4)
     stats.linear_solves += 5
 
     y_next = y + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6
     y_emb = y + r1 * k1 + r2 * k2 + r3 * k3 + r4 * k4 + r5 * k5_emb
-    return phi, k1, y_next, y_emb, b_diag
+    return (u6, k6), k1, y_next, y_emb, b_diag
 
 
 def _stages_floats(full, B: DiagonalMatrix, y, y_arr: np.ndarray, h: float,
@@ -391,9 +376,6 @@ def _stages_floats(full, B: DiagonalMatrix, y, y_arr: np.ndarray, h: float,
     def f(u: list) -> list:
         return _rhs(full, np.array(u)).tolist()
 
-    def phi(u: list) -> list:
-        return [fu - bi * ui for fu, bi, ui in zip(f(u), b, u)]
-
     f0 = _rhs(full, y_arr).tolist()
     k1 = [h * (fi - bi * yi) for fi, bi, yi in zip(f0, b, y)]
     stats.phi_evals += 1
@@ -409,8 +391,9 @@ def _stages_floats(full, B: DiagonalMatrix, y, y_arr: np.ndarray, h: float,
     stats.g_evals += 1
     k4 = solve(rhs4)
     k5 = solve([c4 + gamma * c3 for c4, c3 in zip(k4, k3)])
-    k6 = [h * x for x in phi([yi + b63 * c3 + b64 * c4 + b65 * c5
-                              for yi, c3, c4, c5 in zip(y, k3, k4, k5)])]
+    u6 = [yi + b63 * c3 + b64 * c4 + b65 * c5
+          for yi, c3, c4, c5 in zip(y, k3, k4, k5)]
+    k6 = [h * (fu - bi * ui) for fu, bi, ui in zip(f(u6), b, u6)]
     stats.phi_evals += 1
     k5_emb = solve(k4)
     stats.linear_solves += 5
@@ -420,49 +403,46 @@ def _stages_floats(full, B: DiagonalMatrix, y, y_arr: np.ndarray, h: float,
               in zip(y, k1, k2, k3, k4, k5, k6)]
     y_emb = [yi + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5
              for yi, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5_emb)]
-    return phi, k1, y_next, y_emb, B.values
+    return (u6, k6), k1, y_next, y_emb, B.values
 
 
 def attempt_step(problem: SplitProblem, y, h: float,
                  scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
                  tol: Tolerances, cfg: ControllerConfig,
                  stats: RunStatistics,
-                 lam: Optional[float] = None,
                  pressure: float = 1.0) -> StepReport:
     """Attempt one step of size h from state y (an array, or a list).
 
-    lam carries the per-unit-h stability estimate from an earlier attempt
-    of the same step; when None and stability control is on, fresh probes
-    are computed (two extra non-stiff evaluations).  pressure > 1 (from
-    the drift guard) lowers the proposed next stepsize without touching
-    acceptance.  A singular stage matrix or a non-finite result is
-    reported as a rejection with the stepsize halved.
+    An accepted attempt carries the stability estimate v when stability
+    control is on; it costs no evaluation, so every attempt spends the
+    same three non-stiff evaluations.  A rejected attempt reports
+    v = None: its retry stepsize comes from the error model alone.  A
+    drift-guard pressure above 1 lowers the proposed next stepsize
+    without touching acceptance.  A singular stage matrix or a non-finite
+    result is reported as a rejection with the stepsize halved.
     """
-    v: Optional[float] = None
     try:
-        phi, k1, y_next, y_emb, b_diag = _stages(problem, y, h, scheme,
-                                                 embedded, stats)
+        (u6, k6), k1, y_next, y_emb, b_diag = _stages(problem, y, h, scheme,
+                                                      embedded, stats)
     except SingularMatrix:
         finite = False
     else:
-        if cfg.stability_control:
-            if lam is None:
-                v = stability_estimate(phi, y, k1, h, stats)
-            else:
-                v = lam * h
         finite = _all_finite(y_next) and _all_finite(y_emb)
     if not finite:
-        return StepReport(accepted=False, err=math.inf, v=v, h_used=h,
+        return StepReport(accepted=False, err=math.inf, v=None, h_used=h,
                           h_next=max(0.5 * h, H_MIN),
                           retry_underflow=0.5 * h < H_MIN)
 
     err = error_norm(y_next, y_emb, tol)
+    accepted = err <= 1.0
+    v = (stability_estimate(y, u6, k1, k6)
+         if accepted and cfg.stability_control else None)
     proposal = propose_next_h(h, err, v, pressure=pressure)
-    if err <= 1.0:
+    if accepted:
         return StepReport(accepted=True, err=err, v=v, h_used=h,
                           h_next=proposal.h_accept, retry_underflow=False,
                           y_next=y_next, y_emb=y_emb, b_diag=b_diag)
-    return StepReport(accepted=False, err=err, v=v, h_used=h,
+    return StepReport(accepted=False, err=err, v=None, h_used=h,
                       h_next=proposal.h_retry,
                       retry_underflow=proposal.retry_underflow)
 
@@ -505,8 +485,11 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
               collect_trace: bool = False) -> IntegrationResult:
     """Integrate from t0 to t_end with adaptive stepsize.
 
-    The trace, when requested, records (t, h, err, v, y) per accepted
-    step, y as an array.  The drift guard folds every accepted step's
+    Every attempt, accepted or rejected, costs one factorization, five
+    solves, three non-stiff and two stiff evaluations, with or without
+    stability control.  The trace, when requested, records
+    (t, h, err, v, y) per accepted step, y as an array and v None when
+    stability control is off.  The drift guard folds every accepted step's
     main-vs-embedded difference into a running sum whose components decay
     at their own linearized rates; once the sum's scaled norm exceeds
     DRIFT_BUDGET, subsequent stepsize proposals are divided by the
@@ -534,13 +517,10 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
         # stretch or truncate onto the endpoint when already within 0.01 %
         if h >= (t_stop - t) / 1.0001:
             h = t_stop - t
-        lam: Optional[float] = None
         rejects = 0
         while True:
             report = attempt_step(problem, y, h, scheme, embedded, tol,
-                                  cfg, stats, lam=lam, pressure=pressure)
-            if report.v is not None and lam is None and report.h_used > 0.0:
-                lam = report.v / report.h_used
+                                  cfg, stats, pressure=pressure)
             if report.accepted:
                 t += report.h_used
                 y = report.y_next

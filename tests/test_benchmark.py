@@ -49,7 +49,7 @@ class TestMatrix:
         assert r.stats.factorizations == attempts
         assert r.stats.linear_solves == 5 * attempts
         assert r.stats.g_evals == 2 * attempts
-        assert r.stats.phi_evals == 3 * attempts + 2 * r.stats.steps_accepted
+        assert r.stats.phi_evals == 3 * attempts
 
     def test_run_cell_without_stability_control(self):
         r = run_cell(CellSpec("example4", 1e-2, "asode3-nocontrol"))

@@ -108,6 +108,21 @@ class TestSolve:
         assert times == sorted(times)
         assert times[-1] == pytest.approx(20.0)
 
+    def test_unwritable_trace_fails_before_the_solve(self, monkeypatch,
+                                                     tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(benchmark, "run_method", never)
+        path = tmp_path / "missing" / "trace.csv"
+        assert main(["solve", "--problem", "example2", "--method", "merson",
+                     "--tol", "1e-2", "--trace", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(path) in lines[0]
+
     def test_trace_v_column_empty_without_control(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
         assert main(["solve", "--problem", "example4", "--tol", "1e-2",

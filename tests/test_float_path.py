@@ -2,9 +2,10 @@
 
 A DiagonalMatrix B of at most SMALL_N components runs the step attempt on
 lists of Python floats; every other B runs it on arrays.  The numpy path
-is the reference: the kernels (stages, probe, error norm, drift update,
-diagonal factorization) must return the same bits on the same input,
-NaN and inf included, and whole runs must agree in every result.
+is the reference: the kernels (stages, stability estimate, error norm,
+drift update, diagonal factorization) must return the same bits on the
+same input, NaN and inf included, and whole runs must agree in every
+result.
 Setting SMALL_N to 0 in stepper and linalg forces the numpy path.
 """
 
@@ -69,19 +70,6 @@ def draw(rng, n, special_share=0.3):
     return out
 
 
-def queued_phi(outputs, as_list):
-    """phi stub returning the queued vectors in turn; records its inputs."""
-    queue = list(outputs)
-    seen = []
-
-    def phi(u):
-        seen.append(np.array(u, dtype=float))
-        out = np.array(queue.pop(0), dtype=float)
-        return out.tolist() if as_list else out
-
-    return phi, seen
-
-
 def floats(x) -> list:
     return np.asarray(x, dtype=float).tolist()
 
@@ -90,67 +78,78 @@ def array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def probe_both(y, k1, d1, d2, h=1.0):
-    """stability_estimate on lists and on arrays: (v_floats, v_arrays)."""
-    results = []
-    for conv in (floats, array):
-        phi, seen = queued_phi([d1, d2], as_list=conv is floats)
-        stats = RunStatistics()
-        v = stability_estimate(phi, conv(y), conv(k1), h, stats)
-        assert type(v) is float
-        assert stats.phi_evals == 2
-        results.append((v, seen))
-    (v_f, seen_f), (v_a, seen_a) = results
-    assert all(same_bits(a, b) for a, b in zip(seen_f, seen_a))
+def probe_both(y, u6, k1, k6):
+    """stability_estimate on lists and on arrays: (v_floats, v_arrays).
+
+    y stays an array on the float path, as it is on a run's first step.
+    """
+    v_f = stability_estimate(array(y), floats(u6), floats(k1), floats(k6))
+    v_a = stability_estimate(array(y), array(u6), array(k1), array(k6))
+    assert type(v_f) is float and type(v_a) is float
     return v_f, v_a
 
 
 class TestProbeKernel:
+    # d1 = u6 - y is each component's displacement over the attempt and
+    # d2 = k6 - k1 the change of its non-stiff stage, so the estimate is
+    # the largest |d2_i| / |d1_i| over the components the floors keep
     @pytest.mark.parametrize("d1, d2, k1, expected", [
-        # every component below the absolute floor: no information
-        ([1.0, 2.0], [5.0, 6.0], [1.0, 2.0], 0.0),
-        # NaN in a denominator: np.max is NaN, nothing is kept
+        # every displacement below the absolute floor: no information
+        ([1e-15, -1e-15], [5.0, 6.0], [1.0, 2.0], 0.0),
+        # NaN in a displacement: np.max is NaN, nothing is kept
         ([math.nan, 2.0], [1.0, 3.0], [0.0, 0.0], 0.0),
-        # NaN in k1: its denominator is NaN too
-        ([1.0, 2.0], [1.0, 3.0], [math.nan, 0.0], 0.0),
-        # inf in k1: inf denominator and floor; its quotient is 0
-        ([1.0, 2.0], [3.0, 5.0], [math.inf, 0.0], 0.0),
-        # inf in a denominator with an inf numerator: inf - inf is NaN
+        # NaN in k1 on a component below the absolute floor
+        ([1e-15, 2.0], [1.0, 0.0], [math.nan, 0.0], 0.0),
+        # inf in k1 on a component below the share floor
+        ([0.05, 1.0], [1.0, 0.0], [math.inf, 0.0], 0.0),
+        # inf displacement with an inf stage change: inf/inf is NaN
         ([math.inf, 1.0], [math.inf, 1.0], [0.0, 0.0], math.nan),
         # a NaN quotient on a kept component wins the max
         ([1.0, 1.0], [math.nan, 2.0], [0.0, 0.0], math.nan),
-        # ties in the denominators and in the quotients
-        ([2.0, -2.0, 2.0], [3.0, -3.0, 1.0], [0.0, 0.0, 0.0], 0.5),
-        # the second component carries less than the share floor
-        ([1.0, 0.05], [2.0, 10.0], [0.0, 0.0], 1.0),
+        # ties in the displacements and in the quotients
+        ([2.0, -2.0, 2.0], [1.0, -1.0, -0.5], [0.0, 0.0, 0.0], 0.5),
+        # the second component moves less than the share floor
+        ([1.0, 0.05], [1.0, 10.0], [0.0, 0.0], 1.0),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_crafted_inputs(self, d1, d2, k1, expected):
-        y = [0.5] * len(d1)
-        v_f, v_a = probe_both(y, k1, d1, d2)
+        y = np.full(len(d1), 0.5)
+        u6 = y + array(d1)
+        k6 = array(k1) + array(d2)
+        v_f, v_a = probe_both(y, u6, k1, k6)
         assert same_bits(v_f, v_a)
-        assert same_bits(v_f, expected / stepper.PROBE_ALPHA32)
+        assert same_bits(v_f, expected)
+
+    @pytest.mark.parametrize("y, u6, k6, expected", [
+        # a large state raises its floor above its displacement; kept,
+        # its quotient would read 2^30
+        ([1e6, 1.0], [1e6 + 2.0 ** -30, 1.0 + 2.0 ** -30], [1.0, 2.0 ** -29],
+         2.0),
+        # NaN in y: its displacement is NaN too, nothing is kept
+        ([math.nan, 1.0], [1.0, 2.0], [1.0, 2.0], 0.0),
+        # inf in y: inf displacement and floor; its quotient is 0 and the
+        # share floor drops the rest
+        ([math.inf, 1.0], [1.0, 2.0], [3.0, 2.0], 0.0),
+        # signed zeros in y leave the floor at 1e-14
+        ([-0.0, 0.0], [1.0, 1.5], [3.0, -0.0], 3.0),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_state_scale_floor(self, y, u6, k6, expected):
+        v_f, v_a = probe_both(y, u6, [0.0, -0.0], k6)
+        assert same_bits(v_f, v_a)
+        assert same_bits(v_f, expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fuzzed_inputs(self):
         rng = np.random.default_rng(2024)
         for _ in range(3000):
             n = int(rng.integers(1, 6))
-            y, k1, d1, d2 = (draw(rng, n) for _ in range(4))
-            h = float(10.0 ** rng.uniform(-6, 1))
-            v_f, v_a = probe_both(y, k1, d1, d2, h)
-            assert same_bits(v_f, v_a), (y, k1, d1, d2, h)
-
-    def test_monkeypatched_offsets_act_on_both_paths(self, monkeypatch):
-        y, k1, d1, d2 = [0.3, -0.2], [0.1, 0.4], [0.2, 0.5], [0.7, 0.1]
-        before = probe_both(y, k1, d1, d2, 0.3)
-        monkeypatch.setattr(stepper, "PROBE_ALPHA21", 0.5)
-        monkeypatch.setattr(stepper, "PROBE_ALPHA31", 0.25)
-        monkeypatch.setattr(stepper, "PROBE_ALPHA32", 0.25)
-        after = probe_both(y, k1, d1, d2, 0.3)
-        assert same_bits(after[0], after[1])
-        assert after[0] != before[0]
-        assert after[0] == pytest.approx(before[0] * 5e-6 / 0.25, rel=1e-12)
+            y, u6, k1, k6 = (draw(rng, n) for _ in range(4))
+            if rng.random() < 0.5:
+                # near-stage arguments reach the share and state floors
+                u6 = y + draw(rng, n) * 10.0 ** rng.integers(-16, 0)
+            v_f, v_a = probe_both(y, u6, k1, k6)
+            assert same_bits(v_f, v_a), (y, u6, k1, k6)
 
 
 class TestErrorNormKernel:
@@ -245,20 +244,23 @@ def diagonal_problem(rates, b_values, y0):
 
 def stages_both(problem, y, h, monkeypatch):
     stats_f = RunStatistics()
-    phi_f, k1_f, yn_f, ye_f, bd_f = _stages(problem, y, h, SCHEME, EMBEDDED,
-                                            stats_f)
-    assert type(k1_f) is list and type(yn_f) is list and type(ye_f) is list
+    last_f, k1_f, yn_f, ye_f, bd_f = _stages(problem, y, h, SCHEME, EMBEDDED,
+                                             stats_f)
+    floats_out = (k1_f, yn_f, ye_f) + last_f
+    assert all(type(x) is list for x in floats_out)
     with monkeypatch.context() as m:
         force_numpy_path(m)
         stats_a = RunStatistics()
-        phi_a, k1_a, yn_a, ye_a, bd_a = _stages(problem, y, h, SCHEME,
-                                                EMBEDDED, stats_a)
-    assert isinstance(k1_a, np.ndarray)
-    for a, b in ((k1_f, k1_a), (yn_f, yn_a), (ye_f, ye_a), (bd_f, bd_a)):
+        last_a, k1_a, yn_a, ye_a, bd_a = _stages(problem, y, h, SCHEME,
+                                                 EMBEDDED, stats_a)
+    arrays_out = (k1_a, yn_a, ye_a) + last_a
+    assert all(isinstance(x, np.ndarray) for x in arrays_out)
+    for a, b in zip(floats_out + (bd_f,), arrays_out + (bd_a,)):
         assert same_bits(a, b)
     assert stats_f.as_dict() == stats_a.as_dict()
-    u = (np.asarray(y, dtype=float) + 0.25 * np.asarray(k1_a)).tolist()
-    assert same_bits(phi_f(u), phi_a(np.array(u)))
+    (u6_f, k6_f), (u6_a, k6_a) = last_f, last_a
+    assert same_bits(stability_estimate(y, u6_f, k1_f, k6_f),
+                     stability_estimate(y, u6_a, k1_a, k6_a))
 
 
 class TestStagesKernel:
@@ -332,6 +334,19 @@ def trace_rows(res):
             for t, h, err, v, y in res.trace]
 
 
+def assert_same_rows(rows_a, rows_b):
+    """Equal traces, row by row; a mismatch names its first row.
+
+    repr tells -0.0 from 0.0 and matches NaN with NaN.  Comparing whole
+    traces in one assert would have pytest diff thousands of rows.
+    """
+    for i, (a, b) in enumerate(zip(rows_a, rows_b)):
+        if repr(a) != repr(b):
+            raise AssertionError(f"trace rows differ first at {i}:\n"
+                                 f"  {a!r}\n  {b!r}")
+    assert len(rows_a) == len(rows_b)
+
+
 @pytest.mark.parametrize("control", [True, False], ids=["control", "plain"])
 @pytest.mark.parametrize("tol", [1e-2, 1e-4])
 @pytest.mark.parametrize("name", ["example1", "example2", "example3",
@@ -349,8 +364,7 @@ def test_kinetics_runs_bit_identical(name, tol, control, monkeypatch):
     assert isinstance(floats.y, np.ndarray)
     assert same_bits(floats.y, arrays.y)
     assert floats.stats.as_dict() == arrays.stats.as_dict()
-    # repr tells -0.0 from 0.0 and matches NaN with NaN
-    assert repr(trace_rows(floats)) == repr(trace_rows(arrays))
+    assert_same_rows(trace_rows(floats), trace_rows(arrays))
     for rows in (floats.trace, arrays.trace):
         for _, _, err, v, y in rows:
             assert type(err) is float

@@ -13,7 +13,13 @@ import pytest
 
 from asode.exceptions import UnknownProblem
 from asode.linalg import DenseMatrix, DiagonalMatrix
-from asode.problems import BUILTIN_NAMES, Tolerances, builtin, make_split
+from asode.problems import (
+    BUILTIN_NAMES,
+    SplitProblem,
+    Tolerances,
+    builtin,
+    make_split,
+)
 
 
 def rhs_example1(y):
@@ -217,3 +223,18 @@ def test_tolerances_validation():
             Tolerances.uniform(bad, 3)
     # mixed zero patterns are fine as long as each component keeps one
     Tolerances(atol=np.array([0.0, 1e-2]), rtol=np.array([1e-2, 0.0]))
+
+
+def test_empty_state_rejected():
+    # neither solver can step zero components: the stepper's error norm
+    # has no maximum and the comparator's generated step no statements
+    for tol in (lambda: Tolerances(atol=[], rtol=[]),
+                lambda: Tolerances.uniform(1e-3, 0)):
+        with pytest.raises(ValueError, match="at least one component"):
+            tol()
+    zero = DiagonalMatrix(np.zeros(0))
+    phi, g = make_split(lambda y: y, lambda y: zero)
+    with pytest.raises(ValueError, match="at least one component"):
+        SplitProblem(name="empty", n=0, phi=phi, g=g, jac=lambda y: zero,
+                     full=lambda y: y, y0=np.zeros(0), t0=0.0, t_end=1.0,
+                     h0=0.1)

@@ -1,4 +1,4 @@
-"""Tests for the adaptive stepper: error norm, stability probe, stepsize
+"""Tests for the adaptive stepper: error norm, stability estimate, stepsize
 selection, single-step behavior, the integration driver, and the order of
 the scheme and its embedded companion under fixed steps."""
 
@@ -21,6 +21,7 @@ from asode.problems import SplitProblem, Tolerances, builtin, make_split
 from asode.stepper import (
     ControllerConfig,
     RunStatistics,
+    _stages,
     attempt_step,
     embedded_difference,
     error_norm,
@@ -79,37 +80,33 @@ class TestErrorNorm:
 
 class TestStabilityEstimate:
     def probe(self, full, y, h):
-        stats = RunStatistics()
-        k1 = h * full(y)
-        return stability_estimate(full, y, k1, h, stats), stats
+        """The estimate from the stages of one explicit (B = 0) attempt."""
+        zero = DiagonalMatrix(np.zeros(len(y)))
+        phi, g = make_split(full, lambda u: zero)
+        prob = SplitProblem(name="probe", n=len(y), phi=phi, g=g,
+                            jac=lambda u: zero, full=full, y0=y, t0=0.0,
+                            t_end=1.0, h0=h)
+        (u6, k6), k1, _, _, _ = _stages(prob, y, h, SCHEME, EMBEDDED,
+                                        RunStatistics())
+        return stability_estimate(y, u6, k1, k6)
 
-    def test_two_rate_diagonal_is_exact(self, monkeypatch):
+    def test_two_rate_diagonal_is_exact(self):
         A = np.array([-1.0, -10.0])
 
         def field(y):
             return A * y
 
-        y = np.array([1.0, 1.0])
-        # small probe offsets trade digits for locality; they only need
-        # accuracy where the growth cap engages, around |lam|*h ~ 2
-        for h in (0.05, 0.2, 0.3):
-            v, _ = self.probe(field, y, h)
-            assert v == pytest.approx(10.0 * h, rel=1e-5)
-        # on a linear field wide offsets (still alpha21 = alpha31 + alpha32)
-        # read the dominant rate to rounding
-        monkeypatch.setattr(stepper, "PROBE_ALPHA21", 0.5)
-        monkeypatch.setattr(stepper, "PROBE_ALPHA31", 0.25)
-        monkeypatch.setattr(stepper, "PROBE_ALPHA32", 0.25)
-        for h in (1e-3, 1e-2, 0.3):
-            v, _ = self.probe(field, y, h)
-            assert v == pytest.approx(10.0 * h, rel=1e-9)
+        # on a linear field each quotient is h*|a_i| to rounding, at any
+        # stepsize, and the faster mode moves further
+        for h in (1e-3, 1e-2, 0.05, 0.2, 0.3):
+            v = self.probe(field, np.array([1.0, 1.0]), h)
+            assert v == pytest.approx(10.0 * h, rel=1e-12)
 
     def test_constant_field_gives_zero(self):
         def field(y):
             return np.array([1.0, 2.0])
 
-        v, _ = self.probe(field, np.array([0.3, -0.4]), 0.1)
-        assert v == 0.0
+        assert self.probe(field, np.array([0.3, -0.4]), 0.1) == 0.0
 
     def test_scalar_rate(self):
         lam = -37.0
@@ -117,15 +114,24 @@ class TestStabilityEstimate:
         def field(y):
             return lam * y
 
-        v, _ = self.probe(field, np.array([2.0]), 0.05)
-        assert v == pytest.approx(abs(lam) * 0.05, rel=1e-5)
+        v = self.probe(field, np.array([2.0]), 0.05)
+        assert v == pytest.approx(abs(lam) * 0.05, rel=1e-12)
 
-    def test_costs_two_evaluations(self):
-        def field(y):
-            return -y
-
-        _, stats = self.probe(field, np.array([1.0]), 0.1)
-        assert stats.phi_evals == 2
+    def test_costs_no_evaluation(self):
+        # the estimate is read off stages the attempt has anyway, so an
+        # attempt costs three non-stiff evaluations with or without it
+        prob = builtin("smooth")
+        counts = []
+        for control in (True, False):
+            stats = RunStatistics()
+            rep = attempt_step(prob, prob.y0.copy(), 1e-3, SCHEME, EMBEDDED,
+                               Tolerances.uniform(1e-2, prob.n),
+                               ControllerConfig(stability_control=control),
+                               stats)
+            assert rep.accepted and (rep.v is not None) == control
+            counts.append(stats.as_dict())
+        assert counts[0] == counts[1]
+        assert counts[0]["phi_evals"] == 3
 
 
 class TestProposeNextH:
@@ -145,7 +151,7 @@ class TestProposeNextH:
 
     @pytest.mark.usefixtures("unit_safety")
     def test_stability_cap_blocks_growth(self):
-        # accuracy would double h, the probe asks for half: keep h
+        # accuracy would double h, the stability cap asks for half: keep h
         p = propose_next_h(0.1, 0.125, 4.0)
         assert p.h_accept == pytest.approx(0.1)
 
@@ -264,6 +270,20 @@ class TestAttemptStep:
         assert rep.h_next <= 1e-3
         assert rep.y_next is None
 
+    def test_rejection_skips_the_stability_estimate(self, monkeypatch):
+        # a retry's stepsize comes from the error model alone, so a
+        # rejected attempt neither takes nor reports an estimate
+        def never(*args):
+            raise AssertionError("the estimate was taken")
+
+        monkeypatch.setattr(stepper, "stability_estimate", never)
+        prob = scalar_problem(-1e6, 0.0)
+        rep, stats = self.run_once(prob, np.array([1.0]), 1e-3,
+                                   cfg=ControllerConfig())
+        assert not rep.accepted and rep.err > 1.0
+        assert rep.v is None
+        assert stats.phi_evals == 3
+
     def test_acceptance_report_shape(self):
         prob = builtin("smooth")
         rep, stats = self.run_once(prob, prob.y0.copy(), 1e-3,
@@ -271,7 +291,7 @@ class TestAttemptStep:
         assert rep.accepted and rep.err <= 1.0
         assert rep.h_next >= rep.h_used
         assert rep.v is not None and rep.v >= 0.0
-        assert stats.phi_evals == 5 and stats.g_evals == 2
+        assert stats.phi_evals == 3 and stats.g_evals == 2
         assert stats.factorizations == 1 and stats.linear_solves == 5
 
 
@@ -306,7 +326,7 @@ class TestIntegrate:
         res = integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-4, 2))
         s = res.stats
         attempts = s.steps_accepted + s.steps_rejected
-        assert s.phi_evals == 3 * attempts + 2 * s.steps_accepted
+        assert s.phi_evals == 3 * attempts
         assert s.g_evals == 2 * attempts
         assert s.factorizations == attempts
         assert s.linear_solves == 5 * attempts
@@ -337,7 +357,7 @@ class TestIntegrate:
 
     def test_growth_cap_pins_h_at_explicit_stability_span(self):
         # one fast decaying component, one neutral carrier: the error
-        # estimate vanishes on the carrier, so only the probe cap brakes
+        # estimate vanishes on the carrier, so only the stability cap brakes
         # the stepsize at |lam|*h = 2 while the fast mode stays visible
         L = np.array([-50.0, 0.0])
         B = DiagonalMatrix(np.zeros(2))
