@@ -124,12 +124,20 @@ _COEFFS_SCHEMA = {
 }
 
 
-def _load_config_file(path: str) -> dict:
+def _read_lines(path: str, what: str) -> list:
+    """The lines of a UTF-8 text file, else ConfigError naming the file."""
     try:
-        with open(path) as fh:
-            raw_lines = fh.read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from None
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what}: {path!r} is not UTF-8 text "
+                          f"({exc.reason} at byte {exc.start})") from None
+
+
+def _load_config_file(path: str) -> dict:
+    raw_lines = _read_lines(path, "config file")
     entries = {}
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -169,12 +177,8 @@ def _resolve(args: argparse.Namespace, schema: dict) -> dict:
 
 def _load_tol_file(path: str, n: int) -> Tolerances:
     """Per-component tolerances: one 'atol rtol' pair per line."""
-    try:
-        with open(path) as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read tolerance file: {exc}") from None
-    rows = [ln.split("#", 1)[0].split() for ln in raw_lines]
+    rows = [ln.split("#", 1)[0].split()
+            for ln in _read_lines(path, "tolerance file")]
     rows = [r for r in rows if r]
     if len(rows) != n:
         raise ConfigError(f"tolerance file has {len(rows)} rows but the "

@@ -72,6 +72,9 @@ class SchemeCoefficients:
     p holds the six solution weights, alpha4/beta4 the third/first stage-4
     combination rows (indices 1..3), beta6 the stage-6 row (indices 1..5),
     aux the four auxiliary combinations used by the reduced order system.
+    The arrays are read-only copies, so the Python floats taken from them
+    once at construction (stage_weights, for the stepper's float path)
+    always match them.
     """
 
     a: float
@@ -82,12 +85,43 @@ class SchemeCoefficients:
     beta6: np.ndarray
     aux: np.ndarray
 
+    def __post_init__(self):
+        for name in ("p", "alpha4", "beta4", "beta6", "aux"):
+            _freeze(self, name)
+        object.__setattr__(self, "_stage_weights", (
+            float(self.a), *self.alpha4[1:].tolist(),
+            *self.beta4[1:].tolist(), float(self.gamma),
+            *self.beta6[2:].tolist(), *self.p.tolist()))
+
+    def stage_weights(self) -> tuple:
+        """(a, a42, a43, b42, b43, gamma, b63, b64, b65, p1, ..., p6) as
+        Python floats: every weight the stages use."""
+        return self._stage_weights
+
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedCoefficients:
-    """Weights r1..r5 of the embedded second-order error estimator."""
+    """Weights r1..r5 of the embedded second-order error estimator.
+
+    r is a read-only copy, as in SchemeCoefficients.
+    """
 
     r: np.ndarray
+
+    def __post_init__(self):
+        _freeze(self, "r")
+        object.__setattr__(self, "_stage_weights", tuple(self.r.tolist()))
+
+    def stage_weights(self) -> tuple:
+        """(r1, ..., r5) as Python floats."""
+        return self._stage_weights
+
+
+def _freeze(coefficients, name: str) -> None:
+    """Replace an array field of a frozen dataclass by a read-only copy."""
+    values = np.array(getattr(coefficients, name), dtype=float)
+    values.setflags(write=False)
+    object.__setattr__(coefficients, name, values)
 
 
 def _guarded_div(num: float, den: float, label: str) -> float:

@@ -12,20 +12,21 @@ array-object overhead entirely.  For states of up to SMALL_N (16)
 components, the same bound up to which the additive stepper runs a
 diagonal-B attempt on Python floats, the step is a straight-line function
 generated on first use for each (tableau, dimension) and kept on the
-tableau: every component is
-a local, zero coefficients are left out, and each sum runs in the loop's
-order from the loop's start value, so the results are bit-identical to the
-loop's.  On the three-component kinetics problems that cuts the cost of
-a step to between a quarter and a third.  The generated source grows
-with the dimension: at 64 components (the benchmark's BRUSS N = 32)
-generating the steps of both tableaus took about 90 ms and raised peak
-memory by about 9.5 MB, against 1.5 MB at 16.  So larger states run the
-generic loop over the tableau, which the tests also use as the reference.
+tableau: every component is a local, zero coefficients are left out, and
+each sum runs in the loop's order from the loop's start value, so the
+results are bit-identical to the loop's.  It is compiled and registered
+with linecache by the helper that also builds the additive stepper's
+generated stages (stepper._compile_generated).  On the three-component
+kinetics problems that cuts the cost of a step to between a quarter and a
+third.  The generated source grows with the dimension: at 64 components
+(the benchmark's BRUSS N = 32) generating the steps of both tableaus took
+about 90 ms and raised peak memory by about 9.5 MB, against 1.5 MB at 16.
+So larger states run the generic loop over the tableau, which the tests
+also use as the reference.
 """
 
 from __future__ import annotations
 
-import linecache
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
@@ -39,7 +40,13 @@ from .exceptions import (
     ZeroToleranceDenominator,
 )
 from .problems import Tolerances
-from .stepper import PROBE_FLOOR, PROBE_SHARE_FLOOR, SMALL_N, RunStatistics
+from .stepper import (
+    PROBE_FLOOR,
+    PROBE_SHARE_FLOOR,
+    SMALL_N,
+    RunStatistics,
+    _compile_generated,
+)
 
 # rooted-tree order conditions up to order five: (order, weight, 1/density)
 # with the elementary weight written in terms of A, b, c
@@ -391,19 +398,11 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
 
 
 def _generate_step(tableau: ExplicitTableau, n: int) -> Callable:
-    """Compile the straight-line step of tableau for n components.
-
-    The source is registered with linecache under its own file name, so
-    tracebacks and profilers show the generated lines.
-    """
+    """Compile the straight-line step of tableau for n components."""
     name = f"_step_{tableau.name}_{n}"
-    filename = f"<reference_rk {tableau.name} step, n={n}>"
-    source = _step_source(tableau, n, name)
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    return namespace[name]
+    return _compile_generated(_step_source(tableau, n, name), name,
+                              f"<reference_rk {tableau.name} step, n={n}>",
+                              globals())
 
 
 def rk_step(tableau: ExplicitTableau, f: Callable, y: tuple,

@@ -36,11 +36,15 @@ err <= 1; the guard only makes the controller aim lower.
 An attempt runs on one of two paths, picked once per attempt in _stages
 from the B that the Jacobian provider returns.  A DiagonalMatrix of at
 most SMALL_N components takes the float path: the stages, the stability
-estimate, the error norm and the drift update work on lists of Python
-floats, since on a handful of components numpy's cost per call dwarfs the
-arithmetic.  Every other B takes the numpy path, which is the reference
-the tests hold the float path to.  The two give bit-identical results:
-each sum keeps numpy's association and order, the maxima let NaN win as
+estimate, the error norm and the drift update work on Python floats,
+since on a handful of components numpy's cost per call dwarfs the
+arithmetic.  The float-path stages are a straight-line function generated
+on first use for each state dimension, with every component a local; the
+scheme weights are its arguments, taken as Python floats once per
+coefficient object, so one function serves every scheme.  Every other B
+takes the numpy path, which is the reference the tests hold the float
+path to.  The two give bit-identical results: each sum keeps numpy's
+association and order (zero weights included), the maxima let NaN win as
 np.max does, and the drift decay still calls np.exp.  The user's
 right-hand side and Jacobian provider receive arrays on both paths.  The
 controller (attempt_step, propose_next_h and the drift guard's pressure
@@ -49,9 +53,10 @@ rule) is one copy that both paths share.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -89,6 +94,10 @@ MAX_REJECTS = 20
 # committed step errors may reach before the drift guard starts pressing
 # the stepsize down; within the budget the controller is untouched
 DRIFT_BUDGET = 30.0
+
+# generated float-path stages by state dimension (at most SMALL_N entries),
+# filled on first use
+_FLOAT_STAGES: dict = {}
 
 
 @dataclass
@@ -287,11 +296,11 @@ def _stages(problem: SplitProblem, y, h: float,
     its start-of-step value, and u6 is the last stage's argument; the
     stability estimate reads them.  b_diag is the diagonal of B, an
     array.  This is where an attempt picks its path: a DiagonalMatrix B
-    of at most SMALL_N components runs the stages on floats, and u6, k6,
-    k1, y_next and y_emb are then lists; any other B runs them on
-    arrays.  y may be
-    either.  Work per call: 1 factorization, 5 linear solves, 3
-    evaluations of the right-hand side and 2 stiff-part applications.
+    of at most SMALL_N components runs the generated float stages for its
+    dimension, and u6, k6, k1, y_next and y_emb are then lists; any other
+    B runs them on arrays.  y may be either.  Work per call: 1
+    factorization, 5 linear solves, 3 evaluations of the right-hand side
+    and 2 stiff-part applications.
     Raises SingularMatrix when the stage matrix cannot be factored and
     DimensionMismatch when the right-hand side returns the wrong number of
     components or the Jacobian provider returns neither matrix type.
@@ -299,8 +308,12 @@ def _stages(problem: SplitProblem, y, h: float,
     y_arr = np.array(y) if type(y) is list else y
     B = problem.jac(y_arr)
     if isinstance(B, DiagonalMatrix) and B.dim <= SMALL_N:
-        return _stages_floats(problem.full, B, y, y_arr, h, scheme,
-                              embedded, stats)
+        n = len(y_arr)
+        if B.dim != n:
+            raise DimensionMismatch(f"vector length {n} != {B.dim}")
+        return _float_stages(n)(
+            problem.full, B, y if type(y) is list else y_arr.tolist(), y_arr,
+            h, scheme.stage_weights(), embedded.stage_weights(), stats)
     y = y_arr
     a42, a43 = scheme.alpha4[1], scheme.alpha4[2]
     b42, b43 = scheme.beta4[1], scheme.beta4[2]
@@ -346,64 +359,96 @@ def _stages(problem: SplitProblem, y, h: float,
     return (u6, k6), k1, y_next, y_emb, b_diag
 
 
-def _stages_floats(full, B: DiagonalMatrix, y, y_arr: np.ndarray, h: float,
-                   scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
-                   stats: RunStatistics) -> tuple:
-    """_stages on lists of floats for a small diagonal B, same arithmetic.
+def _float_stages_source(n: int, name: str) -> str:
+    """Source of _stages' float path unrolled for n components.
 
-    Every expression is _stages' with each array operation spelled out
-    per component in numpy's association and order.
+    Every component is a local (y_m, the B diagonal b_m, the right-hand
+    side f_m, the stages k<i>_m and the stage arguments u_m, w_m, u6_m),
+    and each line is _stages' numpy expression for one component, in
+    numpy's association and order.  Zero weights are multiplied as numpy
+    multiplies them, so signed zeros and NaN come out the same.  The
+    weights arrive as arguments (w from SchemeCoefficients.stage_weights,
+    r from EmbeddedCoefficients.stage_weights), so one function serves
+    every scheme.  factor, _rhs and np are looked up in this module at
+    call time; the stage solves go through the factorization as lists.
     """
-    n = len(y_arr)
-    if B.dim != n:
-        raise DimensionMismatch(f"vector length {n} != {B.dim}")
-    y = y if type(y) is list else y_arr.tolist()
-    # the weights as Python floats: an np.float64 factor would turn every
-    # product into an np.float64
-    alpha4, beta4 = scheme.alpha4.tolist(), scheme.beta4.tolist()
-    beta6 = scheme.beta6.tolist()
-    a42, a43 = alpha4[1], alpha4[2]
-    b42, b43 = beta4[1], beta4[2]
-    b63, b64, b65 = beta6[2], beta6[3], beta6[4]
-    p1, p2, p3, p4, p5, p6 = scheme.p.tolist()
-    r1, r2, r3, r4, r5 = embedded.r.tolist()
-    gamma = float(scheme.gamma)
+    comps = range(n)
 
-    b = B.values.tolist()
-    stats.factorizations += 1
-    solve = factor(B, scheme.a * h).solve
+    def each(fmt: str) -> str:
+        # "x_0, x_1, ..., " with fmt formatted for every component
+        return "".join(fmt.format(m=m) + ", " for m in comps)
 
-    def f(u: list) -> list:
-        return _rhs(full, np.array(u)).tolist()
+    lines = [f"def {name}(full, B, y, y_arr, h, w, r, stats):",
+             "    (a, a42, a43, b42, b43, gamma, b63, b64, b65,",
+             "     p1, p2, p3, p4, p5, p6) = w",
+             "    r1, r2, r3, r4, r5 = r",
+             f"    {each('y_{m}')}= y",
+             f"    {each('b_{m}')}= B.values.tolist()",
+             "    stats.factorizations += 1",
+             "    solve = factor(B, a * h).solve"]
+    emit = lines.append
 
-    f0 = _rhs(full, y_arr).tolist()
-    k1 = [h * (fi - bi * yi) for fi, bi, yi in zip(f0, b, y)]
-    stats.phi_evals += 1
-    stats.g_evals += 1
+    def per_component(fmt: str) -> None:
+        lines.extend("    " + fmt.format(m=m) for m in comps)
 
-    k2 = solve([h * fi for fi in f0])
-    k3 = solve(k2)
-    u = [yi + b42 * c2 + b43 * c3 for yi, c2, c3 in zip(y, k2, k3)]
-    w = [yi + a42 * c2 + a43 * c3 for yi, c2, c3 in zip(y, k2, k3)]
-    rhs4 = [h * fu + h * (bi * (wi - ui))
-            for fu, bi, wi, ui in zip(f(u), b, w, u)]
-    stats.phi_evals += 1
-    stats.g_evals += 1
-    k4 = solve(rhs4)
-    k5 = solve([c4 + gamma * c3 for c4, c3 in zip(k4, k3)])
-    u6 = [yi + b63 * c3 + b64 * c4 + b65 * c5
-          for yi, c3, c4, c5 in zip(y, k3, k4, k5)]
-    k6 = [h * (fu - bi * ui) for fu, bi, ui in zip(f(u6), b, u6)]
-    stats.phi_evals += 1
-    k5_emb = solve(k4)
-    stats.linear_solves += 5
+    emit(f"    {each('f_{m}')}= _rhs(full, y_arr).tolist()")
+    per_component("k1_{m} = h * (f_{m} - b_{m} * y_{m})")
+    emit("    stats.phi_evals += 1")
+    emit("    stats.g_evals += 1")
+    emit(f"    k2 = solve([{each('h * f_{m}')}])")
+    emit(f"    {each('k2_{m}')}= k2")
+    emit(f"    {each('k3_{m}')}= solve(k2)")
+    per_component("u_{m} = y_{m} + b42 * k2_{m} + b43 * k3_{m}")
+    per_component("w_{m} = y_{m} + a42 * k2_{m} + a43 * k3_{m}")
+    emit(f"    {each('f_{m}')}= _rhs(full, np.array([{each('u_{m}')}]))"
+         ".tolist()")
+    emit("    stats.phi_evals += 1")
+    emit("    stats.g_evals += 1")
+    emit("    k4 = solve([")
+    per_component("    h * f_{m} + h * (b_{m} * (w_{m} - u_{m})),")
+    emit("    ])")
+    emit(f"    {each('k4_{m}')}= k4")
+    emit(f"    {each('k5_{m}')}= solve([{each('k4_{m} + gamma * k3_{m}')}])")
+    per_component("u6_{m} = y_{m} + b63 * k3_{m} + b64 * k4_{m} + b65 * k5_{m}")
+    emit(f"    u6 = [{each('u6_{m}')}]")
+    emit(f"    {each('f_{m}')}= _rhs(full, np.array(u6)).tolist()")
+    per_component("k6_{m} = h * (f_{m} - b_{m} * u6_{m})")
+    emit("    stats.phi_evals += 1")
+    emit(f"    {each('e5_{m}')}= solve(k4)")
+    emit("    stats.linear_solves += 5")
+    per_component("yn_{m} = (y_{m} + p1 * k1_{m} + p2 * k2_{m} + p3 * k3_{m}"
+                  " + p4 * k4_{m} + p5 * k5_{m} + p6 * k6_{m})")
+    per_component("ye_{m} = (y_{m} + r1 * k1_{m} + r2 * k2_{m} + r3 * k3_{m}"
+                  " + r4 * k4_{m} + r5 * e5_{m})")
+    emit(f"    return ((u6, [{each('k6_{m}')}]), [{each('k1_{m}')}],")
+    emit(f"            [{each('yn_{m}')}], [{each('ye_{m}')}], B.values)")
+    return "\n".join(lines) + "\n"
 
-    y_next = [yi + p1 * c1 + p2 * c2 + p3 * c3 + p4 * c4 + p5 * c5 + p6 * c6
-              for yi, c1, c2, c3, c4, c5, c6
-              in zip(y, k1, k2, k3, k4, k5, k6)]
-    y_emb = [yi + r1 * c1 + r2 * c2 + r3 * c3 + r4 * c4 + r5 * c5
-             for yi, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5_emb)]
-    return (u6, k6), k1, y_next, y_emb, B.values
+
+def _compile_generated(source: str, name: str, filename: str,
+                       scope: dict) -> Callable:
+    """Compile generated source and return its function called name.
+
+    scope is the function's globals, where the names it reads are looked
+    up at call time.  The source is registered with linecache under
+    filename, so tracebacks and profilers show the generated lines.
+    """
+    namespace = {}
+    exec(compile(source, filename, "exec"), scope, namespace)
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    return namespace[name]
+
+
+def _float_stages(n: int) -> Callable:
+    """The generated float-path stages for n components, made on first use."""
+    stages = _FLOAT_STAGES.get(n)
+    if stages is None:
+        name = f"_float_stages_{n}"
+        stages = _FLOAT_STAGES[n] = _compile_generated(
+            _float_stages_source(n, name), name,
+            f"<stepper float stages, n={n}>", globals())
+    return stages
 
 
 def attempt_step(problem: SplitProblem, y, h: float,

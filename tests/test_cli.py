@@ -175,6 +175,16 @@ class TestSolve:
         assert main(["solve", "--config", str(tmp_path / "gone.cfg")]) == 1
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, what", [("--config", "config file"),
+                                            ("--tol-file", "tolerance file")])
+    def test_non_utf8_file_exits_one(self, flag, what, tmp_path, capsys):
+        path = tmp_path / "bytes.cfg"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["solve", "--problem", "example1", flag, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what}: ")
+        assert str(path) in err and err.count("\n") == 1
+
     def test_tol_file_matches_uniform_tolerance(self, tmp_path, capsys):
         assert main(["solve", "--problem", "example4", "--tol", "1e-2"]) == 0
         uniform_out = capsys.readouterr().out

@@ -176,6 +176,24 @@ def test_all_zero_weights_give_unit_residual():
     assert first["full_1"] == pytest.approx(-1.0)
 
 
+def test_weights_are_read_only_copies_behind_stage_weights():
+    # the float path reads stage_weights(); an array written in place
+    # would run apart from the floats taken at construction
+    p = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    c = type(derive_scheme())(a=0.5, gamma=2.0, p=p, alpha4=np.zeros(3),
+                              beta4=np.zeros(3), beta6=np.zeros(5),
+                              aux=np.zeros(4))
+    assert p.flags.writeable and c.p is not p
+    e = derive_embedded(derive_scheme())
+    for arr in (c.p, c.alpha4, c.beta4, c.beta6, c.aux, e.r):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert c.stage_weights() == (0.5,) + (0.0,) * 4 + (2.0,) + (0.0,) * 3 \
+        + (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert e.stage_weights() == tuple(e.r.tolist())
+    assert all(type(x) is float for x in c.stage_weights() + e.stage_weights())
+
+
 def test_residual_report_rendering():
     rep = verify_order_conditions(derive_scheme(DEFAULT_A))
     text = str(rep)

@@ -6,16 +6,29 @@ is the reference: the kernels (stages, stability estimate, error norm,
 drift update, diagonal factorization) must return the same bits on the
 same input, NaN and inf included, and whole runs must agree in every
 result.
-Setting SMALL_N to 0 in stepper and linalg forces the numpy path.
+Setting SMALL_N to 0 in stepper and linalg forces the numpy path.  The
+float-path stages are generated per state dimension on first use, with the
+scheme weights as arguments; these tests also hold them to that.
 """
 
+import dataclasses
+import linecache
 import math
+import os
+import subprocess
+import sys
+import traceback
 
 import numpy as np
 import pytest
 
+import asode
 from asode import linalg, stepper
-from asode.coefficients import derive_embedded, derive_scheme
+from asode.coefficients import (
+    derive_embedded,
+    derive_scheme,
+    solve_design_quartic,
+)
 from asode.exceptions import (
     DimensionMismatch,
     SingularMatrix,
@@ -37,6 +50,9 @@ from asode.stepper import (
 
 SCHEME = derive_scheme()
 EMBEDDED = derive_embedded(SCHEME)
+# the design quartic's largest root, a = 3.10, far from DEFAULT_A
+FAR_SCHEME = derive_scheme(solve_design_quartic().roots[3])
+FAR_EMBEDDED = derive_embedded(FAR_SCHEME)
 
 # values that reach the kernels' special branches: signed zeros, ties,
 # infinities, NaN, values below the probe's absolute floor
@@ -242,17 +258,19 @@ def diagonal_problem(rates, b_values, y0):
                         h0=0.01)
 
 
-def stages_both(problem, y, h, monkeypatch):
+def stages_both(problem, y, h, monkeypatch, scheme=SCHEME,
+                embedded=EMBEDDED):
+    """Run _stages on both paths, assert the same bits; returns y_next."""
     stats_f = RunStatistics()
-    last_f, k1_f, yn_f, ye_f, bd_f = _stages(problem, y, h, SCHEME, EMBEDDED,
+    last_f, k1_f, yn_f, ye_f, bd_f = _stages(problem, y, h, scheme, embedded,
                                              stats_f)
     floats_out = (k1_f, yn_f, ye_f) + last_f
     assert all(type(x) is list for x in floats_out)
     with monkeypatch.context() as m:
         force_numpy_path(m)
         stats_a = RunStatistics()
-        last_a, k1_a, yn_a, ye_a, bd_a = _stages(problem, y, h, SCHEME,
-                                                 EMBEDDED, stats_a)
+        last_a, k1_a, yn_a, ye_a, bd_a = _stages(problem, y, h, scheme,
+                                                 embedded, stats_a)
     arrays_out = (k1_a, yn_a, ye_a) + last_a
     assert all(isinstance(x, np.ndarray) for x in arrays_out)
     for a, b in zip(floats_out + (bd_f,), arrays_out + (bd_a,)):
@@ -261,6 +279,7 @@ def stages_both(problem, y, h, monkeypatch):
     (u6_f, k6_f), (u6_a, k6_a) = last_f, last_a
     assert same_bits(stability_estimate(y, u6_f, k1_f, k6_f),
                      stability_estimate(y, u6_a, k1_a, k6_a))
+    return yn_f
 
 
 class TestStagesKernel:
@@ -277,6 +296,96 @@ class TestStagesKernel:
             stages_both(problem, y, h, monkeypatch)
             # the state may arrive as a list too, as it does mid-run
             stages_both(problem, y.tolist(), h, monkeypatch)
+
+    def test_zero_weight_is_multiplied(self, monkeypatch):
+        # r1 = 0, and numpy still multiplies it: here y_emb is
+        # -0.0 + 0.0 * k1 + (-0.0 terms) = +0.0, where leaving r1 out would
+        # give -0.0 (b = 100 makes the pivot 1 - a*h*b negative, which
+        # sets the signs of the other zero stages)
+        assert EMBEDDED.r[0] == 0.0
+        problem = dataclasses.replace(
+            diagonal_problem([0.0], [100.0], [1.0]),
+            full=lambda u: np.zeros(len(u)))
+        stages_both(problem, [-0.0], 0.1, monkeypatch)
+
+    def test_schemes_alternate_in_one_process(self, monkeypatch):
+        # one generated function per dimension serves every scheme: the
+        # weights are its arguments, so none may be served stale
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            n = int(rng.integers(1, stepper.SMALL_N + 1))
+            problem = diagonal_problem(-np.abs(rng.normal(size=n)) * 50.0,
+                                       -np.abs(rng.normal(size=n)) * 10.0,
+                                       rng.normal(size=n))
+            h = float(10.0 ** rng.uniform(-4, -1))
+            y = rng.normal(size=n).tolist()
+            y_default = stages_both(problem, y, h, monkeypatch)
+            y_far = stages_both(problem, y, h, monkeypatch, FAR_SCHEME,
+                                FAR_EMBEDDED)
+            assert not same_bits(y_default, y_far)
+
+    def test_one_function_per_dimension(self, monkeypatch):
+        made = []
+        compile_generated = stepper._compile_generated
+
+        def counted(source, name, filename, scope):
+            made.append(filename)
+            return compile_generated(source, name, filename, scope)
+
+        monkeypatch.setattr(stepper, "_FLOAT_STAGES", {})
+        monkeypatch.setattr(stepper, "_compile_generated", counted)
+        big = stepper.SMALL_N + 1
+        for n in (2, 3, 2, big, 3, 2):
+            problem = diagonal_problem([-1.0] * n, [-2.0] * n, [1.0] * n)
+            _, _, y_next, _, _ = _stages(problem, problem.y0, 0.01, SCHEME,
+                                         EMBEDDED, RunStatistics())
+            assert type(y_next) is (list if n < big else np.ndarray)
+        assert made == ["<stepper float stages, n=2>",
+                        "<stepper float stages, n=3>"]
+        assert set(stepper._FLOAT_STAGES) == {2, 3}
+
+    def test_generated_on_first_use_in_a_solve(self):
+        # a fresh interpreter: importing the package generates nothing
+        code = ("from asode import builtin, stepper\n"
+                "from asode.benchmark import run_method\n"
+                "from asode.problems import Tolerances\n"
+                "assert stepper._FLOAT_STAGES == {}\n"
+                "p = builtin('example4')\n"
+                "run_method('asode3', p, Tolerances.uniform(1e-2, p.n),\n"
+                "           stepper.RunStatistics())\n"
+                "print(sorted(stepper._FLOAT_STAGES))\n")
+        src = os.path.dirname(os.path.dirname(asode.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[4]"
+
+    def test_generated_source_is_visible(self):
+        problem = diagonal_problem([-1.0, -2.0, -3.0], [-1.0, -2.0, -3.0],
+                                   [1.0, 1.0, 1.0])
+        _stages(problem, problem.y0, 0.01, SCHEME, EMBEDDED, RunStatistics())
+        code = stepper._FLOAT_STAGES[3].__code__
+        assert linecache.getline(code.co_filename, code.co_firstlineno) \
+            .startswith("def ")
+
+        calls = []
+
+        def full(y):
+            calls.append(y)
+            if len(calls) == 2:
+                raise RuntimeError("right-hand side failed")
+            return -y
+
+        problem = dataclasses.replace(problem, full=full)
+        with pytest.raises(RuntimeError) as info:
+            attempt_step(problem, problem.y0, 0.01, SCHEME, EMBEDDED,
+                         Tolerances.uniform(1e-3, 3), ControllerConfig(),
+                         RunStatistics())
+        generated = [frame for frame in traceback.extract_tb(info.tb)
+                     if frame.filename == code.co_filename]
+        assert len(generated) == 1
+        assert generated[0].line.startswith("f_0, f_1, f_2, = _rhs(full, ")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_stages(self, monkeypatch):
