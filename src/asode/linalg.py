@@ -8,12 +8,15 @@ from the solve call.
 
 A dense B whose nonzero entries lie in a narrow band is factored in LAPACK
 band storage (gbtrf/gbtrs) instead of as a full matrix (getrf/getrs); both
-paths call LAPACK directly.  The lower and upper bandwidths kl, ku come
-from scipy.linalg.bandwidth on every call (NaN and inf count as nonzero),
-and the band path is taken when BAND_RATIO * (kl + ku) < n.  Both paths
-build the same D and apply the same singularity checks.  The band LU pivots
-as the dense one does but orders its arithmetic differently, so its
-solutions differ from the dense LU's at rounding level.
+paths call LAPACK directly.  Each factor(B, ...) finds B's lower and upper
+bandwidths kl, ku with bandwidths() (NaN and inf count as nonzero) and
+takes the band path when BAND_RATIO * (kl + ku) < n.  It then keeps a
+(kl + ku + 1) x n copy of the band on B, which gbtrf's array is filled
+from and which B.matvec (BLAS gbmv, O(n * (kl + ku))) and B.diagonal read
+until the next factor of B.  Both paths build the same D and apply the same
+singularity checks.  The band LU pivots as the dense one does but orders
+its arithmetic differently, so its solutions differ from the dense LU's at
+rounding level, and so do the band matvec's sums from values @ v.
 
 A DiagonalMatrix of at most SMALL_N entries is checked and inverted on
 Python floats rather than numpy arrays: on a handful of components
@@ -27,10 +30,10 @@ array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 from .exceptions import DimensionMismatch, SingularMatrix
@@ -38,9 +41,11 @@ from .exceptions import DimensionMismatch, SingularMatrix
 # A pivot below PIVOT_FLOOR times the matrix scale is treated as singular.
 PIVOT_FLOOR = 1e-14
 # A dense B with bandwidths kl, ku is factored as banded when
-# BAND_RATIO * (kl + ku) < n.  One factor() plus five solves, banded / dense
-# path, in microseconds (one OpenBLAS thread, 2-CPU x86-64 VM, numpy 2.4,
-# scipy 1.17; best of 5 timeit repeats, lowest of 3 runs):
+# BAND_RATIO * (kl + ku) < n.  factor() finds kl and ku with bandwidths(),
+# which stops scanning once the band is too wide, and reads the ratio on
+# every call.  One factor() plus five solves, banded / dense path, in
+# microseconds (one OpenBLAS thread, 2-CPU x86-64 VM, numpy 2.4, scipy
+# 1.17; best of 5 timeit repeats, lowest of 3 runs):
 #
 #       n  n/(kl+ku) = 8       4          3          2          1.5
 #      64       92/78     110/77     127/76     193/85     278/92
@@ -80,12 +85,24 @@ class DiagonalMatrix:
             raise DimensionMismatch(f"vector length {len(v)} != {self.dim}")
         return self.values * np.asarray(v, dtype=float)
 
+    def diagonal(self) -> np.ndarray:
+        return self.values
+
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
-    """Full dense Jacobian approximation."""
+    """Full dense Jacobian approximation.
+
+    factor(B, ...) reads the entries: when B is narrow enough to factor as
+    banded it leaves a copy of the band on B, and matvec and diagonal read
+    that copy until the next factor of B.  An update of values in place
+    between a factor and a matvec is therefore not seen by the matvec.
+    """
 
     values: np.ndarray
+    # (kl, ku, band) from the last factor of B, band in LAPACK band
+    # layout, or None when B has not been factored or was too wide
+    _band: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -100,7 +117,36 @@ class DenseMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector length {len(v)} != {self.dim}")
-        return self.values @ np.asarray(v, dtype=float)
+        if self._band is None:
+            return self.values @ np.asarray(v, dtype=float)
+        kl, ku, band = self._band
+        return dgbmv(self.dim, self.dim, kl, ku, 1.0, band, v)
+
+    def diagonal(self) -> np.ndarray:
+        """A copy of B's diagonal, which does not keep values alive."""
+        if self._band is None:
+            return np.diagonal(self.values).copy()
+        _, ku, band = self._band
+        return band[ku].copy()
+
+    def _read_band(self, limit: float):
+        """Find B's band and keep a copy of it when kl + ku < limit.
+
+        Returns (kl, ku, band), band in LAPACK band layout (row ku - d
+        holds diagonal d), or None when B is too wide.
+        """
+        widths = bandwidths(self.values, limit)
+        found = None
+        if widths is not None:
+            kl, ku = widths
+            n = self.dim
+            band = np.zeros((kl + ku + 1, n), order="F")
+            for d in range(-kl, ku + 1):
+                band[ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(
+                    self.values, d)
+            found = (kl, ku, band)
+        object.__setattr__(self, "_band", found)
+        return found
 
 
 JacobianApprox = DiagonalMatrix | DenseMatrix
@@ -178,15 +224,40 @@ def _scale(entries: np.ndarray) -> float:
     return max(1.0, peak)
 
 
-def _factor_banded(values: np.ndarray, a_times_h: float, kl: int,
-                   ku: int) -> _BandedFactorization:
-    n = values.shape[0]
-    # row kl + ku - d holds diagonal d of D; rows 0..kl-1 are gbtrf's
-    # room for fill-in
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    for d in range(-kl, ku + 1):
-        ab[kl + ku - d, max(d, 0):n + min(d, 0)] = (
-            -a_times_h * np.diagonal(values, d))
+def bandwidths(values: np.ndarray, limit: float = math.inf):
+    """Lower and upper bandwidths (kl, ku) of a square matrix, or None.
+
+    As scipy.linalg.bandwidth counts them: NaN and inf are nonzero, -0.0 is
+    zero.  The nonzero entries are counted once, then those of each pair of
+    diagonals outward from the main one until all are accounted for.
+    Returns None instead when kl + ku >= limit, and stops scanning as soon
+    as that is certain.
+    """
+    nonzero = values != 0
+    left = np.count_nonzero(nonzero) - np.count_nonzero(np.diagonal(nonzero))
+    kl = ku = 0
+    d = 1
+    while left:
+        # some nonzero lies d or more off the diagonal, on one side or
+        # the other, so kl + ku >= d + min(kl, ku)
+        if d + min(kl, ku) >= limit:
+            return None
+        upper = np.count_nonzero(np.diagonal(nonzero, d))
+        lower = np.count_nonzero(np.diagonal(nonzero, -d))
+        if upper:
+            ku = d
+        if lower:
+            kl = d
+        left -= upper + lower
+        d += 1
+    return (kl, ku) if kl + ku < limit else None
+
+
+def _factor_banded(kl: int, ku: int, band: np.ndarray,
+                   a_times_h: float) -> _BandedFactorization:
+    # gbtrf's array is D's band below kl rows of room for fill-in
+    ab = np.zeros((2 * kl + ku + 1, band.shape[1]), order="F")
+    ab[kl:] = -a_times_h * band
     ab[kl + ku] += 1.0
     scale = _scale(ab)
     lu, piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
@@ -231,9 +302,9 @@ def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
                 f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
         return _DiagonalFactorization(1.0 / d)
     if isinstance(B, DenseMatrix):
-        kl, ku = scipy.linalg.bandwidth(B.values)
-        if BAND_RATIO * (kl + ku) < B.dim:
-            return _factor_banded(B.values, a_times_h, kl, ku)
+        found = B._read_band(B.dim / BAND_RATIO)
+        if found is not None:
+            return _factor_banded(*found, a_times_h)
         D = np.eye(B.dim) - a_times_h * B.values
         scale = _scale(D)
         lu, piv, info = dgetrf(D, overwrite_a=1)

@@ -324,11 +324,7 @@ def _stages(problem: SplitProblem, y, h: float,
     stats.factorizations += 1
     # factor first: it rejects a B of neither matrix type
     fact = factor(B, scheme.a * h)
-    if isinstance(B, DiagonalMatrix):
-        b_diag = B.values
-    else:
-        # a copy: a view would keep the dense B alive in the step report
-        b_diag = np.diagonal(B.values).copy()
+    b_diag = B.diagonal()
     full = problem.full
     f0 = _rhs(full, y)
     k1 = h * (f0 - B.matvec(y))

@@ -154,30 +154,90 @@ def test_selection_rule_boundary(kl, ku, path):
 
 
 def test_bandwidths():
-    # the properties of scipy.linalg.bandwidth that the band rule relies on
-    bandwidth = scipy.linalg.bandwidth
+    bandwidths = linalg.bandwidths
     A = np.zeros((6, 6))
-    assert bandwidth(A) == (0, 0)
+    assert bandwidths(A) == (0, 0)
     A[2, 0] = 1.0       # lower bandwidth 2
     A[1, 4] = -3.0      # upper bandwidth 3
-    assert bandwidth(A) == (2, 3)
+    assert bandwidths(A) == (2, 3)
     A[5, 5] = 2.0       # rows 3 and 4 stay all zero
-    assert bandwidth(A) == (2, 3)
+    assert bandwidths(A) == (2, 3)
     A[0, 5] = np.nan    # non-finite entries count as nonzero
-    assert bandwidth(A) == (2, 5)
+    assert bandwidths(A) == (2, 5)
     A[5, 0] = -np.inf
-    assert bandwidth(A) == (5, 5)
+    assert bandwidths(A) == (5, 5)
     # only strictly upper entries: the band still holds the diagonal
-    assert bandwidth(np.triu(np.ones((4, 4)), 2)) == (0, 3)
+    assert bandwidths(np.triu(np.ones((4, 4)), 2)) == (0, 3)
     # memory layout does not matter
     B = np.zeros((8, 8))
     B[4, 0] = 1e-300
     B[0, 2] = -0.0      # negative zero is zero
     B[2, 7] = 1.0
-    assert bandwidth(np.asfortranarray(B)) == (4, 5)
+    assert bandwidths(np.asfortranarray(B)) == (4, 5)
     view = B[::2, ::2]
     assert not view.flags.c_contiguous and not view.flags.f_contiguous
-    assert bandwidth(view) == bandwidth(view.copy()) == (2, 0)
+    assert bandwidths(view) == bandwidths(view.copy()) == (2, 0)
+
+
+def random_sparse(rng, n):
+    """Square matrix with random sparsity and special entries, in a random
+    memory layout: C order, Fortran order or a strided view."""
+    A = rng.standard_normal((n, n))
+    A[rng.random((n, n)) < rng.random()] = 0.0
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300])
+    picks = rng.random((n, n)) < 0.05
+    A[picks] = rng.choice(specials, int(picks.sum()))
+    for _ in range(int(rng.integers(0, 3))):
+        A[int(rng.integers(n))] = 0.0        # all-zero rows
+    layout = rng.integers(3)
+    if layout == 1:
+        return np.asfortranarray(A)
+    if layout == 2:
+        big = np.zeros((2 * n, 3 * n))
+        big[::2, ::3] = A
+        return big[::2, ::3]
+    return A
+
+
+def test_bandwidths_match_scipy():
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        n = int(rng.integers(1, 13))
+        A = random_sparse(rng, n)
+        expected = scipy.linalg.bandwidth(A)
+        assert linalg.bandwidths(A) == expected
+        # with a limit: the widths below it, None from it on
+        limit = float(rng.integers(0, 2 * n))
+        assert linalg.bandwidths(A, limit) == (
+            expected if sum(expected) < limit else None)
+    for n in (1, 5):
+        assert linalg.bandwidths(np.zeros((n, n))) == (0, 0)
+        assert linalg.bandwidths(np.full((n, n), -0.0)) == (0, 0)
+    assert linalg.bandwidths(np.array([[np.nan]])) == (0, 0)
+
+
+def test_bandwidths_stop_once_too_wide(monkeypatch):
+    # a full 64 x 64 matrix has kl + ku >= 16 known after 8 diagonal pairs
+    counted = []
+    count = np.count_nonzero
+    monkeypatch.setattr(linalg.np, "count_nonzero",
+                        lambda a: counted.append(a.shape) or count(a))
+    assert linalg.bandwidths(np.ones((64, 64)), 16) is None
+    assert len(counted) == 2 + 2 * 8
+
+
+def test_factor_reads_the_band_on_every_call():
+    rng = np.random.default_rng(8)
+    B = random_banded(rng, 40, 2, 1)
+    rhs = rng.standard_normal(40)
+    first = factor(B, 0.5).solve(rhs)
+    # widen B in place past the rule, then narrow it again
+    saved = B.values.copy()
+    B.values[0, 39] = 1.0
+    assert type(factor(B, 0.5)) is linalg._DenseFactorization
+    B.values[:] = saved
+    assert type(factor(B, 0.5)) is linalg._BandedFactorization
+    assert factor(B, 0.5).solve(rhs).tobytes() == first.tobytes()
 
 
 def test_diagonal_round_trip_residual():
@@ -285,3 +345,52 @@ def test_matvec():
     assert np.array_equal(d.matvec(np.array([1.0, 1.0])), [2.0, -3.0])
     m = DenseMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     assert np.array_equal(m.matvec(np.array([1.0, 1.0])), [3.0, 1.0])
+    banded = random_banded(np.random.default_rng(6), 40, 1, 1)
+    assert isinstance(factor(banded, 0.5), linalg._BandedFactorization)
+    for B in (m, banded):
+        for n in (B.dim - 1, B.dim + 1):
+            with pytest.raises(DimensionMismatch):
+                B.matvec(np.zeros(n))
+
+
+@pytest.mark.parametrize("n, kl, ku", BANDED + [(40, 0, 0), (40, 5, 4),
+                                                (40, 0, 9)])
+def test_banded_matvec_matches_dense_product(n, kl, ku):
+    rng = np.random.default_rng(n + 10 * kl + 100 * ku)
+    B = random_banded(rng, n, kl, ku)
+    assert isinstance(factor(B, 0.5), linalg._BandedFactorization)
+    for v in (rng.standard_normal(n), rng.standard_normal(n).tolist()):
+        expected = B.values @ np.asarray(v)
+        got = B.matvec(v)
+        bound = 4 * np.finfo(float).eps * (np.abs(B.values) @ np.abs(v))
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - expected) <= bound)
+    assert B.diagonal().tobytes() == np.diagonal(B.values).tobytes()
+
+
+@pytest.mark.parametrize("n, kl, ku", [(40, 5, 5), (40, 0, 10), (12, 6, 5)])
+def test_wide_matvec_is_the_dense_product(n, kl, ku):
+    rng = np.random.default_rng(kl + ku)
+    B = random_banded(rng, n, kl, ku)
+    v = rng.standard_normal(n)
+    before = B.matvec(v)
+    assert isinstance(factor(B, 0.5), linalg._DenseFactorization)
+    assert B.matvec(v).tobytes() == before.tobytes() == (B.values @ v).tobytes()
+    assert B.diagonal().tobytes() == np.diagonal(B.values).tobytes()
+
+
+@pytest.mark.parametrize("kl, ku", [(2, 1), (0, 0), (7, 7)])
+def test_matvec_propagates_non_finite_entries(kl, ku):
+    B = random_banded(np.random.default_rng(4), 40, kl, ku)
+    factor(B, 0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.ones(40)
+        v[17] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.all(np.isfinite(B.matvec(v)))
+    # a band column of zeros times inf is NaN, as in the dense product
+    zero = DenseMatrix(np.zeros((40, 40)))
+    factor(zero, 0.5)
+    v = np.zeros(40)
+    v[3] = np.inf
+    assert np.isnan(zero.matvec(v)[3])

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from asode.coefficients import derive_embedded, derive_scheme
 from asode.exceptions import (
@@ -459,6 +460,77 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="y0 must be finite"):
             dataclasses.replace(builtin("smooth"),
                                 y0=np.array([math.nan, 1.0]))
+
+
+PENTA_N = 20
+PENTA_C = 50.0
+
+
+def pentadiagonal_jacobian(y, out):
+    """Writes the Jacobian of pentadiagonal_problem's right-hand side at y
+    into out and returns out."""
+    idx = np.arange(PENTA_N)
+    out[:] = 0.0
+    out[idx, idx] = -3.0 * y * y - 2.0 * PENTA_C
+    out[idx[:-1], idx[1:]] = 0.5
+    out[idx[1:], idx[:-1]] = -0.5
+    out[idx[:-2], idx[2:]] = PENTA_C
+    out[idx[2:], idx[:-2]] = PENTA_C
+    return out
+
+
+def pentadiagonal_problem(jac):
+    """y_i' = -y_i^3 + c (y_{i-2} - 2 y_i + y_{i+2}) + (y_{i+1} - y_{i-1})/2
+    with zero boundary values; the Jacobian has bandwidths (2, 2), and
+    BAND_RATIO * 4 < PENTA_N sends it down the band path."""
+    def full(y):
+        pad = np.zeros(PENTA_N + 4)
+        pad[2:-2] = y
+        return (-y ** 3 + PENTA_C * (pad[:-4] - 2.0 * y + pad[4:])
+                + 0.5 * (pad[3:-1] - pad[1:-3]))
+
+    phi, g = make_split(full, jac)
+    y0 = np.sin(np.pi * np.arange(1, PENTA_N + 1) / (PENTA_N + 1))
+    return SplitProblem(name="penta", n=PENTA_N, phi=phi, g=g, jac=jac,
+                        full=full, y0=y0, t0=0.0, t_end=1.0, h0=1e-3)
+
+
+class TestBandedStageMatrix:
+    def test_in_place_jacobian_matches_fresh_one(self):
+        # factor reads the band of B on every call, so a jac that updates
+        # one DenseMatrix in place gives the very run a fresh one gives
+        shared = linalg.DenseMatrix(np.zeros((PENTA_N, PENTA_N)))
+
+        def in_place(y):
+            pentadiagonal_jacobian(y, shared.values)
+            return shared
+
+        def fresh(y):
+            return linalg.DenseMatrix(
+                pentadiagonal_jacobian(y, np.empty((PENTA_N, PENTA_N))))
+
+        runs = [integrate(pentadiagonal_problem(jac), SCHEME, EMBEDDED,
+                          Tolerances.uniform(1e-5, PENTA_N))
+                for jac in (fresh, in_place)]
+        assert linalg.bandwidths(shared.values) == (2, 2)
+        assert linalg.BAND_RATIO * 4 < PENTA_N
+        assert runs[0].stats.steps_accepted > 10
+        assert runs[1].y.tobytes() == runs[0].y.tobytes()
+        assert runs[1].stats == runs[0].stats
+
+    def test_attempt_does_not_call_scipy_bandwidth(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("scipy.linalg.bandwidth was called")
+
+        monkeypatch.setattr(scipy.linalg, "bandwidth", refuse)
+        prob = pentadiagonal_problem(lambda y: linalg.DenseMatrix(
+            pentadiagonal_jacobian(y, np.empty((PENTA_N, PENTA_N)))))
+        stats = RunStatistics()
+        rep = attempt_step(prob, prob.y0, 1e-3, SCHEME, EMBEDDED,
+                           Tolerances.uniform(1e-3, PENTA_N),
+                           ControllerConfig(), stats)
+        assert rep.accepted
+        assert stats.factorizations == 1 and stats.linear_solves == 5
 
 
 class TestDriftGuard:
