@@ -10,13 +10,14 @@ A dense B whose nonzero entries lie in a narrow band is factored in LAPACK
 band storage (gbtrf/gbtrs) instead of as a full matrix (getrf/getrs); both
 paths call LAPACK directly.  Each factor(B, ...) finds B's lower and upper
 bandwidths kl, ku with bandwidths() (NaN and inf count as nonzero) and
-takes the band path when BAND_RATIO * (kl + ku) < n.  It then keeps a
-(kl + ku + 1) x n copy of the band on B, which gbtrf's array is filled
-from and which B.matvec (BLAS gbmv, O(n * (kl + ku))) and B.diagonal read
-until the next factor of B.  Both paths build the same D and apply the same
-singularity checks.  The band LU pivots as the dense one does but orders
-its arithmetic differently, so its solutions differ from the dense LU's at
-rounding level, and so do the band matvec's sums from values @ v.
+takes the band path when BAND_RATIO * (kl + ku) < n.  The band path copies
+B's band, (kl + ku + 1) x n in LAPACK band layout, fills gbtrf's array from
+it and keeps it on the factorization, whose b_matvec (BLAS gbmv, O(n *
+(kl + ku))) and b_diagonal apply B as it was when factored.  Both paths
+build the same D and apply the same singularity checks.  The band LU
+pivots as the dense one does but orders its arithmetic differently, so its
+solutions differ from the dense LU's at rounding level, and so do
+b_matvec's sums from values @ v.
 
 A DiagonalMatrix of at most SMALL_N entries is checked and inverted on
 Python floats rather than numpy arrays: on a handful of components
@@ -30,7 +31,7 @@ array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -41,11 +42,10 @@ from .exceptions import DimensionMismatch, SingularMatrix
 # A pivot below PIVOT_FLOOR times the matrix scale is treated as singular.
 PIVOT_FLOOR = 1e-14
 # A dense B with bandwidths kl, ku is factored as banded when
-# BAND_RATIO * (kl + ku) < n.  factor() finds kl and ku with bandwidths(),
-# which stops scanning once the band is too wide, and reads the ratio on
-# every call.  One factor() plus five solves, banded / dense path, in
-# microseconds (one OpenBLAS thread, 2-CPU x86-64 VM, numpy 2.4, scipy
-# 1.17; best of 5 timeit repeats, lowest of 3 runs):
+# BAND_RATIO * (kl + ku) < n.  factor() finds kl and ku with bandwidths()
+# and reads the ratio on every call.  One factor() plus five solves,
+# banded / dense path, in microseconds (one OpenBLAS thread, 2-CPU x86-64
+# VM, numpy 2.4, scipy 1.17; best of 5 timeit repeats, lowest of 3 runs):
 #
 #       n  n/(kl+ku) = 8       4          3          2          1.5
 #      64       92/78     110/77     127/76     193/85     278/92
@@ -91,18 +91,9 @@ class DiagonalMatrix:
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
-    """Full dense Jacobian approximation.
-
-    factor(B, ...) reads the entries: when B is narrow enough to factor as
-    banded it leaves a copy of the band on B, and matvec and diagonal read
-    that copy until the next factor of B.  An update of values in place
-    between a factor and a matvec is therefore not seen by the matvec.
-    """
+    """Full dense Jacobian approximation."""
 
     values: np.ndarray
-    # (kl, ku, band) from the last factor of B, band in LAPACK band
-    # layout, or None when B has not been factored or was too wide
-    _band: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -117,36 +108,11 @@ class DenseMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if len(v) != self.dim:
             raise DimensionMismatch(f"vector length {len(v)} != {self.dim}")
-        if self._band is None:
-            return self.values @ np.asarray(v, dtype=float)
-        kl, ku, band = self._band
-        return dgbmv(self.dim, self.dim, kl, ku, 1.0, band, v)
+        return self.values @ np.asarray(v, dtype=float)
 
     def diagonal(self) -> np.ndarray:
         """A copy of B's diagonal, which does not keep values alive."""
-        if self._band is None:
-            return np.diagonal(self.values).copy()
-        _, ku, band = self._band
-        return band[ku].copy()
-
-    def _read_band(self, limit: float):
-        """Find B's band and keep a copy of it when kl + ku < limit.
-
-        Returns (kl, ku, band), band in LAPACK band layout (row ku - d
-        holds diagonal d), or None when B is too wide.
-        """
-        widths = bandwidths(self.values, limit)
-        found = None
-        if widths is not None:
-            kl, ku = widths
-            n = self.dim
-            band = np.zeros((kl + ku + 1, n), order="F")
-            for d in range(-kl, ku + 1):
-                band[ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(
-                    self.values, d)
-            found = (kl, ku, band)
-        object.__setattr__(self, "_band", found)
-        return found
+        return np.diagonal(self.values).copy()
 
 
 JacobianApprox = DiagonalMatrix | DenseMatrix
@@ -156,6 +122,9 @@ class Factorization:
     """Reusable decomposition of D = E - a*h*B."""
 
     dim: int
+    # B's band in LAPACK band layout when D was factored in band storage,
+    # which then applies B (b_matvec, b_diagonal) as it was when factored
+    band: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -200,13 +169,14 @@ class _DenseFactorization(Factorization):
 
 
 class _BandedFactorization(Factorization):
-    """gbtrf factors of D in LAPACK band storage."""
+    """gbtrf factors of D in LAPACK band storage, and the band of B."""
 
-    def __init__(self, lu, piv, kl: int, ku: int):
+    def __init__(self, lu, piv, kl: int, ku: int, band: np.ndarray):
         self._lu = lu
         self._piv = piv
         self._kl = kl
         self._ku = ku
+        self.band = band
         self.dim = lu.shape[1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -214,6 +184,14 @@ class _BandedFactorization(Factorization):
         x, _ = dgbtrs(self._lu, self._kl, self._ku, self._checked(rhs),
                       self._piv)
         return x
+
+    def b_matvec(self, v: np.ndarray) -> np.ndarray:
+        """B @ v from B's band, O(n * (kl + ku))."""
+        return dgbmv(self.dim, self.dim, self._kl, self._ku, 1.0, self.band,
+                     self._checked(v))
+
+    def b_diagonal(self) -> np.ndarray:
+        return self.band[self._ku].copy()
 
 
 def _scale(entries: np.ndarray) -> float:
@@ -224,39 +202,36 @@ def _scale(entries: np.ndarray) -> float:
     return max(1.0, peak)
 
 
-def bandwidths(values: np.ndarray, limit: float = math.inf):
-    """Lower and upper bandwidths (kl, ku) of a square matrix, or None.
+def bandwidths(values: np.ndarray) -> tuple[int, int]:
+    """Lower and upper bandwidths (kl, ku) of a square matrix.
 
     As scipy.linalg.bandwidth counts them: NaN and inf are nonzero, -0.0 is
-    zero.  The nonzero entries are counted once, then those of each pair of
-    diagonals outward from the main one until all are accounted for.
-    Returns None instead when kl + ku >= limit, and stops scanning as soon
-    as that is certain.
+    zero.  One pass marks the nonzero entries in an (n + 1) x 2n array of
+    zeros, each row of the matrix followed by n zeros.  Read in rows of
+    2n + 1, that array holds diagonal d >= 0 in column d and diagonal d < 0
+    in column 2n + 1 + d, so one reduction over its rows finds every
+    diagonal that holds a nonzero, whatever the width.
     """
-    nonzero = values != 0
-    left = np.count_nonzero(nonzero) - np.count_nonzero(np.diagonal(nonzero))
-    kl = ku = 0
-    d = 1
-    while left:
-        # some nonzero lies d or more off the diagonal, on one side or
-        # the other, so kl + ku >= d + min(kl, ku)
-        if d + min(kl, ku) >= limit:
-            return None
-        upper = np.count_nonzero(np.diagonal(nonzero, d))
-        lower = np.count_nonzero(np.diagonal(nonzero, -d))
-        if upper:
-            ku = d
-        if lower:
-            kl = d
-        left -= upper + lower
-        d += 1
-    return (kl, ku) if kl + ku < limit else None
+    n = values.shape[0]
+    marks = np.zeros((n + 1, 2 * n), dtype=bool)
+    np.not_equal(values, 0, out=marks[:n, :n])
+    skewed = marks.reshape(-1)[:n * (2 * n + 1)].reshape(n, 2 * n + 1)
+    hit = np.flatnonzero(skewed.any(axis=0))
+    upper = hit[hit < n]
+    lower = hit[hit > n]
+    return (int(2 * n + 1 - lower[0]) if lower.size else 0,
+            int(upper[-1]) if upper.size else 0)
 
 
-def _factor_banded(kl: int, ku: int, band: np.ndarray,
+def _factor_banded(values: np.ndarray, kl: int, ku: int,
                    a_times_h: float) -> _BandedFactorization:
+    n = values.shape[0]
+    # row ku - d of B's band holds diagonal d
+    band = np.zeros((kl + ku + 1, n), order="F")
+    for d in range(-kl, ku + 1):
+        band[ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(values, d)
     # gbtrf's array is D's band below kl rows of room for fill-in
-    ab = np.zeros((2 * kl + ku + 1, band.shape[1]), order="F")
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:] = -a_times_h * band
     ab[kl + ku] += 1.0
     scale = _scale(ab)
@@ -266,7 +241,7 @@ def _factor_banded(kl: int, ku: int, band: np.ndarray,
     # info > 0 flags an exactly zero pivot, which the floor also catches
     if float(np.min(np.abs(lu[kl + ku]))) < PIVOT_FLOOR * scale:
         raise SingularMatrix(f"pivot below {PIVOT_FLOOR:.0e} * scale")
-    return _BandedFactorization(lu, piv, kl, ku)
+    return _BandedFactorization(lu, piv, kl, ku, band)
 
 
 def _factor_diagonal_floats(values: list,
@@ -302,9 +277,9 @@ def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
                 f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
         return _DiagonalFactorization(1.0 / d)
     if isinstance(B, DenseMatrix):
-        found = B._read_band(B.dim / BAND_RATIO)
-        if found is not None:
-            return _factor_banded(*found, a_times_h)
+        kl, ku = bandwidths(B.values)
+        if BAND_RATIO * (kl + ku) < B.dim:
+            return _factor_banded(B.values, kl, ku, a_times_h)
         D = np.eye(B.dim) - a_times_h * B.values
         scale = _scale(D)
         lu, piv, info = dgetrf(D, overwrite_a=1)

@@ -324,10 +324,14 @@ def _stages(problem: SplitProblem, y, h: float,
     stats.factorizations += 1
     # factor first: it rejects a B of neither matrix type
     fact = factor(B, scheme.a * h)
-    b_diag = B.diagonal()
+    if fact.band is None:
+        b_matvec, b_diag = B.matvec, B.diagonal()
+    else:
+        # B's band, read by factor, applies B in O(n * (kl + ku))
+        b_matvec, b_diag = fact.b_matvec, fact.b_diagonal()
     full = problem.full
     f0 = _rhs(full, y)
-    k1 = h * (f0 - B.matvec(y))
+    k1 = h * (f0 - b_matvec(y))
     # the non-stiff and stiff parts are both taken at y, so their sum
     # collapses to the full right-hand side
     stats.phi_evals += 1
@@ -339,13 +343,13 @@ def _stages(problem: SplitProblem, y, h: float,
     u = y + b42 * k2 + b43 * k3
     w = y + a42 * k2 + a43 * k3
     # h*phi(u) + h*(B*w) regrouped around one right-hand-side evaluation
-    rhs4 = h * _rhs(full, u) + h * B.matvec(w - u)
+    rhs4 = h * _rhs(full, u) + h * b_matvec(w - u)
     stats.phi_evals += 1
     stats.g_evals += 1
     k4 = fact.solve(rhs4)
     k5 = fact.solve(k4 + scheme.gamma * k3)
     u6 = y + b63 * k3 + b64 * k4 + b65 * k5
-    k6 = h * (_rhs(full, u6) - B.matvec(u6))
+    k6 = h * (_rhs(full, u6) - b_matvec(u6))
     stats.phi_evals += 1
     k5_emb = fact.solve(k4)
     stats.linear_solves += 5

@@ -518,6 +518,24 @@ class TestBandedStageMatrix:
         assert runs[1].y.tobytes() == runs[0].y.tobytes()
         assert runs[1].stats == runs[0].stats
 
+    def test_split_parts_read_an_in_place_jacobian(self):
+        # the band lives in the factorization, so after band-path factors
+        # g and phi still apply B as jac last wrote it
+        shared = linalg.DenseMatrix(np.zeros((PENTA_N, PENTA_N)))
+
+        def in_place(y):
+            pentadiagonal_jacobian(y, shared.values)
+            return shared
+
+        prob = pentadiagonal_problem(in_place)
+        res = integrate(prob, SCHEME, EMBEDDED,
+                        Tolerances.uniform(1e-5, PENTA_N))
+        assert res.stats.factorizations > 10
+        y = res.y + 0.25
+        assert prob.g(y).tobytes() == (in_place(y).values @ y).tobytes()
+        assert prob.phi(y).tobytes() == (
+            prob.full(y) - in_place(y).values @ y).tobytes()
+
     def test_attempt_does_not_call_scipy_bandwidth(self, monkeypatch):
         def refuse(a):
             raise AssertionError("scipy.linalg.bandwidth was called")
