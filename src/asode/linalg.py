@@ -25,7 +25,9 @@ numpy's cost per call is many times the arithmetic.  The checks are the
 same (non-finite entries are singular, the scale is max(1, max|d|), the
 pivot floor applies) and so are the reciprocals, bit for bit.  Its
 factorization solves a list of floats into a list and an array into an
-array.
+array, and keeps B's diagonal floats as b_floats.  factor is the one
+place that applies this rule: the additive stepper runs an attempt on
+floats exactly when its factorization carries b_floats.
 """
 
 from __future__ import annotations
@@ -125,6 +127,9 @@ class Factorization:
     # B's band in LAPACK band layout when D was factored in band storage,
     # which then applies B (b_matvec, b_diagonal) as it was when factored
     band: np.ndarray | None = None
+    # B's diagonal as Python floats when D was factored on them; the
+    # additive stepper then runs its attempt on floats
+    b_floats: list | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -138,10 +143,12 @@ class Factorization:
 
 
 class _DiagonalFactorization(Factorization):
-    """Reciprocals of D's diagonal: an array, or a list for a small B."""
+    """Reciprocals of D's diagonal: an array, or a list for a small B,
+    whose diagonal floats it then keeps as b_floats."""
 
-    def __init__(self, reciprocals):
+    def __init__(self, reciprocals, b_floats: list | None = None):
         self._recip = reciprocals
+        self.b_floats = b_floats
         self.dim = len(reciprocals)
 
     def solve(self, rhs):
@@ -255,15 +262,16 @@ def _factor_diagonal_floats(values: list,
     if min(map(abs, d)) < PIVOT_FLOOR * scale:
         raise SingularMatrix(
             f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
-    return _DiagonalFactorization([1.0 / x for x in d])
+    return _DiagonalFactorization([1.0 / x for x in d], values)
 
 
 def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
     """Factor D = E - a_times_h * B for repeated stage solves.
 
     A DiagonalMatrix of at most SMALL_N entries is factored on Python
-    floats, and a DenseMatrix with a narrow band of nonzero entries in band
-    storage (see BAND_RATIO).  Raises SingularMatrix when any pivot falls
+    floats, and its factorization carries them as b_floats; a DenseMatrix
+    with a narrow band of nonzero entries is factored in band storage
+    (see BAND_RATIO).  Raises SingularMatrix when any pivot falls
     below 1e-14 times the matrix scale (non-finite input counts as
     singular), and DimensionMismatch when B is of neither matrix type.
     """

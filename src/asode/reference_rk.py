@@ -39,11 +39,11 @@ from .exceptions import (
     StepsizeUnderflow,
     ZeroToleranceDenominator,
 )
+from .linalg import SMALL_N
 from .problems import Tolerances
 from .stepper import (
     PROBE_FLOOR,
     PROBE_SHARE_FLOOR,
-    SMALL_N,
     RunStatistics,
     _compile_generated,
 )

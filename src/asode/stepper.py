@@ -33,19 +33,20 @@ stepsize proposals are pressed down until the per-step bias is small
 enough to respect the budget over the whole run.  Acceptance still means
 err <= 1; the guard only makes the controller aim lower.
 
-An attempt runs on one of two paths, picked once per attempt in _stages
-from the B that the Jacobian provider returns.  A DiagonalMatrix of at
-most SMALL_N components takes the float path: the stages, the stability
-estimate, the error norm and the drift update work on Python floats,
-since on a handful of components numpy's cost per call dwarfs the
-arithmetic.  The float-path stages are a straight-line function generated
-on first use for each state dimension, with every component a local; the
-scheme weights are its arguments, taken as Python floats once per
-coefficient object, so one function serves every scheme.  Every other B
-takes the numpy path, which is the reference the tests hold the float
-path to.  The two give bit-identical results: each sum keeps numpy's
-association and order (zero weights included), the maxima let NaN win as
-np.max does, and the drift decay still calls np.exp.  The user's
+An attempt runs on one of two paths, chosen by linalg.factor when _stages
+factors the attempt's stage matrix.  A factorization made on Python
+floats (a small diagonal B) carries B's diagonal as floats and sends the
+attempt down the float path: the stages, the stability estimate, the
+error norm and the drift update work on Python floats, since on a
+handful of components numpy's cost per call dwarfs the arithmetic.  The
+float-path stages are a straight-line function generated on first use
+for each state dimension, with every component a local; the scheme
+weights are its arguments, taken as Python floats once per coefficient
+object, so one function serves every scheme.  Every other B takes the
+numpy path, which is the reference the tests hold the float path to.
+The two give bit-identical results: each sum keeps numpy's association
+and order (zero weights included), the maxima let NaN win as np.max
+does, and the drift decay still calls np.exp.  The user's
 right-hand side and Jacobian provider receive arrays on both paths.  The
 controller (attempt_step, propose_next_h and the drift guard's pressure
 rule) is one copy that both paths share.
@@ -69,7 +70,7 @@ from .exceptions import (
     StepsizeUnderflow,
     ZeroToleranceDenominator,
 )
-from .linalg import SMALL_N, DiagonalMatrix, factor
+from .linalg import factor
 from .problems import SplitProblem, Tolerances
 
 # err below this floor is treated as exact when inverting the error model
@@ -95,8 +96,7 @@ MAX_REJECTS = 20
 # the stepsize down; within the budget the controller is untouched
 DRIFT_BUDGET = 30.0
 
-# generated float-path stages by state dimension (at most SMALL_N entries),
-# filled on first use
+# generated float-path stages by state dimension, filled on first use
 _FLOAT_STAGES: dict = {}
 
 
@@ -295,48 +295,49 @@ def _stages(problem: SplitProblem, y, h: float,
     of the step-local non-stiff part phi(u) = f(u) - B*u, with B held at
     its start-of-step value, and u6 is the last stage's argument; the
     stability estimate reads them.  b_diag is the diagonal of B, an
-    array.  This is where an attempt picks its path: a DiagonalMatrix B
-    of at most SMALL_N components runs the generated float stages for its
-    dimension, and u6, k6, k1, y_next and y_emb are then lists; any other
-    B runs them on arrays.  y may be either.  Work per call: 1
-    factorization, 5 linear solves, 3 evaluations of the right-hand side
-    and 2 stiff-part applications.
+    array.  The attempt evaluates B, factors D and counts its work here,
+    once for both paths: 1 factorization, 5 linear solves, 3 evaluations
+    of the right-hand side and 2 stiff-part applications.  factor picks
+    the path: a factorization that carries B's diagonal as floats sends
+    the attempt to the generated float stages for its dimension, and u6,
+    k6, k1, y_next and y_emb are then lists; any other runs them on
+    arrays.  y may be either.
     Raises SingularMatrix when the stage matrix cannot be factored and
-    DimensionMismatch when the right-hand side returns the wrong number of
-    components or the Jacobian provider returns neither matrix type.
+    DimensionMismatch when B's size differs from the state's, the
+    right-hand side returns the wrong number of components or the
+    Jacobian provider returns neither matrix type.
     """
     y_arr = np.array(y) if type(y) is list else y
     B = problem.jac(y_arr)
-    if isinstance(B, DiagonalMatrix) and B.dim <= SMALL_N:
-        n = len(y_arr)
-        if B.dim != n:
-            raise DimensionMismatch(f"vector length {n} != {B.dim}")
-        return _float_stages(n)(
-            problem.full, B, y if type(y) is list else y_arr.tolist(), y_arr,
-            h, scheme.stage_weights(), embedded.stage_weights(), stats)
-    y = y_arr
-    a42, a43 = scheme.alpha4[1], scheme.alpha4[2]
-    b42, b43 = scheme.beta4[1], scheme.beta4[2]
-    b63, b64, b65 = scheme.beta6[2], scheme.beta6[3], scheme.beta6[4]
-    p1, p2, p3, p4, p5, p6 = scheme.p
-    r1, r2, r3, r4, r5 = embedded.r
-
     stats.factorizations += 1
     # factor first: it rejects a B of neither matrix type
     fact = factor(B, scheme.a * h)
+    n = len(y_arr)
+    if fact.dim != n:
+        raise DimensionMismatch(f"stage matrix size {fact.dim} != state "
+                                f"length {n}")
+    stats.phi_evals += 3
+    stats.g_evals += 2
+    stats.linear_solves += 5
+    full = problem.full
+    if fact.b_floats is not None:
+        return _float_stages(n)(
+            full, fact.solve, fact.b_floats,
+            y if type(y) is list else y_arr.tolist(), y_arr, h,
+            scheme.stage_weights(), embedded.stage_weights(), B.diagonal())
+    y = y_arr
+    (_, a42, a43, b42, b43, gamma, b63, b64, b65,
+     p1, p2, p3, p4, p5, p6) = scheme.stage_weights()
+    r1, r2, r3, r4, r5 = embedded.stage_weights()
     if fact.band is None:
         b_matvec, b_diag = B.matvec, B.diagonal()
     else:
         # B's band, read by factor, applies B in O(n * (kl + ku))
         b_matvec, b_diag = fact.b_matvec, fact.b_diagonal()
-    full = problem.full
     f0 = _rhs(full, y)
-    k1 = h * (f0 - b_matvec(y))
     # the non-stiff and stiff parts are both taken at y, so their sum
     # collapses to the full right-hand side
-    stats.phi_evals += 1
-    stats.g_evals += 1
-
+    k1 = h * (f0 - b_matvec(y))
     k2 = fact.solve(h * f0)
     k3 = fact.solve(k2)
     # first-stage weights of the combination rows are structurally zero
@@ -344,15 +345,11 @@ def _stages(problem: SplitProblem, y, h: float,
     w = y + a42 * k2 + a43 * k3
     # h*phi(u) + h*(B*w) regrouped around one right-hand-side evaluation
     rhs4 = h * _rhs(full, u) + h * b_matvec(w - u)
-    stats.phi_evals += 1
-    stats.g_evals += 1
     k4 = fact.solve(rhs4)
-    k5 = fact.solve(k4 + scheme.gamma * k3)
+    k5 = fact.solve(k4 + gamma * k3)
     u6 = y + b63 * k3 + b64 * k4 + b65 * k5
     k6 = h * (_rhs(full, u6) - b_matvec(u6))
-    stats.phi_evals += 1
     k5_emb = fact.solve(k4)
-    stats.linear_solves += 5
 
     y_next = y + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6
     y_emb = y + r1 * k1 + r2 * k2 + r3 * k3 + r4 * k4 + r5 * k5_emb
@@ -369,8 +366,10 @@ def _float_stages_source(n: int, name: str) -> str:
     multiplies them, so signed zeros and NaN come out the same.  The
     weights arrive as arguments (w from SchemeCoefficients.stage_weights,
     r from EmbeddedCoefficients.stage_weights), so one function serves
-    every scheme.  factor, _rhs and np are looked up in this module at
-    call time; the stage solves go through the factorization as lists.
+    every scheme, and so do the factorization's solve, B's diagonal as
+    floats (b) and as the array the attempt reports (b_diag): _stages has
+    factored D and counted the work.  _rhs and np are looked up in this
+    module at call time; the stage solves go through solve as lists.
     """
     comps = range(n)
 
@@ -378,14 +377,12 @@ def _float_stages_source(n: int, name: str) -> str:
         # "x_0, x_1, ..., " with fmt formatted for every component
         return "".join(fmt.format(m=m) + ", " for m in comps)
 
-    lines = [f"def {name}(full, B, y, y_arr, h, w, r, stats):",
-             "    (a, a42, a43, b42, b43, gamma, b63, b64, b65,",
+    lines = [f"def {name}(full, solve, b, y, y_arr, h, w, r, b_diag):",
+             "    (_, a42, a43, b42, b43, gamma, b63, b64, b65,",
              "     p1, p2, p3, p4, p5, p6) = w",
              "    r1, r2, r3, r4, r5 = r",
              f"    {each('y_{m}')}= y",
-             f"    {each('b_{m}')}= B.values.tolist()",
-             "    stats.factorizations += 1",
-             "    solve = factor(B, a * h).solve"]
+             f"    {each('b_{m}')}= b"]
     emit = lines.append
 
     def per_component(fmt: str) -> None:
@@ -393,8 +390,6 @@ def _float_stages_source(n: int, name: str) -> str:
 
     emit(f"    {each('f_{m}')}= _rhs(full, y_arr).tolist()")
     per_component("k1_{m} = h * (f_{m} - b_{m} * y_{m})")
-    emit("    stats.phi_evals += 1")
-    emit("    stats.g_evals += 1")
     emit(f"    k2 = solve([{each('h * f_{m}')}])")
     emit(f"    {each('k2_{m}')}= k2")
     emit(f"    {each('k3_{m}')}= solve(k2)")
@@ -402,8 +397,6 @@ def _float_stages_source(n: int, name: str) -> str:
     per_component("w_{m} = y_{m} + a42 * k2_{m} + a43 * k3_{m}")
     emit(f"    {each('f_{m}')}= _rhs(full, np.array([{each('u_{m}')}]))"
          ".tolist()")
-    emit("    stats.phi_evals += 1")
-    emit("    stats.g_evals += 1")
     emit("    k4 = solve([")
     per_component("    h * f_{m} + h * (b_{m} * (w_{m} - u_{m})),")
     emit("    ])")
@@ -413,15 +406,13 @@ def _float_stages_source(n: int, name: str) -> str:
     emit(f"    u6 = [{each('u6_{m}')}]")
     emit(f"    {each('f_{m}')}= _rhs(full, np.array(u6)).tolist()")
     per_component("k6_{m} = h * (f_{m} - b_{m} * u6_{m})")
-    emit("    stats.phi_evals += 1")
     emit(f"    {each('e5_{m}')}= solve(k4)")
-    emit("    stats.linear_solves += 5")
     per_component("yn_{m} = (y_{m} + p1 * k1_{m} + p2 * k2_{m} + p3 * k3_{m}"
                   " + p4 * k4_{m} + p5 * k5_{m} + p6 * k6_{m})")
     per_component("ye_{m} = (y_{m} + r1 * k1_{m} + r2 * k2_{m} + r3 * k3_{m}"
                   " + r4 * k4_{m} + r5 * e5_{m})")
     emit(f"    return ((u6, [{each('k6_{m}')}]), [{each('k1_{m}')}],")
-    emit(f"            [{each('yn_{m}')}], [{each('ye_{m}')}], B.values)")
+    emit(f"            [{each('yn_{m}')}], [{each('ye_{m}')}], b_diag)")
     return "\n".join(lines) + "\n"
 
 

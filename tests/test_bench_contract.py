@@ -102,7 +102,7 @@ def test_traced_float_path_counts_every_call(control):
     # right-hand-side call per attempt, as the counters do
     problem = asode.builtin("example4")
     problem = dataclasses.replace(problem, t_end=problem.t0 + 0.05)
-    assert problem.n <= asode.stepper.SMALL_N
+    assert problem.n <= asode.linalg.SMALL_N
     _, k1, _, _, _ = asode.stepper._stages(
         problem, problem.y0, problem.h0, SCHEME, EMBEDDED,
         asode.RunStatistics())

@@ -6,9 +6,10 @@ is the reference: the kernels (stages, stability estimate, error norm,
 drift update, diagonal factorization) must return the same bits on the
 same input, NaN and inf included, and whole runs must agree in every
 result.
-Setting SMALL_N to 0 in stepper and linalg forces the numpy path.  The
-float-path stages are generated per state dimension on first use, with the
-scheme weights as arguments; these tests also hold them to that.
+Setting linalg.SMALL_N to 0 forces the numpy path: linalg.factor alone
+applies the rule, and the stepper follows the factorization it returns.
+The float-path stages are generated per state dimension on first use,
+with the scheme weights as arguments; these tests also hold them to that.
 """
 
 import dataclasses
@@ -62,7 +63,6 @@ SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.5, 1e-16, -3e-15, 1e300, math.inf,
 
 def force_numpy_path(m):
     """Send every B down the numpy path (m: monkeypatch or its context)."""
-    m.setattr(stepper, "SMALL_N", 0)
     m.setattr(linalg, "SMALL_N", 0)
 
 
@@ -286,7 +286,7 @@ class TestStagesKernel:
     def test_fuzzed_problems(self, monkeypatch):
         rng = np.random.default_rng(5)
         for _ in range(300):
-            n = int(rng.integers(1, stepper.SMALL_N + 1))
+            n = int(rng.integers(1, linalg.SMALL_N + 1))
             b = rng.normal(size=n) * 10.0 ** rng.integers(-2, 4, size=n)
             b[rng.random(n) < 0.2] = 0.0
             problem = diagonal_problem(-np.abs(rng.normal(size=n)) * 50.0,
@@ -313,7 +313,7 @@ class TestStagesKernel:
         # weights are its arguments, so none may be served stale
         rng = np.random.default_rng(29)
         for _ in range(100):
-            n = int(rng.integers(1, stepper.SMALL_N + 1))
+            n = int(rng.integers(1, linalg.SMALL_N + 1))
             problem = diagonal_problem(-np.abs(rng.normal(size=n)) * 50.0,
                                        -np.abs(rng.normal(size=n)) * 10.0,
                                        rng.normal(size=n))
@@ -334,7 +334,7 @@ class TestStagesKernel:
 
         monkeypatch.setattr(stepper, "_FLOAT_STAGES", {})
         monkeypatch.setattr(stepper, "_compile_generated", counted)
-        big = stepper.SMALL_N + 1
+        big = linalg.SMALL_N + 1
         for n in (2, 3, 2, big, 3, 2):
             problem = diagonal_problem([-1.0] * n, [-2.0] * n, [1.0] * n)
             _, _, y_next, _, _ = _stages(problem, problem.y0, 0.01, SCHEME,
@@ -343,6 +343,25 @@ class TestStagesKernel:
         assert made == ["<stepper float stages, n=2>",
                         "<stepper float stages, n=3>"]
         assert set(stepper._FLOAT_STAGES) == {2, 3}
+
+    def test_factor_alone_picks_the_path(self, monkeypatch):
+        # with only linalg's bound lowered, a small diagonal B runs on
+        # arrays and no float stages are generated, to the same bits
+        problem = diagonal_problem([-1.0, -2.0, -3.0], [-4.0, 0.0, -6.0],
+                                   [1.0, -1.0, 0.5])
+        floats_out = _stages(problem, problem.y0, 0.01, SCHEME, EMBEDDED,
+                             RunStatistics())
+        monkeypatch.setattr(stepper, "_FLOAT_STAGES", {})
+        monkeypatch.setattr(linalg, "SMALL_N", 0)
+        (u6, k6), k1, y_next, y_emb, b_diag = _stages(
+            problem, problem.y0, 0.01, SCHEME, EMBEDDED, RunStatistics())
+        assert stepper._FLOAT_STAGES == {}
+        arrays_out = (u6, k6, k1, y_next, y_emb)
+        assert all(isinstance(x, np.ndarray) for x in arrays_out)
+        (u6_f, k6_f), k1_f, yn_f, ye_f, bd_f = floats_out
+        for a, b in zip((u6_f, k6_f, k1_f, yn_f, ye_f, bd_f),
+                        arrays_out + (b_diag,)):
+            assert same_bits(a, b)
 
     def test_generated_on_first_use_in_a_solve(self):
         # a fresh interpreter: importing the package generates nothing

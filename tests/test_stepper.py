@@ -409,7 +409,6 @@ class TestIntegrate:
         # numpy used to broadcast a short return into a ValueError, and a
         # zip over lists would silently truncate it
         if path == "numpy":
-            monkeypatch.setattr(stepper, "SMALL_N", 0)
             monkeypatch.setattr(linalg, "SMALL_N", 0)
         B = DiagonalMatrix(np.full(3, -1.0))
 
@@ -424,13 +423,36 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatch, match="right-hand side"):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
 
+    @pytest.mark.parametrize("make_B", [
+        lambda: DiagonalMatrix(np.full(4, -1.0)),
+        lambda: linalg.DenseMatrix(np.full((4, 4), -1.0)),
+        lambda: linalg.DenseMatrix(np.diag(np.full(40, -1.0))),
+    ], ids=["floats", "dense", "band"])
+    def test_wrong_size_stage_matrix_raises_before_any_rhs_call(self,
+                                                                 make_B):
+        # one size check right after factor, whichever path B takes
+        B = make_B()
+        calls = []
+
+        def full(y):
+            calls.append(y)
+            return -y
+
+        phi, g = make_split(full, lambda y: B)
+        prob = SplitProblem(name="wrong-B", n=3, phi=phi, g=g,
+                            jac=lambda y: B, full=full,
+                            y0=np.array([1.0, 2.0, 3.0]), t0=0.0, t_end=1.0,
+                            h0=0.1)
+        with pytest.raises(DimensionMismatch, match="stage matrix size"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
+        assert calls == []
+
     @pytest.mark.parametrize("path", ["floats", "numpy", "dense"])
     def test_tolerance_length_mismatch_raises_before_any_step(self, path,
                                                                monkeypatch):
         # one check at entry, whichever path B sends the attempts down;
         # numpy alone would broadcast a 1-component tolerance
         if path == "numpy":
-            monkeypatch.setattr(stepper, "SMALL_N", 0)
             monkeypatch.setattr(linalg, "SMALL_N", 0)
         base = builtin("smooth")
         calls = []
