@@ -74,8 +74,9 @@ class DiagonalMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise DimensionMismatch(f"diagonal must be 1-D, got shape {v.shape}")
+        if v.ndim != 1 or v.size == 0:
+            raise DimensionMismatch(
+                f"diagonal must be 1-D and non-empty, got shape {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -99,8 +100,9 @@ class DenseMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DimensionMismatch(f"matrix must be square, got shape {v.shape}")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+            raise DimensionMismatch(
+                f"matrix must be square and non-empty, got shape {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property

@@ -316,6 +316,11 @@ def test_dimension_mismatch_raises():
         DiagonalMatrix(np.zeros((2, 2)))
     with pytest.raises(DimensionMismatch):
         DenseMatrix(np.zeros((2, 3)))
+    # an empty B would reach factor's reductions and fail there
+    with pytest.raises(DimensionMismatch, match="non-empty"):
+        DiagonalMatrix(np.array([]))
+    with pytest.raises(DimensionMismatch, match="non-empty"):
+        DenseMatrix(np.zeros((0, 0)))
     f = factor(DiagonalMatrix(np.array([-1.0, -2.0])), 0.5)
     with pytest.raises(DimensionMismatch):
         f.solve(np.zeros(3))

@@ -232,9 +232,10 @@ def test_empty_state_rejected():
                 lambda: Tolerances.uniform(1e-3, 0)):
         with pytest.raises(ValueError, match="at least one component"):
             tol()
-    zero = DiagonalMatrix(np.zeros(0))
-    phi, g = make_split(lambda y: y, lambda y: zero)
+    # built on call: DiagonalMatrix itself rejects an empty diagonal
+    zero = lambda y: DiagonalMatrix(np.zeros(len(y)))
+    phi, g = make_split(lambda y: y, zero)
     with pytest.raises(ValueError, match="at least one component"):
-        SplitProblem(name="empty", n=0, phi=phi, g=g, jac=lambda y: zero,
+        SplitProblem(name="empty", n=0, phi=phi, g=g, jac=zero,
                      full=lambda y: y, y0=np.zeros(0), t0=0.0, t_end=1.0,
                      h0=0.1)

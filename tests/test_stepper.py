@@ -477,6 +477,14 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatch, match="unsupported matrix type"):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-4, 2))
 
+    def test_jac_of_empty_matrix_raises(self):
+        # a solver error, not numpy's ValueError from an empty reduction
+        prob = dataclasses.replace(
+            builtin("smooth"),
+            jac=lambda y: linalg.DenseMatrix(np.zeros((0, 0))))
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-4, 2))
+
     def test_nonfinite_initial_state_raises(self):
         # rejected where the problem is built, before any integration
         with pytest.raises(ValueError, match="y0 must be finite"):
