@@ -39,6 +39,9 @@ BENCH_TOLS = (1e-2, 1e-4)
 METHODS = ("asode3", "asode3-nocontrol", "merson", "rkf45")
 
 CSV_COLUMNS = ("problem", "tol", "method") + tuple(RunStatistics().as_dict())
+# most steps the finest rung of an order-study ladder may take; the
+# default ladder (powerlaw, h0 = 0.02) takes 800
+ORDER_STUDY_MAX_STEPS = 100_000
 
 
 class CellSpec(NamedTuple):
@@ -236,7 +239,9 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
 
     Each rung covers the span in round(span/h) equal steps, and the
     slopes are fitted against those steps; an h0 so large that two rungs
-    take the same number of steps raises ValueError.
+    take the same number of steps, or so small that the finest rung
+    would take more than ORDER_STUDY_MAX_STEPS, raises ValueError before
+    any solve.
 
     Measures three ladders against a reference final state: the additive
     scheme's fixed-step global error, the one-step gap between its main
@@ -247,6 +252,19 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
     ReferenceUnavailable is raised.
     """
     p = builtin(problem_name)
+    span = p.t_end - p.t0
+    # the finest rung's step count before rounding; where h0/8 would
+    # underflow to 0, span/h0 overflows to inf instead
+    if not span / h0 * 8.0 <= ORDER_STUDY_MAX_STEPS:
+        raise ValueError(f"h0={h0:g} is too small for the span {span:g}: "
+                         f"the finest rung would take more than "
+                         f"{ORDER_STUDY_MAX_STEPS} steps")
+    counts = [max(1, round(span / (h0 / 2.0 ** i))) for i in range(4)]
+    if len(set(counts)) < len(counts):
+        raise ValueError(f"h0={h0:g} is too large for the span {span:g}: "
+                         f"the rungs take {counts} steps")
+    hs = tuple(span / n for n in counts)
+
     scheme = derive_scheme()
     emb = derive_embedded(scheme)
     if p.exact is not None:
@@ -260,13 +278,6 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
                 f"no closed form for {problem_name!r} and the reference "
                 f"run at tol={ref_tol:g} failed: {exc}") from exc
         y_ref = np.asarray(res.y, dtype=float)
-
-    span = p.t_end - p.t0
-    counts = [max(1, round(span / (h0 / 2.0 ** i))) for i in range(4)]
-    if len(set(counts)) < len(counts):
-        raise ValueError(f"h0={h0:g} is too large for the span {span:g}: "
-                         f"the rungs take {counts} steps")
-    hs = tuple(span / n for n in counts)
 
     additive = []
     for h in hs:

@@ -286,7 +286,8 @@ def cmd_order_study(args: argparse.Namespace) -> int:
         study = benchmark.order_study(cfg["problem"], cfg["h0"],
                                       cfg["ref_tol"])
     except ValueError as exc:
-        # an h0 too large for the span, or a non-finite reference tolerance
+        # an h0 too large or too small for the span, or a non-finite
+        # reference tolerance
         raise ConfigError(str(exc)) from None
     methods = tuple(study.errors)
     print(f"problem: {study.problem}")

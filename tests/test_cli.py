@@ -310,6 +310,7 @@ class TestOrderStudyCommand:
         (["--h0", "inf"], "error: h0=inf is too large"),
         (["--problem", "example1", "--ref-tol", "inf"],
          "error: tolerances must be finite"),
+        (["--h0", "1e-300"], "error: h0=1e-300 is too small"),
     ])
     def test_invalid_ladder_exits_one(self, flags, message, capsys):
         assert main(["order-study"] + flags) == 1
