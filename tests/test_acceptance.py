@@ -7,7 +7,6 @@ is a hard bound, so a slow or drifting build fails loudly.
 """
 
 import contextlib
-import dataclasses
 import time
 
 import numpy as np
@@ -24,8 +23,10 @@ from asode.coefficients import (
     verify_order_conditions,
 )
 from asode.linalg import DiagonalMatrix
-from asode.problems import SplitProblem, Tolerances, builtin, make_split
+from asode.problems import SplitProblem, Tolerances, builtin
 from asode.stepper import ControllerConfig, error_norm, integrate, integrate_fixed
+
+from conftest import split_problem
 
 SCHEME = derive_scheme()
 EMBEDDED = derive_embedded(SCHEME)
@@ -125,8 +126,8 @@ def test_criterion_3_stability_function_limits():
 
 def _resplit(base: SplitProblem, provider, name: str) -> SplitProblem:
     """Rebuild the problem's split around a different linear-part matrix."""
-    phi, g = make_split(base.full, provider)
-    return dataclasses.replace(base, name=name, phi=phi, g=g, jac=provider)
+    return split_problem(name, base.full, provider, base.y0, base.h0,
+                         t_end=base.t_end, t0=base.t0, exact=base.exact)
 
 
 def test_criterion_4_order_robust_to_linear_part_choice():
@@ -208,11 +209,8 @@ def test_criterion_6_controller_contract():
         rates = np.array([-50.0, 0.0])
         none = DiagonalMatrix(np.zeros(2))
         full = lambda y: rates * y
-        phi, g = make_split(full, lambda y: none)
-        leak = SplitProblem(name="leak", n=2, phi=phi, g=g,
-                            jac=lambda y: none, full=full,
-                            y0=np.array([1.0, 1.0]), t0=0.0, t_end=0.4,
-                            h0=1e-4)
+        leak = split_problem("leak", full, lambda y: none, [1.0, 1.0], 1e-4,
+                             t_end=0.4)
         res = integrate(leak, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 2),
                         collect_trace=True)
         post = res.trace[10:]

@@ -14,18 +14,17 @@ from asode.analysis import (
 from asode.coefficients import DEFAULT_A, derive_embedded, derive_scheme
 from asode.exceptions import PoleProximity
 from asode.linalg import DiagonalMatrix
-from asode.problems import SplitProblem, make_split
+from asode.problems import SplitProblem
 from asode.stepper import RunStatistics, _stages
+
+from conftest import split_problem
 
 
 def _scalar_split_problem(x: float, z: float) -> SplitProblem:
     """1-D split problem whose exact split multipliers are x and z."""
     f = lambda y: np.array([(x + z) * y[0]])
     jac = lambda y: DiagonalMatrix(np.array([z]))
-    phi, g = make_split(f, jac)
-    return SplitProblem(name="scalar", n=1, phi=phi, g=g, jac=jac,
-                        full=f, y0=np.array([1.0]), t0=0.0, t_end=1.0,
-                        h0=1.0)
+    return split_problem("scalar", f, jac, [1.0], 1.0)
 
 
 class TestPropagatedFactor:

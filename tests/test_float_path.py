@@ -36,7 +36,7 @@ from asode.exceptions import (
     ZeroToleranceDenominator,
 )
 from asode.linalg import DiagonalMatrix, factor
-from asode.problems import SplitProblem, Tolerances, builtin, make_split
+from asode.problems import Tolerances, builtin
 from asode.stepper import (
     ControllerConfig,
     RunStatistics,
@@ -48,6 +48,8 @@ from asode.stepper import (
     integrate,
     stability_estimate,
 )
+
+from conftest import split_problem
 
 SCHEME = derive_scheme()
 EMBEDDED = derive_embedded(SCHEME)
@@ -251,11 +253,7 @@ def diagonal_problem(rates, b_values, y0):
         assert isinstance(y, np.ndarray)
         return rates * y + 0.1 * y * y - 0.3
 
-    phi, g = make_split(full, lambda y: B)
-    return SplitProblem(name="diag", n=len(rates), phi=phi, g=g,
-                        jac=lambda y: B, full=full,
-                        y0=np.asarray(y0, dtype=float), t0=0.0, t_end=1.0,
-                        h0=0.01)
+    return split_problem("diag", full, lambda y: B, y0, 0.01)
 
 
 def stages_both(problem, y, h, monkeypatch, scheme=SCHEME,

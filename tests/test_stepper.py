@@ -18,7 +18,7 @@ from asode.exceptions import (
 )
 from asode.linalg import DiagonalMatrix
 from asode import linalg, stepper
-from asode.problems import SplitProblem, Tolerances, builtin, make_split
+from asode.problems import Tolerances, builtin
 from asode.stepper import (
     ControllerConfig,
     RunStatistics,
@@ -32,6 +32,8 @@ from asode.stepper import (
     stability_estimate,
 )
 
+from conftest import split_problem
+
 SCHEME = derive_scheme()
 EMBEDDED = derive_embedded(SCHEME)
 
@@ -43,10 +45,7 @@ def scalar_problem(lam, b, name="scalar", t_end=1.0, h0=1e-3):
     def full(y):
         return lam * y
 
-    phi, g = make_split(full, lambda y: B)
-    return SplitProblem(name=name, n=1, phi=phi, g=g, jac=lambda y: B,
-                        full=full, y0=np.array([1.0]), t0=0.0, t_end=t_end,
-                        h0=h0)
+    return split_problem(name, full, lambda y: B, [1.0], h0, t_end=t_end)
 
 
 class TestErrorNorm:
@@ -83,10 +82,7 @@ class TestStabilityEstimate:
     def probe(self, full, y, h):
         """The estimate from the stages of one explicit (B = 0) attempt."""
         zero = DiagonalMatrix(np.zeros(len(y)))
-        phi, g = make_split(full, lambda u: zero)
-        prob = SplitProblem(name="probe", n=len(y), phi=phi, g=g,
-                            jac=lambda u: zero, full=full, y0=y, t0=0.0,
-                            t_end=1.0, h0=h)
+        prob = split_problem("probe", full, lambda u: zero, y, h)
         (u6, k6), k1, _, _, _ = _stages(prob, y, h, SCHEME, EMBEDDED,
                                         RunStatistics())
         return stability_estimate(y, u6, k1, k6)
@@ -254,10 +250,7 @@ class TestAttemptStep:
         def full(y):
             return np.array([math.inf])
 
-        phi, g = make_split(full, lambda y: B)
-        prob = SplitProblem(name="blowup", n=1, phi=phi, g=g,
-                            jac=lambda y: B, full=full, y0=np.array([1.0]),
-                            t0=0.0, t_end=1.0, h0=0.1)
+        prob = split_problem("blowup", full, lambda y: B, [1.0], 0.1)
         rep, _ = self.run_once(prob, np.array([1.0]), 0.1)
         assert not rep.accepted
         assert rep.h_next == pytest.approx(0.05)
@@ -366,10 +359,8 @@ class TestIntegrate:
         def full(y):
             return L * y
 
-        phi, g = make_split(full, lambda y: B)
-        prob = SplitProblem(name="leak", n=2, phi=phi, g=g, jac=lambda y: B,
-                            full=full, y0=np.array([1.0, 1.0]), t0=0.0,
-                            t_end=0.4, h0=1e-4)
+        prob = split_problem("leak", full, lambda y: B, [1.0, 1.0], 1e-4,
+                             t_end=0.4)
         res = integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 2),
                         collect_trace=True)
         post = res.trace[10:]
@@ -396,10 +387,7 @@ class TestIntegrate:
         def full(y):
             return np.array([math.inf])
 
-        phi, g = make_split(full, lambda y: B)
-        prob = SplitProblem(name="blowup", n=1, phi=phi, g=g,
-                            jac=lambda y: B, full=full, y0=np.array([1.0]),
-                            t0=0.0, t_end=1.0, h0=1.0)
+        prob = split_problem("blowup", full, lambda y: B, [1.0], 1.0)
         with pytest.raises(MaxRejectsExceeded):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 1))
 
@@ -415,11 +403,8 @@ class TestIntegrate:
         def full(y):
             return np.resize(-y, length)
 
-        phi, g = make_split(full, lambda y: B)
-        prob = SplitProblem(name="short", n=3, phi=phi, g=g,
-                            jac=lambda y: B, full=full,
-                            y0=np.array([1.0, 2.0, 3.0]), t0=0.0, t_end=1.0,
-                            h0=0.1)
+        prob = split_problem("short", full, lambda y: B, [1.0, 2.0, 3.0],
+                             0.1)
         with pytest.raises(DimensionMismatch, match="right-hand side"):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
 
@@ -438,11 +423,8 @@ class TestIntegrate:
             calls.append(y)
             return -y
 
-        phi, g = make_split(full, lambda y: B)
-        prob = SplitProblem(name="wrong-B", n=3, phi=phi, g=g,
-                            jac=lambda y: B, full=full,
-                            y0=np.array([1.0, 2.0, 3.0]), t0=0.0, t_end=1.0,
-                            h0=0.1)
+        prob = split_problem("wrong-B", full, lambda y: B, [1.0, 2.0, 3.0],
+                             0.1)
         with pytest.raises(DimensionMismatch, match="stage matrix size"):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
         assert calls == []
@@ -519,10 +501,8 @@ def pentadiagonal_problem(jac):
         return (-y ** 3 + PENTA_C * (pad[:-4] - 2.0 * y + pad[4:])
                 + 0.5 * (pad[3:-1] - pad[1:-3]))
 
-    phi, g = make_split(full, jac)
     y0 = np.sin(np.pi * np.arange(1, PENTA_N + 1) / (PENTA_N + 1))
-    return SplitProblem(name="penta", n=PENTA_N, phi=phi, g=g, jac=jac,
-                        full=full, y0=y0, t0=0.0, t_end=1.0, h0=1e-3)
+    return split_problem("penta", full, jac, y0, 1e-3)
 
 
 class TestBandedStageMatrix:
