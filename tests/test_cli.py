@@ -311,6 +311,8 @@ class TestOrderStudyCommand:
         (["--problem", "example1", "--ref-tol", "inf"],
          "error: tolerances must be finite"),
         (["--h0", "1e-300"], "error: h0=1e-300 is too small"),
+        # h0/8 underflows to zero
+        (["--h0", "5e-324"], "error: h0=4.94066e-324 is too small"),
     ])
     def test_invalid_ladder_exits_one(self, flags, message, capsys):
         assert main(["order-study"] + flags) == 1

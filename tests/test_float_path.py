@@ -266,9 +266,12 @@ def stages_both(problem, y, h, monkeypatch, scheme=SCHEME,
     assert all(type(x) is list for x in floats_out)
     with monkeypatch.context() as m:
         force_numpy_path(m)
+        m.setattr(stepper, "_FLOAT_STAGES", {})
         stats_a = RunStatistics()
         last_a, k1_a, yn_a, ye_a, bd_a = _stages(problem, y, h, scheme,
                                                  embedded, stats_a)
+        # factor alone picks the path: no float stages were generated
+        assert stepper._FLOAT_STAGES == {}
     arrays_out = (k1_a, yn_a, ye_a) + last_a
     assert all(isinstance(x, np.ndarray) for x in arrays_out)
     for a, b in zip(floats_out + (bd_f,), arrays_out + (bd_a,)):
@@ -341,25 +344,6 @@ class TestStagesKernel:
         assert made == ["<stepper float stages, n=2>",
                         "<stepper float stages, n=3>"]
         assert set(stepper._FLOAT_STAGES) == {2, 3}
-
-    def test_factor_alone_picks_the_path(self, monkeypatch):
-        # with only linalg's bound lowered, a small diagonal B runs on
-        # arrays and no float stages are generated, to the same bits
-        problem = diagonal_problem([-1.0, -2.0, -3.0], [-4.0, 0.0, -6.0],
-                                   [1.0, -1.0, 0.5])
-        floats_out = _stages(problem, problem.y0, 0.01, SCHEME, EMBEDDED,
-                             RunStatistics())
-        monkeypatch.setattr(stepper, "_FLOAT_STAGES", {})
-        monkeypatch.setattr(linalg, "SMALL_N", 0)
-        (u6, k6), k1, y_next, y_emb, b_diag = _stages(
-            problem, problem.y0, 0.01, SCHEME, EMBEDDED, RunStatistics())
-        assert stepper._FLOAT_STAGES == {}
-        arrays_out = (u6, k6, k1, y_next, y_emb)
-        assert all(isinstance(x, np.ndarray) for x in arrays_out)
-        (u6_f, k6_f), k1_f, yn_f, ye_f, bd_f = floats_out
-        for a, b in zip((u6_f, k6_f, k1_f, yn_f, ye_f, bd_f),
-                        arrays_out + (b_diag,)):
-            assert same_bits(a, b)
 
     def test_generated_on_first_use_in_a_solve(self):
         # a fresh interpreter: importing the package generates nothing
