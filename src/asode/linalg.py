@@ -4,7 +4,9 @@ B is the (possibly crude) Jacobian approximation of the stiff term.  Two
 shapes are supported: a diagonal approximation, which is the cheap choice
 the benchmark problems use, and a full dense matrix.  One factorization
 per step serves the five stage solves, so the factor object is separate
-from the solve call.
+from the solve call.  B comes with its factorization: b_matvec(v) and
+b_diag apply the B that D was factored from, so a step that reads B only
+through them applies the B its solves invert.
 
 A dense B whose nonzero entries lie in a narrow band is factored in LAPACK
 band storage (gbtrf/gbtrs) instead of as a full matrix (getrf/getrs); both
@@ -13,10 +15,11 @@ bandwidths kl, ku with bandwidths() (NaN and inf count as nonzero) and
 takes the band path when BAND_RATIO * (kl + ku) < n.  The band path copies
 B's band, (kl + ku + 1) x n in LAPACK band layout, fills gbtrf's array from
 it and keeps it on the factorization, whose b_matvec (BLAS gbmv, O(n *
-(kl + ku))) and b_diagonal apply B as it was when factored.  Both paths
-build the same D and apply the same singularity checks.  The band LU
-pivots as the dense one does but orders its arithmetic differently, so its
-solutions differ from the dense LU's at rounding level, and so do
+(kl + ku))) and b_diag read B as it was when factored; the other
+factorizations take both from the matrix (B.matvec, B's diagonal).  Both
+paths build the same D and apply the same singularity checks.  The band
+LU pivots as the dense one does but orders its arithmetic differently, so
+its solutions differ from the dense LU's at rounding level, and so do
 b_matvec's sums from values @ v.
 
 A DiagonalMatrix of at most SMALL_N entries is checked and inverted on
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
@@ -88,9 +92,6 @@ class DiagonalMatrix:
             raise DimensionMismatch(f"vector length {len(v)} != {self.dim}")
         return self.values * np.asarray(v, dtype=float)
 
-    def diagonal(self) -> np.ndarray:
-        return self.values
-
 
 @dataclass(frozen=True, eq=False)
 class DenseMatrix:
@@ -114,21 +115,17 @@ class DenseMatrix:
             raise DimensionMismatch(f"vector length {len(v)} != {self.dim}")
         return self.values @ np.asarray(v, dtype=float)
 
-    def diagonal(self) -> np.ndarray:
-        """A copy of B's diagonal, which does not keep values alive."""
-        return np.diagonal(self.values).copy()
-
 
 JacobianApprox = DiagonalMatrix | DenseMatrix
 
 
 class Factorization:
-    """Reusable decomposition of D = E - a*h*B."""
+    """Reusable decomposition of D = E - a*h*B, and the B it was made from."""
 
     dim: int
-    # B's band in LAPACK band layout when D was factored in band storage,
-    # which then applies B (b_matvec, b_diagonal) as it was when factored
-    band: np.ndarray | None = None
+    # B @ v and B's diagonal (an array): a step's one view of B
+    b_matvec: Callable[[np.ndarray], np.ndarray]
+    b_diag: np.ndarray
     # B's diagonal as Python floats when D was factored on them; the
     # additive stepper then runs its attempt on floats
     b_floats: list | None = None
@@ -148,8 +145,11 @@ class _DiagonalFactorization(Factorization):
     """Reciprocals of D's diagonal: an array, or a list for a small B,
     whose diagonal floats it then keeps as b_floats."""
 
-    def __init__(self, reciprocals, b_floats: list | None = None):
+    def __init__(self, reciprocals, B: DiagonalMatrix,
+                 b_floats: list | None = None):
         self._recip = reciprocals
+        self.b_matvec = B.matvec
+        self.b_diag = B.values
         self.b_floats = b_floats
         self.dim = len(reciprocals)
 
@@ -166,9 +166,12 @@ class _DiagonalFactorization(Factorization):
 class _DenseFactorization(Factorization):
     """getrf factors of D."""
 
-    def __init__(self, lu, piv):
+    def __init__(self, lu, piv, B: DenseMatrix):
         self._lu = lu
         self._piv = piv
+        self.b_matvec = B.matvec
+        # a copy: a view would keep all of B alive with the diagonal
+        self.b_diag = np.diagonal(B.values).copy()
         self.dim = lu.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -185,7 +188,8 @@ class _BandedFactorization(Factorization):
         self._piv = piv
         self._kl = kl
         self._ku = ku
-        self.band = band
+        self._band = band
+        self.b_diag = band[ku].copy()
         self.dim = lu.shape[1]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -196,11 +200,8 @@ class _BandedFactorization(Factorization):
 
     def b_matvec(self, v: np.ndarray) -> np.ndarray:
         """B @ v from B's band, O(n * (kl + ku))."""
-        return dgbmv(self.dim, self.dim, self._kl, self._ku, 1.0, self.band,
+        return dgbmv(self.dim, self.dim, self._kl, self._ku, 1.0, self._band,
                      self._checked(v))
-
-    def b_diagonal(self) -> np.ndarray:
-        return self.band[self._ku].copy()
 
 
 def _scale(entries: np.ndarray) -> float:
@@ -253,9 +254,10 @@ def _factor_banded(values: np.ndarray, kl: int, ku: int,
     return _BandedFactorization(lu, piv, kl, ku, band)
 
 
-def _factor_diagonal_floats(values: list,
+def _factor_diagonal_floats(B: DiagonalMatrix,
                             a_times_h: float) -> _DiagonalFactorization:
     """factor's diagonal branch on Python floats, with the same checks."""
+    values = B.values.tolist()
     a_times_h = float(a_times_h)
     d = [1.0 - a_times_h * b for b in values]
     if not all(map(math.isfinite, d)):
@@ -264,28 +266,29 @@ def _factor_diagonal_floats(values: list,
     if min(map(abs, d)) < PIVOT_FLOOR * scale:
         raise SingularMatrix(
             f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
-    return _DiagonalFactorization([1.0 / x for x in d], values)
+    return _DiagonalFactorization([1.0 / x for x in d], B, values)
 
 
 def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
     """Factor D = E - a_times_h * B for repeated stage solves.
 
-    A DiagonalMatrix of at most SMALL_N entries is factored on Python
-    floats, and its factorization carries them as b_floats; a DenseMatrix
-    with a narrow band of nonzero entries is factored in band storage
-    (see BAND_RATIO).  Raises SingularMatrix when any pivot falls
+    The factorization carries B as b_matvec and b_diag.  A DiagonalMatrix
+    of at most SMALL_N entries is factored on Python floats, and its
+    factorization also carries B's diagonal floats as b_floats; a
+    DenseMatrix with a narrow band of nonzero entries is factored in band
+    storage (see BAND_RATIO).  Raises SingularMatrix when any pivot falls
     below 1e-14 times the matrix scale (non-finite input counts as
     singular), and DimensionMismatch when B is of neither matrix type.
     """
     if isinstance(B, DiagonalMatrix):
         if B.dim <= SMALL_N:
-            return _factor_diagonal_floats(B.values.tolist(), a_times_h)
+            return _factor_diagonal_floats(B, a_times_h)
         d = 1.0 - a_times_h * B.values
         scale = _scale(d)
         if float(np.min(np.abs(d))) < PIVOT_FLOOR * scale:
             raise SingularMatrix(
                 f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
-        return _DiagonalFactorization(1.0 / d)
+        return _DiagonalFactorization(1.0 / d, B)
     if isinstance(B, DenseMatrix):
         kl, ku = bandwidths(B.values)
         if BAND_RATIO * (kl + ku) < B.dim:
@@ -298,5 +301,5 @@ def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
         # info > 0 flags an exactly zero pivot, which the floor also catches
         if float(np.min(np.abs(np.diag(lu)))) < PIVOT_FLOOR * scale:
             raise SingularMatrix(f"pivot below {PIVOT_FLOOR:.0e} * scale")
-        return _DenseFactorization(lu, piv)
+        return _DenseFactorization(lu, piv, B)
     raise DimensionMismatch(f"unsupported matrix type {type(B).__name__}")

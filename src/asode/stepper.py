@@ -297,11 +297,12 @@ def _stages(problem: SplitProblem, y, h: float,
     stability estimate reads them.  b_diag is the diagonal of B, an
     array.  The attempt evaluates B, factors D and counts its work here,
     once for both paths: 1 factorization, 5 linear solves, 3 evaluations
-    of the right-hand side and 2 stiff-part applications.  factor picks
-    the path: a factorization that carries B's diagonal as floats sends
-    the attempt to the generated float stages for its dimension, and u6,
-    k6, k1, y_next and y_emb are then lists; any other runs them on
-    arrays.  y may be either.
+    of the right-hand side and 2 stiff-part applications.  B is then read
+    only through its factorization, so every stage applies the B that D
+    was factored from.  factor picks the path: a factorization that
+    carries B's diagonal as floats sends the attempt to the generated
+    float stages for its dimension, and u6, k6, k1, y_next and y_emb are
+    then lists; any other runs them on arrays.  y may be either.
     Raises SingularMatrix when the stage matrix cannot be factored and
     DimensionMismatch when B's size differs from the state's, the
     right-hand side returns the wrong number of components or the
@@ -324,36 +325,31 @@ def _stages(problem: SplitProblem, y, h: float,
         return _float_stages(n)(
             full, fact.solve, fact.b_floats,
             y if type(y) is list else y_arr.tolist(), y_arr, h,
-            scheme.stage_weights(), embedded.stage_weights(), B.diagonal())
+            scheme.stage_weights(), embedded.stage_weights(), fact.b_diag)
     y = y_arr
     (_, a42, a43, b42, b43, gamma, b63, b64, b65,
      p1, p2, p3, p4, p5, p6) = scheme.stage_weights()
     r1, r2, r3, r4, r5 = embedded.stage_weights()
-    if fact.band is None:
-        b_matvec, b_diag = B.matvec, B.diagonal()
-    else:
-        # B's band, read by factor, applies B in O(n * (kl + ku))
-        b_matvec, b_diag = fact.b_matvec, fact.b_diagonal()
     f0 = _rhs(full, y)
     # the non-stiff and stiff parts are both taken at y, so their sum
     # collapses to the full right-hand side
-    k1 = h * (f0 - b_matvec(y))
+    k1 = h * (f0 - fact.b_matvec(y))
     k2 = fact.solve(h * f0)
     k3 = fact.solve(k2)
     # first-stage weights of the combination rows are structurally zero
     u = y + b42 * k2 + b43 * k3
     w = y + a42 * k2 + a43 * k3
     # h*phi(u) + h*(B*w) regrouped around one right-hand-side evaluation
-    rhs4 = h * _rhs(full, u) + h * b_matvec(w - u)
+    rhs4 = h * _rhs(full, u) + h * fact.b_matvec(w - u)
     k4 = fact.solve(rhs4)
     k5 = fact.solve(k4 + gamma * k3)
     u6 = y + b63 * k3 + b64 * k4 + b65 * k5
-    k6 = h * (_rhs(full, u6) - b_matvec(u6))
+    k6 = h * (_rhs(full, u6) - fact.b_matvec(u6))
     k5_emb = fact.solve(k4)
 
     y_next = y + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6
     y_emb = y + r1 * k1 + r2 * k2 + r3 * k3 + r4 * k4 + r5 * k5_emb
-    return (u6, k6), k1, y_next, y_emb, b_diag
+    return (u6, k6), k1, y_next, y_emb, fact.b_diag
 
 
 def _float_stages_source(n: int, name: str) -> str:

@@ -366,7 +366,7 @@ def test_band_matvec_matches_dense_product(n, kl, ku):
         assert np.all(np.abs(got - expected) <= bound)
         # the matrix itself keeps the dense product
         assert B.matvec(v).tobytes() == expected.tobytes()
-    assert fact.b_diagonal().tobytes() == np.diagonal(B.values).tobytes()
+    assert fact.b_diag.tobytes() == np.diagonal(B.values).tobytes()
 
 
 @pytest.mark.parametrize("n, kl, ku", [(40, 5, 5), (40, 0, 10), (12, 6, 5)])
@@ -375,7 +375,41 @@ def test_wide_factorization_keeps_no_band(n, kl, ku):
     B = random_banded(rng, n, kl, ku)
     fact = factor(B, 0.5)
     assert isinstance(fact, linalg._DenseFactorization)
-    assert fact.band is None
+    # B is applied as the dense product, not from a band copy
+    v = rng.standard_normal(n)
+    assert fact.b_matvec(v).tobytes() == (B.values @ v).tobytes()
+    assert fact.b_diag.tobytes() == np.diagonal(B.values).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["floats", "diagonal", "dense", "band"])
+def test_factorization_applies_the_b_it_factored(kind):
+    # every factorization carries B; only the band path keeps its own
+    # copy, whose gbmv sums differ from the dense product at rounding level
+    rng = np.random.default_rng(17)
+    B, cls = {
+        "floats": (DiagonalMatrix(rng.uniform(-5.0, 0.5, linalg.SMALL_N)),
+                   linalg._DiagonalFactorization),
+        "diagonal": (DiagonalMatrix(rng.uniform(-5.0, 0.5,
+                                                linalg.SMALL_N + 1)),
+                     linalg._DiagonalFactorization),
+        "dense": (random_banded(rng, 12, 6, 5), linalg._DenseFactorization),
+        "band": (random_banded(rng, 40, 2, 1), linalg._BandedFactorization),
+    }[kind]
+    n = B.dim
+    fact = factor(B, 0.5)
+    assert type(fact) is cls
+    assert (fact.b_floats is not None) == (kind == "floats")
+    diag = B.values if B.values.ndim == 1 else np.diagonal(B.values)
+    assert type(fact.b_diag) is np.ndarray
+    assert fact.b_diag.tobytes() == diag.tobytes()
+    for v in (rng.standard_normal(n), rng.standard_normal(n).tolist()):
+        got = fact.b_matvec(v)
+        assert got.shape == (n,)
+        if kind == "band":
+            bound = 4 * np.finfo(float).eps * (np.abs(B.values) @ np.abs(v))
+            assert np.all(np.abs(got - B.matvec(v)) <= bound)
+        else:
+            assert got.tobytes() == B.matvec(v).tobytes()
 
 
 def test_band_belongs_to_the_factorization():
