@@ -433,9 +433,12 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     the true trajectory, after which no stepsize recovers.  As a side
     effect of both mechanisms the work count is nearly
     tolerance-independent whenever stability rather than accuracy limits
-    the step.  A non-finite result halves the step like any failure; a
-    span whose end does not exceed its start, or that is not finite, and
-    an h0 that is not positive (NaN included) raise ValueError.
+    the step.  A non-finite result halves the step like any failure.  A
+    retry that the cap would put below H_MIN (a step whose stages
+    diverged reads a huge v) is a plain halving, and StepsizeUnderflow
+    is raised only when h/2 itself falls below H_MIN.  A span whose end
+    does not exceed its start, or that is not finite, and an h0 that is
+    not positive (NaN included) raise ValueError.
     Returns (t, y, RunStatistics) with every right-hand-side evaluation
     counted in phi_evals; with collect_trace a list of per-step rows
     (t, h_used, err, v, y) is returned as a fourth element.
@@ -494,12 +497,12 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
         else:
             stats.steps_rejected += 1
             just_rejected = True
-            new_h = min(0.5 * h, h_stab)
-            if new_h < H_MIN:
+            if 0.5 * h < H_MIN:
                 raise StepsizeUnderflow(
                     f"retry stepsize fell below h_min={H_MIN:g} at "
                     f"t={t:.6g} (err={err:.3g})")
-            h = new_h
+            # a diverged step's huge v must not cap the retry below H_MIN
+            h = 0.5 * h if h_stab < H_MIN else min(0.5 * h, h_stab)
 
     if trace is not None:
         return t, y, stats, trace

@@ -357,6 +357,19 @@ class TestRkIntegrate:
             rk_integrate(MERSON, lambda s: (math.inf,), (1.0,), (0.0, 1.0),
                          tol, 1e-3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_first_step_retries_by_halving(self):
+        # from h0 = 1 the first example4 steps diverge, and their v (up to
+        # about 1e20) capped the retry below H_MIN at t = 0
+        prob = builtin("example4")
+        tol = Tolerances.uniform(1e-2, prob.n)
+        for tableau in (MERSON, FEHLBERG45):
+            t, y, stats = rk_integrate(tableau, prob.full, tuple(prob.y0),
+                                       (prob.t0, prob.t_end), tol, 1.0)
+            assert t == pytest.approx(prob.t_end, abs=1e-12)
+            assert all(map(math.isfinite, y))
+            assert stats.steps_rejected > 0
+
     @pytest.mark.parametrize("h0", [math.nan, 0.0, -1.0])
     def test_non_positive_h0_rejected(self, h0):
         # a NaN step never halves below h_min, so its retries never end;
