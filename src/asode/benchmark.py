@@ -25,6 +25,7 @@ from .exceptions import NonFiniteState, ReferenceUnavailable, SolverError
 from .problems import SplitProblem, Tolerances, builtin
 from .reference_rk import FEHLBERG45, MERSON, TABLEAUS, rk_integrate, rk_step
 from .stepper import (
+    ORDER_STUDY_MAX_STEPS,
     ControllerConfig,
     RunStatistics,
     embedded_difference,
@@ -39,9 +40,6 @@ BENCH_TOLS = (1e-2, 1e-4)
 METHODS = ("asode3", "asode3-nocontrol", "merson", "rkf45")
 
 CSV_COLUMNS = ("problem", "tol", "method") + tuple(RunStatistics().as_dict())
-# most steps the finest rung of an order-study ladder may take; the
-# default ladder (powerlaw, h0 = 0.02) takes 800
-ORDER_STUDY_MAX_STEPS = 100_000
 
 
 class CellSpec(NamedTuple):

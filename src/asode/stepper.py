@@ -91,6 +91,9 @@ SAFETY = 0.9
 H_MIN = 1e-12
 # rejections of one step after which the run gives up
 MAX_REJECTS = 20
+# most steps integrate_fixed takes, and so the finest rung of an
+# order-study ladder; the default ladder (powerlaw, h0 = 0.02) takes 800
+ORDER_STUDY_MAX_STEPS = 100_000
 # scaled norm (tolerance units, same scaling as err) the damped sum of
 # committed step errors may reach before the drift guard starts pressing
 # the stepsize down; within the budget the controller is untouched
@@ -578,21 +581,31 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     return IntegrationResult(t=t, y=_as_array(y), stats=stats, trace=trace)
 
 
+def _check_stepsize(h: float) -> None:
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h!r}")
+
+
 def integrate_fixed(problem: SplitProblem, h: float,
                     scheme: SchemeCoefficients,
                     embedded: EmbeddedCoefficients) -> IntegrationResult:
     """Integrate with a constant stepsize and no error control.
 
     The span is covered by round(span/h) equal steps (h is honored
-    exactly when it divides the span).  h must be finite and positive.
-    Non-finite states abort with NonFiniteState; order studies use this
-    entry point.
+    exactly when it divides the span).  h must be finite and positive,
+    and an h that would take more than ORDER_STUDY_MAX_STEPS steps raises
+    ValueError before the first.  Non-finite states abort with
+    NonFiniteState; order studies use this entry point.
     """
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be finite and positive, got {h!r}")
+    _check_stepsize(h)
     t = problem.t0
     y = problem.y0
     span = problem.t_end - t
+    # round(span / h) within the bound; a tiny h overflows span / h to inf
+    if not span / h <= ORDER_STUDY_MAX_STEPS + 0.5:
+        raise ValueError(f"h={h:g} would take more than "
+                         f"{ORDER_STUDY_MAX_STEPS} steps over the span "
+                         f"{span:g}")
     n_steps = max(1, round(span / h))
     h_eff = span / n_steps
     stats = RunStatistics()
@@ -608,7 +621,11 @@ def integrate_fixed(problem: SplitProblem, h: float,
 def embedded_difference(problem: SplitProblem, h: float,
                         scheme: SchemeCoefficients,
                         embedded: EmbeddedCoefficients) -> float:
-    """Max-norm gap between main and embedded solutions after one step."""
+    """Max-norm gap between main and embedded solutions after one step.
+
+    h must be finite and positive, as for integrate_fixed.
+    """
+    _check_stepsize(h)
     _, _, y_next, y_emb, _ = _stages(problem, problem.y0, h, scheme, embedded,
                                      RunStatistics())
     return float(np.max(np.abs(_as_array(y_next) - _as_array(y_emb))))

@@ -20,6 +20,7 @@ from asode.linalg import DiagonalMatrix
 from asode import linalg, stepper
 from asode.problems import Tolerances, builtin
 from asode.stepper import (
+    ORDER_STUDY_MAX_STEPS,
     ControllerConfig,
     RunStatistics,
     _stages,
@@ -620,6 +621,22 @@ class TestFixedStepOrder:
         # divided by zero, and NaN failed inside round()
         with pytest.raises(ValueError, match="finite and positive"):
             integrate_fixed(builtin("smooth"), h, SCHEME, EMBEDDED)
+
+    @pytest.mark.parametrize("h", [-0.5, 0.0, math.nan, math.inf])
+    def test_embedded_difference_rejects_bad_stepsize(self, h):
+        # on powerlaw -0.5 gave 3.9e7, 0 gave 0.0, and NaN and inf a
+        # SingularMatrix
+        with pytest.raises(ValueError, match="finite and positive"):
+            embedded_difference(builtin("powerlaw"), h, SCHEME, EMBEDDED)
+
+    def test_step_count_bound(self):
+        # h = 1e-300 used to step without end; the first h here ran
+        # 100 001 steps and returned
+        prob = builtin("powerlaw")
+        span = prob.t_end - prob.t0
+        for h in (span / (ORDER_STUDY_MAX_STEPS + 1), 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="more than 100000 steps"):
+                integrate_fixed(prob, h, SCHEME, EMBEDDED)
 
     def test_third_order_with_builtin_linear_part(self):
         prob = builtin("smooth")
