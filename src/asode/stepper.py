@@ -226,6 +226,10 @@ def stability_estimate(y, u6, k1, k6) -> float:
     stability information).  k1, u6 and k6 are arrays, or lists of
     floats on the float path, where y may still be an array.
     """
+    if not len(y) == len(u6) == len(k1) == len(k6):
+        # zip would silently drop, and numpy broadcast, the extra components
+        raise DimensionMismatch(f"lengths {len(y)}, {len(u6)}, {len(k1)} "
+                                f"and {len(k6)} differ")
     if type(k1) is list:
         return _stability_estimate_floats(y, u6, k1, k6)
     den = np.abs(u6 - y)

@@ -169,6 +169,20 @@ class TestProbeKernel:
             v_f, v_a = probe_both(y, u6, k1, k6)
             assert same_bits(v_f, v_a), (y, u6, k1, k6)
 
+    @pytest.mark.parametrize("y, u6, k1, k6", [
+        # unchecked, lists gave 2.0 on each, and arrays 2.0 or numpy's
+        # broadcast ValueError
+        ([1.0, 2.0], [1.5, 2.5, 9.0], [0.0] * 3, [1.0, 1.0, 5.0]),
+        ([1.0], [1.5, 2.5], [0.0, 0.0], [1.0, 1.0]),
+        ([1.0, 2.0], [1.5, 2.5], [0.0, 0.0], [1.0]),
+    ])
+    def test_length_mismatch_raises(self, y, u6, k1, k6):
+        # lists would zip away, and arrays broadcast, the extra components
+        with pytest.raises(DimensionMismatch):
+            stability_estimate(array(y), floats(u6), floats(k1), floats(k6))
+        with pytest.raises(DimensionMismatch):
+            stability_estimate(array(y), array(u6), array(k1), array(k6))
+
 
 class TestErrorNormKernel:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
