@@ -65,6 +65,13 @@ def _conv_positive_float(text: str) -> float:
     return val
 
 
+def _conv_tolerance(text: str) -> float:
+    val = _conv_positive_float(text)
+    if val == math.inf:
+        raise ConfigError(f"tolerances must be finite, got {text!r}")
+    return val
+
+
 def _conv_positive_int(text: str) -> int:
     try:
         val = int(text)
@@ -94,7 +101,7 @@ def _conv_which(text: str) -> str:
 _SOLVE_SCHEMA = {
     "problem": (str, None),
     "method": (_conv_method, "asode3"),
-    "tol": (_conv_positive_float, 1e-4),
+    "tol": (_conv_tolerance, 1e-4),
     "tol_file": (str, None),
     "h0": (_conv_positive_float, None),
     "t_end": (_conv_float, None),
@@ -106,7 +113,7 @@ _BENCH_SCHEMA = {
 _ORDER_SCHEMA = {
     "problem": (str, "powerlaw"),
     "h0": (_conv_positive_float, 0.02),
-    "ref_tol": (_conv_positive_float, 1e-10),
+    "ref_tol": (_conv_tolerance, 1e-10),
 }
 _REGION_SCHEMA = {
     "x_min": (_conv_finite_float, -3.0),
@@ -118,6 +125,9 @@ _REGION_SCHEMA = {
     "which": (_conv_which, "main"),
     "out": (str, None),
 }
+# most grid points stability-region evaluates, x_points * z_points; the
+# default grid has 71 * 121 = 8591, and a point costs about 25 us
+REGION_MAX_POINTS = 1_000_000
 _COEFFS_SCHEMA = {
     "a": (_conv_float, DEFAULT_A),
     "csv": (str, None),
@@ -286,8 +296,7 @@ def cmd_order_study(args: argparse.Namespace) -> int:
         study = benchmark.order_study(cfg["problem"], cfg["h0"],
                                       cfg["ref_tol"])
     except ValueError as exc:
-        # an h0 too large or too small for the span, or a non-finite
-        # reference tolerance
+        # an h0 too large or too small for the span
         raise ConfigError(str(exc)) from None
     methods = tuple(study.errors)
     print(f"problem: {study.problem}")
@@ -308,6 +317,10 @@ def cmd_stability_region(args: argparse.Namespace) -> int:
         raise ConfigError("x_min must not exceed x_max")
     if not cfg["z_min"] <= cfg["z_max"]:
         raise ConfigError("z_min must not exceed z_max")
+    points = cfg["x_points"] * cfg["z_points"]
+    if points > REGION_MAX_POINTS:
+        raise ConfigError(f"x_points * z_points = {points} exceeds the "
+                          f"grid bound {REGION_MAX_POINTS}")
     xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_points"])
     zs = np.linspace(cfg["z_min"], cfg["z_max"], cfg["z_points"])
     grid = stability_region_scan(xs, zs, cfg["which"])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -71,9 +71,12 @@ class SplitProblem:
 
     phi and g map a state vector to an N-vector; jac maps a state to the
     Jacobian approximation B used for the stage matrix.  full is the
-    unsplit right-hand side (phi + g combined into one call); exact, when
-    present, is the closed-form solution t -> y used as an order-study
-    reference.
+    unsplit right-hand side (phi + g combined into one call): it takes a
+    sequence of n floats and returns a sequence of n numbers, and
+    receives a tuple on the stepper's float path and in the comparators,
+    an array on the numpy path.  jac receives an array on both paths.
+    exact, when present, is the closed-form solution t -> y used as an
+    order-study reference.
     """
 
     name: str
@@ -81,7 +84,7 @@ class SplitProblem:
     phi: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], JacobianApprox]
-    full: Callable[[np.ndarray], np.ndarray]
+    full: Callable[[Sequence[float]], Sequence[float]]
     y0: np.ndarray
     t0: float
     t_end: float

@@ -16,13 +16,17 @@ tableau: every component is a local, zero coefficients are left out, and
 each sum runs in the loop's order from the loop's start value, so the
 results are bit-identical to the loop's.  It is compiled and registered
 with linecache by the helper that also builds the additive stepper's
-generated stages (stepper._compile_generated).  On the three-component
-kinetics problems that cuts the cost of a step to between a quarter and a
-third.  The generated source grows with the dimension: at 64 components
-(the benchmark's BRUSS N = 32) generating the steps of both tableaus took
-about 90 ms and raised peak memory by about 9.5 MB, against 1.5 MB at 16.
-So larger states run the generic loop over the tableau, which the tests
-also use as the reference.
+generated stages (stepper._compile_generated), and it calls the
+right-hand side through the emitter those stages use too
+(stepper._emit_rhs_call): one call on a tuple, its return unpacked into
+locals.  A return that is not a sequence of n items raises
+DimensionMismatch in the generated step and in the loop alike.  On the
+three-component kinetics problems generating the step cuts its cost to
+between a quarter and a third.  The generated source grows with the
+dimension: at 64 components (the benchmark's BRUSS N = 32) generating
+the steps of both tableaus took about 90 ms and raised peak memory by
+about 9.5 MB, against 1.5 MB at 16.  So larger states run the generic
+loop over the tableau, which the tests also use as the reference.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .exceptions import (
-    DimensionMismatch,
     NonFiniteState,
     StepsizeUnderflow,
     ZeroToleranceDenominator,
@@ -46,6 +49,8 @@ from .stepper import (
     PROBE_SHARE_FLOOR,
     RunStatistics,
     _compile_generated,
+    _emit_rhs_call,
+    _wrong_length,
 )
 
 # rooted-tree order conditions up to order five: (order, weight, 1/density)
@@ -209,9 +214,15 @@ FEHLBERG45 = ExplicitTableau(
 TABLEAUS = {t.name: t for t in (MERSON, FEHLBERG45)}
 
 
-def _wrong_length(k, n: int) -> DimensionMismatch:
-    return DimensionMismatch(f"right-hand side returned {len(k)} components "
-                             f"for a state of {n}")
+def _n_items(k, n: int):
+    """k when it is a sequence of n items, else _wrong_length's error:
+    the rule the generated steps apply by unpacking."""
+    try:
+        if len(k) == n:
+            return k
+    except TypeError:
+        pass
+    raise _wrong_length(k, n)
 
 
 def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
@@ -244,7 +255,7 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
     States of at most SMALL_N components take the tableau's
     generated straight-line step for their dimension, larger ones the
     loop; both do the same arithmetic.  A right-hand side that returns
-    the wrong number of components raises DimensionMismatch.
+    anything but a sequence of n items raises DimensionMismatch.
     """
     n = len(y)
     if n > SMALL_N:
@@ -263,9 +274,7 @@ def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
     steps are tested against.
     """
     n = len(y)
-    ks = [f(y)]
-    if len(ks[0]) != n:
-        raise _wrong_length(ks[0], n)
+    ks = [_n_items(f(y), n)]
     probe_args = [list(y)]
     for i, row in enumerate(tableau.a[1:], start=1):
         u = list(y)
@@ -276,10 +285,7 @@ def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
                     u[m] += w * km
         if i <= 2:
             probe_args.append(u)
-        k = f(tuple(u))
-        if len(k) != n:
-            raise _wrong_length(k, n)
-        ks.append(k)
+        ks.append(_n_items(f(tuple(u)), n))
     y_next = list(y)
     for bi, k in zip(tableau.b, ks):
         if bi != 0.0:
@@ -348,17 +354,11 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
             emit(f"    {out}_{m} = " + " + ".join(
                 [start.format(m=m)] + [f"{w} * k{j}_{m}" for w, j in terms]))
 
-    def call(i, arg):
-        emit(f"    k = f({arg})")
-        emit("    try:")
-        emit(f"        {', '.join(f'k{i}_{m}' for m in comps)}, = k")
-        emit("    except ValueError:")
-        emit(f"        raise _wrong_length(k, {n}) from None")
-
-    call(0, "y")
+    _emit_rhs_call(emit, "f(y)", "k0", n)
     for i, row in enumerate(tableau.a[1:], start=1):
         combine(f"u{i}", "y_{m}", row)
-        call(i, "(" + "".join(f"u{i}_{m}, " for m in comps) + ")")
+        _emit_rhs_call(emit, "f((" + "".join(f"u{i}_{m}, " for m in comps)
+                       + "))", f"k{i}", n)
     combine("yn", "y_{m}", tableau.b)
     combine("e", "0.0", tableau.d)
 

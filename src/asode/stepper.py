@@ -46,10 +46,13 @@ object, so one function serves every scheme.  Every other B takes the
 numpy path, which is the reference the tests hold the float path to.
 The two give bit-identical results: each sum keeps numpy's association
 and order (zero weights included), the maxima let NaN win as np.max
-does, and the drift decay still calls np.exp.  The user's
-right-hand side and Jacobian provider receive arrays on both paths.  The
-controller (attempt_step, propose_next_h and the drift guard's pressure
-rule) is one copy that both paths share.
+does, and the drift decay still calls np.exp.  The user's right-hand
+side full takes a sequence of n floats and returns a sequence of n
+numbers: it receives a tuple of floats on the float path, as in the
+comparators, and an array on the numpy path.  The Jacobian provider
+receives an array on both paths.  The controller (attempt_step,
+propose_next_h and the drift guard's pressure rule) is one copy that
+both paths share.
 """
 
 from __future__ import annotations
@@ -179,7 +182,13 @@ def _nan_max(values) -> float:
 
 def _all_finite(x) -> bool:
     if type(x) is list:
-        return all(map(math.isfinite, x))
+        try:
+            return all(map(math.isfinite, x))
+        except TypeError:
+            # a float-path state holds what the right-hand side returned,
+            # combined with floats: an item that is no number came from it
+            raise DimensionMismatch("right-hand side returned components "
+                                    "that are not numbers") from None
     return bool(np.all(np.isfinite(x)))
 
 
@@ -293,6 +302,33 @@ def _rhs(full, u: np.ndarray) -> np.ndarray:
     return f
 
 
+def _wrong_length(k, n: int) -> DimensionMismatch:
+    """The error for a right-hand side that returned k, which is not a
+    sequence of n items, for a state of n components."""
+    try:
+        got = f"{len(k)} components"
+    except TypeError:
+        got = f"a {type(k).__name__}"
+    return DimensionMismatch(f"right-hand side returned {got} for a state "
+                             f"of {n}")
+
+
+def _emit_rhs_call(emit: Callable, call: str, out: str, n: int) -> None:
+    """Emit generated code that calls a right-hand side and unpacks it.
+
+    The lines are `k = call`, then k unpacked into the locals out_0, ...,
+    out_<n-1>.  A k that is not a sequence of n items raises
+    _wrong_length's DimensionMismatch, looked up in the generated
+    function's module.  The additive float stages and the comparator
+    steps both call their right-hand side through this.
+    """
+    emit(f"    k = {call}")
+    emit("    try:")
+    emit("        " + "".join(f"{out}_{m}, " for m in range(n)) + "= k")
+    emit("    except (TypeError, ValueError):")
+    emit(f"        raise _wrong_length(k, {n}) from None")
+
+
 def _stages(problem: SplitProblem, y, h: float,
             scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
             stats: RunStatistics) -> tuple:
@@ -312,8 +348,8 @@ def _stages(problem: SplitProblem, y, h: float,
     then lists; any other runs them on arrays.  y may be either.
     Raises SingularMatrix when the stage matrix cannot be factored and
     DimensionMismatch when B's size differs from the state's, the
-    right-hand side returns the wrong number of components or the
-    Jacobian provider returns neither matrix type.
+    right-hand side returns anything but a sequence of n components or
+    the Jacobian provider returns neither matrix type.
     """
     y_arr = np.array(y) if type(y) is list else y
     B = problem.jac(y_arr)
@@ -331,7 +367,7 @@ def _stages(problem: SplitProblem, y, h: float,
     if fact.b_floats is not None:
         return _float_stages(n)(
             full, fact.solve, fact.b_floats,
-            y if type(y) is list else y_arr.tolist(), y_arr, h,
+            y if type(y) is list else y_arr.tolist(), h,
             scheme.stage_weights(), embedded.stage_weights(), fact.b_diag)
     y = y_arr
     (_, a42, a43, b42, b43, gamma, b63, b64, b65,
@@ -371,8 +407,9 @@ def _float_stages_source(n: int, name: str) -> str:
     r from EmbeddedCoefficients.stage_weights), so one function serves
     every scheme, and so do the factorization's solve, B's diagonal as
     floats (b) and as the array the attempt reports (b_diag): _stages has
-    factored D and counted the work.  _rhs and np are looked up in this
-    module at call time; the stage solves go through solve as lists.
+    factored D and counted the work.  full is called on a tuple of the
+    stage argument's components, and its return unpacked into locals
+    (_emit_rhs_call); the stage solves go through solve as lists.
     """
     comps = range(n)
 
@@ -380,7 +417,7 @@ def _float_stages_source(n: int, name: str) -> str:
         # "x_0, x_1, ..., " with fmt formatted for every component
         return "".join(fmt.format(m=m) + ", " for m in comps)
 
-    lines = [f"def {name}(full, solve, b, y, y_arr, h, w, r, b_diag):",
+    lines = [f"def {name}(full, solve, b, y, h, w, r, b_diag):",
              "    (_, a42, a43, b42, b43, gamma, b63, b64, b65,",
              "     p1, p2, p3, p4, p5, p6) = w",
              "    r1, r2, r3, r4, r5 = r",
@@ -391,30 +428,29 @@ def _float_stages_source(n: int, name: str) -> str:
     def per_component(fmt: str) -> None:
         lines.extend("    " + fmt.format(m=m) for m in comps)
 
-    emit(f"    {each('f_{m}')}= _rhs(full, y_arr).tolist()")
+    _emit_rhs_call(emit, f"full(({each('y_{m}')}))", "f", n)
     per_component("k1_{m} = h * (f_{m} - b_{m} * y_{m})")
     emit(f"    k2 = solve([{each('h * f_{m}')}])")
     emit(f"    {each('k2_{m}')}= k2")
     emit(f"    {each('k3_{m}')}= solve(k2)")
     per_component("u_{m} = y_{m} + b42 * k2_{m} + b43 * k3_{m}")
     per_component("w_{m} = y_{m} + a42 * k2_{m} + a43 * k3_{m}")
-    emit(f"    {each('f_{m}')}= _rhs(full, np.array([{each('u_{m}')}]))"
-         ".tolist()")
+    _emit_rhs_call(emit, f"full(({each('u_{m}')}))", "f", n)
     emit("    k4 = solve([")
     per_component("    h * f_{m} + h * (b_{m} * (w_{m} - u_{m})),")
     emit("    ])")
     emit(f"    {each('k4_{m}')}= k4")
     emit(f"    {each('k5_{m}')}= solve([{each('k4_{m} + gamma * k3_{m}')}])")
     per_component("u6_{m} = y_{m} + b63 * k3_{m} + b64 * k4_{m} + b65 * k5_{m}")
-    emit(f"    u6 = [{each('u6_{m}')}]")
-    emit(f"    {each('f_{m}')}= _rhs(full, np.array(u6)).tolist()")
+    _emit_rhs_call(emit, f"full(({each('u6_{m}')}))", "f", n)
     per_component("k6_{m} = h * (f_{m} - b_{m} * u6_{m})")
     emit(f"    {each('e5_{m}')}= solve(k4)")
     per_component("yn_{m} = (y_{m} + p1 * k1_{m} + p2 * k2_{m} + p3 * k3_{m}"
                   " + p4 * k4_{m} + p5 * k5_{m} + p6 * k6_{m})")
     per_component("ye_{m} = (y_{m} + r1 * k1_{m} + r2 * k2_{m} + r3 * k3_{m}"
                   " + r4 * k4_{m} + r5 * e5_{m})")
-    emit(f"    return ((u6, [{each('k6_{m}')}]), [{each('k1_{m}')}],")
+    emit(f"    return (([{each('u6_{m}')}], [{each('k6_{m}')}]), "
+         f"[{each('k1_{m}')}],")
     emit(f"            [{each('yn_{m}')}], [{each('ye_{m}')}], b_diag)")
     return "\n".join(lines) + "\n"
 

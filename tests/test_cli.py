@@ -321,6 +321,28 @@ class TestOrderStudyCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message)
 
+    @pytest.mark.parametrize("problem", ["powerlaw", "example1"])
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "tolerances must be finite"),
+        ("nan", "expected a positive number"),
+        ("0", "expected a positive number"),
+    ])
+    def test_bad_ref_tol_exits_one(self, problem, value, message, tmp_path,
+                                   capsys):
+        # one check in the converter, whether the problem needs a
+        # reference run or not: powerlaw has a closed form, and its study
+        # used to ignore an infinite value and exit 0
+        assert main(["order-study", "--problem", problem,
+                     "--ref-tol", value]) == 1
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"ref_tol = {value}\n")
+        assert main(["order-study", "--problem", problem,
+                     "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {message}, got {value!r}"] * 2
+
 
 class TestStabilityRegionCommand:
     def test_csv_grid_round_trip(self, tmp_path, capsys):
@@ -369,6 +391,27 @@ class TestStabilityRegionCommand:
         assert main(["stability-region", "--x-min", "1",
                      "--x-max", "0"]) == 1
         assert "x_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x_points, z_points", [
+        ("100000000", "100000000"), ("1001", "1000"), ("1", "1000001"),
+    ])
+    def test_grid_beyond_the_bound_exits_one(self, x_points, z_points,
+                                             monkeypatch, capsys):
+        # the first grid used to end in numpy's _ArrayMemoryError; the
+        # bound is checked before any grid array is made
+        assert int(x_points) * int(z_points) > cli.REGION_MAX_POINTS
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid array was made")
+
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        assert main(["stability-region", "--x-points", x_points,
+                     "--z-points", z_points]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: x_points * z_points = {int(x_points) * int(z_points)} "
+            f"exceeds the grid bound {cli.REGION_MAX_POINTS}"]
 
     @pytest.mark.parametrize("key", ["x_min", "x_max", "z_min", "z_max"])
     def test_non_finite_bound_exits_one(self, key, tmp_path, capsys):

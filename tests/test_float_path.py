@@ -259,13 +259,26 @@ class TestDriftKernel:
 
 
 def diagonal_problem(rates, b_values, y0):
-    """y' = rates*y + y^2/10 - 0.3 with a diagonal B of b_values."""
+    """y' = rates*y + y^2/10 - 0.3 with a diagonal B of b_values.
+
+    full checks the argument type of the path its B takes (linalg.SMALL_N
+    is read at call time, so force_numpy_path applies): a tuple of Python
+    floats on the float path, an array on the numpy path.  It returns a
+    list of Python floats on the first and an array on the second, so the
+    float path's stage arguments stay Python floats.
+    """
     rates = np.asarray(rates, dtype=float)
     B = DiagonalMatrix(np.asarray(b_values, dtype=float))
 
-    def full(y):
-        assert isinstance(y, np.ndarray)
+    def field(y):
         return rates * y + 0.1 * y * y - 0.3
+
+    def full(y):
+        if len(y) <= linalg.SMALL_N:
+            assert type(y) is tuple and all(type(x) is float for x in y)
+            return field(np.array(y)).tolist()
+        assert isinstance(y, np.ndarray)
+        return field(y)
 
     return split_problem("diag", full, lambda y: B, y0, 0.01)
 
@@ -311,6 +324,21 @@ class TestStagesKernel:
             stages_both(problem, y, h, monkeypatch)
             # the state may arrive as a list too, as it does mid-run
             stages_both(problem, y.tolist(), h, monkeypatch)
+
+    def test_any_sequence_of_numbers_is_taken(self, monkeypatch):
+        # full may return numpy floats, ints or an array on the float
+        # path; the stages then mix them with Python floats, bit for bit
+        rng = np.random.default_rng(17)
+        for kind in (np.asarray, list, lambda f: [round(x) for x in f]):
+            for _ in range(20):
+                n = int(rng.integers(1, linalg.SMALL_N + 1))
+                rates = -np.abs(rng.normal(size=n)) * 50.0
+                problem = dataclasses.replace(
+                    diagonal_problem(rates, -np.abs(rng.normal(size=n)),
+                                     rng.normal(size=n)),
+                    full=lambda y, r=rates: kind(r * np.asarray(y)))
+                stages_both(problem, rng.normal(size=n).tolist(),
+                            float(10.0 ** rng.uniform(-4, -1)), monkeypatch)
 
     def test_zero_weight_is_multiplied(self, monkeypatch):
         # r1 = 0, and numpy still multiplies it: here y_emb is
@@ -390,7 +418,7 @@ class TestStagesKernel:
             calls.append(y)
             if len(calls) == 2:
                 raise RuntimeError("right-hand side failed")
-            return -y
+            return tuple(-x for x in y)
 
         problem = dataclasses.replace(problem, full=full)
         with pytest.raises(RuntimeError) as info:
@@ -400,7 +428,7 @@ class TestStagesKernel:
         generated = [frame for frame in traceback.extract_tb(info.tb)
                      if frame.filename == code.co_filename]
         assert len(generated) == 1
-        assert generated[0].line.startswith("f_0, f_1, f_2, = _rhs(full, ")
+        assert generated[0].line == "k = full((u_0, u_1, u_2, ))"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_stages(self, monkeypatch):

@@ -304,6 +304,19 @@ class TestGeneratedStep:
             _rk_step_full(MERSON, f, (1.0,) * n, 0.1)
         assert len(calls) == bad_call + 1
 
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("n", [1, 20], ids=["generated", "loop"])
+    @pytest.mark.parametrize("value, kind", [(-1.0, "float"),
+                                             (None, "NoneType")])
+    def test_rhs_returning_no_sequence_raises(self, tab, n, value, kind):
+        # both steps raised a bare TypeError: the generated one from
+        # unpacking a float or None, the loop from len()
+        with pytest.raises(DimensionMismatch,
+                           match=f"returned a {kind} for a state of {n}"):
+            rk_integrate(tab, lambda y: value, (1.0,) * n, (0.0, 1.0),
+                         Tolerances.uniform(1e-4, n), 1e-3)
+
 
 class TestRkIntegrate:
     def test_linear_decay_lands_within_five_tol(self):

@@ -44,7 +44,7 @@ def scalar_problem(lam, b, name="scalar", t_end=1.0, h0=1e-3):
     B = DiagonalMatrix(np.array([float(b)]))
 
     def full(y):
-        return lam * y
+        return lam * np.asarray(y)
 
     return split_problem(name, full, lambda y: B, [1.0], h0, t_end=t_end)
 
@@ -110,7 +110,7 @@ class TestStabilityEstimate:
         lam = -37.0
 
         def field(y):
-            return lam * y
+            return lam * np.asarray(y)
 
         v = self.probe(field, np.array([2.0]), 0.05)
         assert v == pytest.approx(abs(lam) * 0.05, rel=1e-12)
@@ -402,10 +402,49 @@ class TestIntegrate:
         B = DiagonalMatrix(np.full(3, -1.0))
 
         def full(y):
-            return np.resize(-y, length)
+            return np.resize(-np.asarray(y), length)
 
         prob = split_problem("short", full, lambda y: B, [1.0, 2.0, 3.0],
                              0.1)
+        with pytest.raises(DimensionMismatch, match="right-hand side"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
+
+    @pytest.mark.parametrize("path", ["floats", "numpy"])
+    @pytest.mark.parametrize("bad_call", [0, 1, 2])
+    @pytest.mark.parametrize("value", [
+        (-1.0, -2.0), (-1.0, -2.0, -3.0, -4.0), -1.0, None,
+    ], ids=["short", "long", "float", "none"])
+    def test_rhs_returning_no_sequence_of_n_raises(self, value, bad_call,
+                                                    path, monkeypatch):
+        # each of the attempt's three calls is checked: the float path
+        # unpacks the return, the numpy path checks the array's shape
+        if path == "numpy":
+            monkeypatch.setattr(linalg, "SMALL_N", 0)
+        B = DiagonalMatrix(np.full(3, -1.0))
+        calls = []
+
+        def full(y):
+            calls.append(y)
+            if len(calls) == bad_call + 1:
+                return value
+            return tuple(-x for x in y)
+
+        prob = split_problem("bad-rhs", full, lambda y: B, [1.0, 2.0, 3.0],
+                             0.1)
+        with pytest.raises(DimensionMismatch, match="right-hand side"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
+        assert len(calls) == bad_call + 1
+
+    @pytest.mark.parametrize("path", ["floats", "numpy"])
+    def test_rhs_returning_a_column_raises(self, path, monkeypatch):
+        # an (n, 1) array unpacks into n arrays on the float path, and
+        # the stages' arithmetic takes them; the state they make is
+        # refused, as the numpy path refuses the shape
+        if path == "numpy":
+            monkeypatch.setattr(linalg, "SMALL_N", 0)
+        B = DiagonalMatrix(np.full(3, -1.0))
+        prob = split_problem("column", lambda y: -np.asarray(y).reshape(3, 1),
+                             lambda y: B, [1.0, 2.0, 3.0], 0.1)
         with pytest.raises(DimensionMismatch, match="right-hand side"):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
 

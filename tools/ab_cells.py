@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Time the additive kinetics cells of two source trees against each other.
+
+Usage, from anywhere:
+
+    python3 tools/ab_cells.py TREE_A TREE_B [--rounds N]
+
+TREE_A and TREE_B are roots of source trees (each with src/asode).  One
+process imports both packages, under the names asode_a and asode_b, and
+runs the 14 additive cells of the benchmark's kinetics workload
+(example1-4 x tol 1e-2/1e-4 x asode3/asode3-nocontrol, without example2
+at 1e-4) at the built-in initial states.  Each round runs every cell once
+per tree, the two trees back to back, and swaps which goes first from
+round to round.  Time is process CPU time (time.process_time).  A warm-up
+round, untimed, runs first, so code generated on first use is not timed.
+
+Every run of a cell must end at the same t and state, bit for bit, with
+the same work counters, in both trees; a difference stops the tool with
+exit 1.  It prints, per cell and for the sum of all cells, the median
+over the rounds of time(B) / time(A) and its range.  Passing the same
+tree twice (an A/A run) shows the noise of the host.
+
+This is a quick paired check of the additive solver's own time.  It does
+not replace the benchmark under perfbench/, which times whole passes in
+separate processes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import statistics
+import sys
+import time
+
+PROBLEMS = ("example1", "example2", "example3", "example4")
+TOLS = (1e-2, 1e-4)
+METHODS = ("asode3", "asode3-nocontrol")
+# the kinetics workload leaves this cell out of its additive solves
+SKIP = (("example2", 1e-4),)
+CELLS = [(p, tol, m) for p in PROBLEMS for tol in TOLS for m in METHODS
+         if (p, tol) not in SKIP]
+
+
+def load(tree: str, name: str):
+    """The package under tree/src/asode, imported as the module name."""
+    pkg_dir = os.path.join(os.path.abspath(tree), "src", "asode")
+    init = os.path.join(pkg_dir, "__init__.py")
+    if not os.path.isfile(init):
+        sys.exit(f"{tree}: no src/asode/__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[pkg_dir])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Tree:
+    """One package and the inputs of every cell, built once."""
+
+    def __init__(self, pkg):
+        self.pkg = pkg
+        scheme = pkg.derive_scheme()
+        self.scheme = scheme
+        self.embedded = pkg.derive_embedded(scheme)
+        self.inputs = {}
+        for problem, tol, method in CELLS:
+            p = pkg.builtin(problem)
+            self.inputs[problem, tol, method] = (
+                p, pkg.Tolerances.uniform(tol, p.n),
+                pkg.ControllerConfig(stability_control=method == "asode3"))
+
+    def run(self, cell) -> tuple:
+        """(CPU seconds, (t, final state, counters)) of one solve."""
+        problem, tol, cfg = self.inputs[cell]
+        start = time.process_time()
+        res = self.pkg.integrate(problem, self.scheme, self.embedded, tol,
+                                 cfg)
+        elapsed = time.process_time() - start
+        # repr tells -0.0 from 0.0 and matches NaN with NaN
+        return elapsed, (repr(res.t), repr(res.y.tolist()),
+                         res.stats.as_dict())
+
+
+def spread(values) -> str:
+    return (f"{statistics.median(values):.3f} "
+            f"({min(values):.3f}-{max(values):.3f})")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree_a")
+    parser.add_argument("tree_b")
+    parser.add_argument("--rounds", type=int, default=9)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    trees = (Tree(load(args.tree_a, "asode_a")),
+             Tree(load(args.tree_b, "asode_b")))
+
+    for cell in CELLS:
+        for tree in trees:
+            tree.run(cell)
+    times = {cell: ([], []) for cell in CELLS}
+    for r in range(args.rounds):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        for cell in CELLS:
+            results = {}
+            for i in order:
+                elapsed, results[i] = trees[i].run(cell)
+                times[cell][i].append(elapsed)
+            if results[0] != results[1]:
+                print(f"{cell}: the trees' results differ:\n"
+                      f"  A {results[0]}\n  B {results[1]}", file=sys.stderr)
+                return 1
+
+    print(f"{args.rounds} rounds; B/A of CPU time, median (range)")
+    for cell, (a, b) in times.items():
+        problem, tol, method = cell
+        label = f"{problem}@{tol:g}/{method}"
+        print(f"{label:<32} {spread([y / x for x, y in zip(a, b)])}")
+    sum_a = [sum(times[c][0][r] for c in CELLS) for r in range(args.rounds)]
+    sum_b = [sum(times[c][1][r] for c in CELLS) for r in range(args.rounds)]
+    print(f"{'sum':<32} {spread([y / x for x, y in zip(sum_a, sum_b)])}")
+    print(f"summed seconds per round: A {statistics.median(sum_a):.3f}, "
+          f"B {statistics.median(sum_b):.3f} (medians)")
+    print("final states and counters identical in every cell and round")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
