@@ -239,7 +239,8 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
     slopes are fitted against those steps; an h0 so large that two rungs
     take the same number of steps, or so small that the finest rung
     would take more than ORDER_STUDY_MAX_STEPS, raises ValueError before
-    any solve.
+    any solve, and so does a ref_tol that is not finite and positive,
+    whether or not the problem needs the reference run.
 
     Measures three ladders against a reference final state: the additive
     scheme's fixed-step global error, the one-step gap between its main
@@ -249,6 +250,9 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
     ref_tol; if that run fails there is nothing to measure against and
     ReferenceUnavailable is raised.
     """
+    if not 0.0 < ref_tol < math.inf:
+        raise ValueError(f"ref_tol must be finite and positive, got "
+                         f"{ref_tol!r}")
     p = builtin(problem_name)
     span = p.t_end - p.t0
     # the finest rung's step count before rounding; where h0/8 would

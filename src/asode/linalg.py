@@ -26,16 +26,18 @@ A DiagonalMatrix of at most SMALL_N entries is checked and inverted on
 Python floats rather than numpy arrays: on a handful of components
 numpy's cost per call is many times the arithmetic.  The checks are the
 same (non-finite entries are singular, the scale is max(1, max|d|), the
-pivot floor applies) and so are the reciprocals, bit for bit.  Its
-factorization solves a list of floats into a list and an array into an
-array, and keeps B's diagonal floats as b_floats.  factor is the one
-place that applies this rule: the additive stepper runs an attempt on
-floats exactly when its factorization carries b_floats.
+pivot floor applies) and so are the reciprocals, bit for bit.  It has
+its own factorization class, whose solve multiplies a list of floats by
+the reciprocals in one map (an array still gives an array), and which
+keeps B's diagonal floats as b_floats.  factor is the one place that
+applies this rule: the additive stepper runs an attempt on floats
+exactly when its factorization carries b_floats.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -142,11 +144,24 @@ class Factorization:
 
 
 class _DiagonalFactorization(Factorization):
-    """Reciprocals of D's diagonal: an array, or a list for a small B,
-    whose diagonal floats it then keeps as b_floats."""
+    """Reciprocals of D's diagonal, an array."""
 
-    def __init__(self, reciprocals, B: DiagonalMatrix,
-                 b_floats: list | None = None):
+    def __init__(self, reciprocals: np.ndarray, B: DiagonalMatrix):
+        self._recip = reciprocals
+        self.b_matvec = B.matvec
+        self.b_diag = B.values
+        self.dim = len(reciprocals)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._recip * self._checked(rhs)
+
+
+class _SmallDiagonalFactorization(Factorization):
+    """Reciprocals of a small D's diagonal as Python floats, and B's
+    diagonal floats as b_floats."""
+
+    def __init__(self, reciprocals: list, B: DiagonalMatrix,
+                 b_floats: list):
         self._recip = reciprocals
         self.b_matvec = B.matvec
         self.b_diag = B.values
@@ -154,13 +169,13 @@ class _DiagonalFactorization(Factorization):
         self.dim = len(reciprocals)
 
     def solve(self, rhs):
-        recip = self._recip
-        if type(rhs) is list and type(recip) is list:
-            if len(rhs) != self.dim:
-                raise DimensionMismatch(
-                    f"rhs length {len(rhs)} != {self.dim}")
-            return [r * x for r, x in zip(recip, rhs)]
-        return np.asarray(recip) * self._checked(rhs)
+        """rhs, a list of dim numbers, solved into a list; an array rhs
+        gives an array."""
+        if type(rhs) is not list:
+            return np.asarray(self._recip) * self._checked(rhs)
+        if len(rhs) != self.dim:
+            raise DimensionMismatch(f"rhs length {len(rhs)} != {self.dim}")
+        return list(map(operator.mul, self._recip, rhs))
 
 
 class _DenseFactorization(Factorization):
@@ -255,7 +270,7 @@ def _factor_banded(values: np.ndarray, kl: int, ku: int,
 
 
 def _factor_diagonal_floats(B: DiagonalMatrix,
-                            a_times_h: float) -> _DiagonalFactorization:
+                            a_times_h: float) -> _SmallDiagonalFactorization:
     """factor's diagonal branch on Python floats, with the same checks."""
     values = B.values.tolist()
     a_times_h = float(a_times_h)
@@ -266,7 +281,7 @@ def _factor_diagonal_floats(B: DiagonalMatrix,
     if min(map(abs, d)) < PIVOT_FLOOR * scale:
         raise SingularMatrix(
             f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
-    return _DiagonalFactorization([1.0 / x for x in d], B, values)
+    return _SmallDiagonalFactorization([1.0 / x for x in d], B, values)
 
 
 def factor(B: JacobianApprox, a_times_h: float) -> Factorization:

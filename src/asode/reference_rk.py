@@ -20,7 +20,11 @@ generated stages (stepper._compile_generated), and it calls the
 right-hand side through the emitter those stages use too
 (stepper._emit_rhs_call): one call on a tuple, its return unpacked into
 locals.  A return that is not a sequence of n items raises
-DimensionMismatch in the generated step and in the loop alike.  On the
+DimensionMismatch in the generated step and in the loop alike.  The step
+also measures itself: it returns rk_integrate's scaled error norm along
+with the new state, the error estimate and the stability estimate, and
+a state whose items are not numbers (an (n, 1) column from the
+right-hand side) raises DimensionMismatch there too.  On the
 three-component kinetics problems generating the step cuts its cost to
 between a quarter and a third.  The generated source grows with the
 dimension: at 64 components (the benchmark's BRUSS N = 32) generating
@@ -37,11 +41,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import (
-    NonFiniteState,
-    StepsizeUnderflow,
-    ZeroToleranceDenominator,
-)
+from .exceptions import NonFiniteState, StepsizeUnderflow
 from .linalg import SMALL_N
 from .problems import Tolerances
 from .stepper import (
@@ -50,7 +50,9 @@ from .stepper import (
     RunStatistics,
     _compile_generated,
     _emit_rhs_call,
+    _not_numbers,
     _wrong_length,
+    _zero_denominator,
 )
 
 # rooted-tree order conditions up to order five: (order, weight, 1/density)
@@ -225,9 +227,38 @@ def _n_items(k, n: int):
     raise _wrong_length(k, n)
 
 
+def _scaled_error(y_next, est, atol, rtol) -> float:
+    """max_i |est_i| / (atol_i + rtol_i*|y_next_i|), or inf from the first
+    component of y_next that is not finite.
+
+    A zero denominator before that raises ZeroToleranceDenominator, and
+    an item that is no number DimensionMismatch.  The loop computes it
+    with this, and so does the generated step when its straight-line
+    fast path (every y_next_i a finite number) does not apply.
+    """
+    err = 0.0
+    try:
+        for yn, e, at, rt in zip(y_next, est, atol, rtol):
+            if not math.isfinite(yn):
+                return math.inf
+            den = at + rt * abs(yn)
+            if den == 0.0:
+                raise _zero_denominator()
+            q = abs(e) / den
+            if q > err:
+                err = q
+    except TypeError:
+        raise _not_numbers() from None
+    return err
+
+
 def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
-                  h: float) -> tuple:
-    """One explicit step; returns (y_next, error_estimate, v).
+                  h: float, atol: Sequence[float],
+                  rtol: Sequence[float]) -> tuple:
+    """One explicit step; returns (y_next, error_estimate, v, err).
+
+    err is the step's scaled error norm against the tolerances atol and
+    rtol (_scaled_error), which rk_integrate accepts at err <= 1.
 
     v estimates h times the dominant local eigenvalue from the three
     stage arguments nearest the step's start, as h times the largest
@@ -255,19 +286,20 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
     States of at most SMALL_N components take the tableau's
     generated straight-line step for their dimension, larger ones the
     loop; both do the same arithmetic.  A right-hand side that returns
-    anything but a sequence of n items raises DimensionMismatch.
+    anything but a sequence of n numbers raises DimensionMismatch.
     """
     n = len(y)
     if n > SMALL_N:
-        return _rk_step_loop(tableau, f, y, h)
+        return _rk_step_loop(tableau, f, y, h, atol, rtol)
     step = tableau._steps.get(n)
     if step is None:
         step = tableau._steps[n] = _generate_step(tableau, n)
-    return step(f, y, h)
+    return step(f, y, h, atol, rtol)
 
 
 def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
-                  h: float) -> tuple:
+                  h: float, atol: Sequence[float],
+                  rtol: Sequence[float]) -> tuple:
     """_rk_step_full as a loop over the tableau, for any state dimension.
 
     This is the path for large states and the reference the generated
@@ -298,6 +330,7 @@ def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
             w = h * di
             for m, km in enumerate(k):
                 est[m] += w * km
+    err = _scaled_error(y_next, est, atol, rtol)
     g0, g1, g2 = probe_args
     k0, k1, k2 = ks[0], ks[1], ks[2]
     rho = (tableau.c[2] - tableau.c[1]) / tableau.c[1]
@@ -322,7 +355,7 @@ def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
                 q = h * nums[m] / dm
                 if q > v:
                     v = q
-    return tuple(y_next), tuple(est), v
+    return tuple(y_next), tuple(est), v, err
 
 
 def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
@@ -331,11 +364,15 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
     Every component is a local (y_m, stage arguments u<i>_m, stage
     values k<i>_m), zero coefficients are left out, and each sum keeps
     the loop's start value and left-to-right order, so the results are
-    bit-identical.  The probe floors and math.isfinite are looked up in
-    this module at call time, as the loop does.
+    bit-identical.  The error norm runs straight through when every
+    component of the new state is a finite number; otherwise it is left
+    to _scaled_error, the loop's own, which finds the first component
+    that is not and raises or returns as the loop does.  The probe
+    floors and math.isfinite are looked up in this module at call time,
+    as the loop does.
     """
     comps = range(n)
-    lines = [f"def {name}(f, y, h):",
+    lines = [f"def {name}(f, y, h, atol, rtol):",
              f"    {', '.join(f'y_{m}' for m in comps)}, = y"]
     emit = lines.append
     weights = {}
@@ -361,6 +398,29 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
                        + "))", f"k{i}", n)
     combine("yn", "y_{m}", tableau.b)
     combine("e", "0.0", tableau.d)
+
+    yn = "".join(f"yn_{m}, " for m in comps)
+    e = "".join(f"e_{m}, " for m in comps)
+    emit("    isfinite = math.isfinite")
+    emit("    try:")
+    emit("        finite = (" + "\n                  and ".join(
+        f"isfinite(yn_{m})" for m in comps) + ")")
+    emit("    except TypeError:")
+    emit("        finite = False")
+    emit("    if finite:")
+    emit(f"        {''.join(f'at_{m}, ' for m in comps)}= atol")
+    emit(f"        {''.join(f'rt_{m}, ' for m in comps)}= rtol")
+    for m in comps:
+        emit(f"        den_{m} = at_{m} + rt_{m} * abs(yn_{m})")
+    emit("        if " + " or ".join(f"den_{m} == 0.0" for m in comps) + ":")
+    emit("            raise _zero_denominator()")
+    emit("        err = 0.0")
+    for m in comps:
+        emit(f"        q = abs(e_{m}) / den_{m}")
+        emit("        if q > err:")
+        emit("            err = q")
+    emit("    else:")
+    emit(f"        err = _scaled_error(({yn}), ({e}), atol, rtol)")
 
     rho = (tableau.c[2] - tableau.c[1]) / tableau.c[1]
     probes = (("u1_{m} - y_{m}", "k1_{m} - k0_{m}"),
@@ -392,8 +452,7 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
             emit(f"            q = h * n{p}_{m} / d{p}_{m}")
             emit("            if q > v:")
             emit("                v = q")
-    emit(f"    return ({''.join(f'yn_{m}, ' for m in comps)}), "
-         f"({''.join(f'e_{m}, ' for m in comps)}), v")
+    emit(f"    return ({yn}), ({e}), v, err")
     return "\n".join(lines) + "\n"
 
 
@@ -408,7 +467,9 @@ def _generate_step(tableau: ExplicitTableau, n: int) -> Callable:
 def rk_step(tableau: ExplicitTableau, f: Callable, y: tuple,
             h: float) -> tuple:
     """One explicit step; returns (y_next, error_estimate) as tuples."""
-    return _rk_step_full(tableau, f, y, h)[:2]
+    n = len(y)
+    # unit absolute tolerances: the step's error norm is not read here
+    return _rk_step_full(tableau, f, y, h, (1.0,) * n, (0.0,) * n)[:2]
 
 
 def rk_integrate(tableau: ExplicitTableau, f: Callable,
@@ -418,8 +479,9 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
                  collect_trace: bool = False) -> tuple:
     """Adaptive integration with accuracy and stability stepsize control.
 
-    The error norm matches the additive solver's: scaled maximum deviation
-    against atol_i + rtol_i*|y_i|.  Accuracy control is the classical
+    The error norm, which the step computes (_scaled_error), matches the
+    additive solver's: scaled maximum deviation against
+    atol_i + rtol_i*|y_i|.  Accuracy control is the classical
     halving/doubling ladder: a failed step is retried at h/2, and h
     doubles only when the error drops below 2^-(order_hat+2), a margin
     chosen so the doubled step still passes if the error model holds.
@@ -460,29 +522,16 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     s = tableau.stages
     double_below = 2.0 ** -(tableau.order_hat + 2)
     v_cap = 0.9 * tableau.stability_span
-    width = t_end - t
+    # the run ends within this distance of t_end
+    t_close = 1e-14 * max(abs(t_end - t), abs(t_end))
     just_rejected = False
     trace = [] if collect_trace else None
 
-    while t_end - t > 1e-14 * max(abs(width), abs(t_end)):
+    while t_end - t > t_close:
         if h >= (t_end - t) / 1.0001:
             h = t_end - t
-        y_next, est, v = _rk_step_full(tableau, f, y, h)
+        y_next, _, v, err = _rk_step_full(tableau, f, y, h, atol, rtol)
         stats.phi_evals += s
-
-        err = 0.0
-        for yn, e, at, rt in zip(y_next, est, atol, rtol):
-            if not math.isfinite(yn):
-                err = math.inf
-                break
-            den = at + rt * abs(yn)
-            if den == 0.0:
-                raise ZeroToleranceDenominator(
-                    "atol + rtol*|y| vanished for some component")
-            q = abs(e) / den
-            if q > err:
-                err = q
-
         h_stab = h * v_cap / v if v > 0.0 else math.inf
         if err <= 1.0:
             t += h

@@ -36,23 +36,26 @@ err <= 1; the guard only makes the controller aim lower.
 An attempt runs on one of two paths, chosen by linalg.factor when _stages
 factors the attempt's stage matrix.  A factorization made on Python
 floats (a small diagonal B) carries B's diagonal as floats and sends the
-attempt down the float path: the stages, the stability estimate, the
-error norm and the drift update work on Python floats, since on a
-handful of components numpy's cost per call dwarfs the arithmetic.  The
-float-path stages are a straight-line function generated on first use
-for each state dimension, with every component a local; the scheme
-weights are its arguments, taken as Python floats once per coefficient
-object, so one function serves every scheme.  Every other B takes the
-numpy path, which is the reference the tests hold the float path to.
-The two give bit-identical results: each sum keeps numpy's association
-and order (zero weights included), the maxima let NaN win as np.max
-does, and the drift decay still calls np.exp.  The user's right-hand
-side full takes a sequence of n floats and returns a sequence of n
-numbers: it receives a tuple of floats on the float path, as in the
+attempt down the float path, since on a handful of components numpy's
+cost per call dwarfs the arithmetic.  The float path is a straight-line
+function generated on first use for each state dimension, with every
+component a local.  It computes the stages, and from them, on the same
+locals, what the controller reads: the finiteness check, the error norm,
+the stability estimate on an accepted attempt and the drift guard's new
+sum and its scaled norm.  The scheme weights are its arguments, taken
+as Python floats once per coefficient object, so one function serves
+every scheme.  Every other B takes the numpy path, which computes the
+same quantities with error_norm, stability_estimate and _drift_update on
+arrays; it is the reference the tests hold the float path to.  The two
+give bit-identical results: each sum keeps numpy's association and order
+(zero weights included), the maxima let NaN win as np.max does, and the
+drift decay still calls np.exp on the array of B's diagonal.  The user's
+right-hand side full takes a sequence of n floats and returns a sequence
+of n numbers: it receives a tuple of floats on the float path, as in the
 comparators, and an array on the numpy path.  The Jacobian provider
 receives an array on both paths.  The controller (attempt_step,
-propose_next_h and the drift guard's pressure rule) is one copy that
-both paths share.
+propose_next_h, the drift guard's pressure rule and integrate) is one
+copy that both paths share.
 """
 
 from __future__ import annotations
@@ -146,12 +149,12 @@ class StepReport:
     h_used: float
     h_next: float
     retry_underflow: bool
-    # set on acceptance: the new state, its embedded companion (arrays, or
-    # lists of floats from the float path) and the stage matrix diagonal
-    # the drift guard decays by
+    # set on acceptance: the new state (an array, or a list of floats from
+    # the float path), the drift guard's sum with this step folded in and
+    # the pressure that sum puts on the next stepsize
     y_next: Optional[np.ndarray | list] = field(default=None)
-    y_emb: Optional[np.ndarray | list] = field(default=None)
-    b_diag: Optional[np.ndarray] = field(default=None)
+    drift: Optional[np.ndarray | list] = field(default=None)
+    next_pressure: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -169,15 +172,20 @@ class IntegrationResult:
     trace: Optional[list] = field(default=None)
 
 
-def _nan_max(values) -> float:
-    """Largest of values, or NaN when any is NaN, as np.max gives."""
-    top = -math.inf
-    for x in values:
-        if not x <= top:
-            if x != x:
-                return x
-            top = x
-    return top
+def _not_numbers() -> DimensionMismatch:
+    """The error for a state that holds items which are no numbers.
+
+    A float-path or comparator state holds what the right-hand side
+    returned, combined with floats, so such an item came from it (an
+    (n, 1) column gives one-element arrays, for instance).
+    """
+    return DimensionMismatch("right-hand side returned components that "
+                             "are not numbers")
+
+
+def _zero_denominator() -> ZeroToleranceDenominator:
+    return ZeroToleranceDenominator(
+        "atol + rtol*|y| vanished for some component")
 
 
 def _all_finite(x) -> bool:
@@ -185,10 +193,7 @@ def _all_finite(x) -> bool:
         try:
             return all(map(math.isfinite, x))
         except TypeError:
-            # a float-path state holds what the right-hand side returned,
-            # combined with floats: an item that is no number came from it
-            raise DimensionMismatch("right-hand side returned components "
-                                    "that are not numbers") from None
+            raise _not_numbers() from None
     return bool(np.all(np.isfinite(x)))
 
 
@@ -199,28 +204,18 @@ def _as_array(y) -> np.ndarray:
 def error_norm(y, y2, tol: Tolerances) -> float:
     """Scaled maximum deviation max_i |y_i - y2_i| / (atol_i + rtol_i*|y_i|).
 
-    y and y2 are arrays, or lists of floats on the float path.
+    y and y2 are arrays or sequences of floats, taken as arrays.  The
+    float path computes the same norm in its generated function.
     """
     if not len(y) == len(y2) == len(tol.atol):
-        # zip would silently drop, and numpy broadcast, the extra components
+        # numpy would broadcast the extra components
         raise DimensionMismatch(f"lengths {len(y)}, {len(y2)} and "
                                 f"{len(tol.atol)} tolerances differ")
-    if type(y) is list:
-        return _error_norm_floats(y, y2, tol)
+    y = np.asarray(y, dtype=float)
     den = tol.atol + tol.rtol * np.abs(y)
     if np.any(den == 0.0):
-        raise ZeroToleranceDenominator(
-            "atol + rtol*|y| vanished for some component")
-    return float(np.max(np.abs(y - y2) / den))
-
-
-def _error_norm_floats(y: list, y2: list, tol: Tolerances) -> float:
-    atol, rtol = tol.as_lists()
-    den = [a + r * abs(x) for a, r, x in zip(atol, rtol, y)]
-    if 0.0 in den:
-        raise ZeroToleranceDenominator(
-            "atol + rtol*|y| vanished for some component")
-    return _nan_max([abs(a - b) / d for a, b, d in zip(y, y2, den)])
+        raise _zero_denominator()
+    return float(np.max(np.abs(y - np.asarray(y2, dtype=float)) / den))
 
 
 def stability_estimate(y, u6, k1, k6) -> float:
@@ -232,37 +227,21 @@ def stability_estimate(y, u6, k1, k6) -> float:
     displacement |u6_i - y_i| falls below a floor -- either on the state
     scale, 1e-14*(1 + |y_i|), or relative to the largest displacement --
     are skipped; if all components are skipped the estimate is 0 (no
-    stability information).  k1, u6 and k6 are arrays, or lists of
-    floats on the float path, where y may still be an array.
+    stability information).  The four are arrays or sequences of floats,
+    taken as arrays.  The float path computes the same estimate in its
+    generated function.
     """
     if not len(y) == len(u6) == len(k1) == len(k6):
-        # zip would silently drop, and numpy broadcast, the extra components
+        # numpy would broadcast the extra components
         raise DimensionMismatch(f"lengths {len(y)}, {len(u6)}, {len(k1)} "
                                 f"and {len(k6)} differ")
-    if type(k1) is list:
-        return _stability_estimate_floats(y, u6, k1, k6)
+    y, u6, k1, k6 = (np.asarray(x, dtype=float) for x in (y, u6, k1, k6))
     den = np.abs(u6 - y)
     keep = den >= np.maximum(PROBE_SHARE_FLOOR * np.max(den),
                              PROBE_FLOOR * (1.0 + np.abs(y)))
     if not np.any(keep):
         return 0.0
     return float(np.max(np.abs(k6 - k1)[keep] / den[keep]))
-
-
-def _stability_estimate_floats(y, u6: list, k1: list, k6: list) -> float:
-    if type(y) is not list:
-        y = y.tolist()
-    den = [abs(u - x) for u, x in zip(u6, y)]
-    share = PROBE_SHARE_FLOOR * _nan_max(den)
-    # den >= max(share, floor) with NaN winning the max, as np.maximum
-    # has it: a comparison with NaN is false, so a NaN share keeps
-    # nothing and a NaN floor drops its component
-    ratios = [abs(b - a) / d
-              for a, b, d, x in zip(k1, k6, den, y)
-              if d >= share and d >= PROBE_FLOOR * (1.0 + abs(x))]
-    if not ratios:
-        return 0.0
-    return _nan_max(ratios)
 
 
 def propose_next_h(h: float, err: float, v: Optional[float],
@@ -331,25 +310,35 @@ def _emit_rhs_call(emit: Callable, call: str, out: str, n: int) -> None:
 
 def _stages(problem: SplitProblem, y, h: float,
             scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
-            stats: RunStatistics) -> tuple:
-    """Evaluate all stages; returns ((u6, k6), k1, y_next, y_emb, b_diag).
+            stats: RunStatistics, tol: Optional[Tolerances] = None,
+            control: bool = False, drift=None):
+    """Evaluate all stages of one attempt and, given tol, measure it.
 
-    k1 = h*phi(y) and k6 = h*phi(u6) are the first and last evaluations
-    of the step-local non-stiff part phi(u) = f(u) - B*u, with B held at
-    its start-of-step value, and u6 is the last stage's argument; the
-    stability estimate reads them.  b_diag is the diagonal of B, an
-    array.  The attempt evaluates B, factors D and counts its work here,
-    once for both paths: 1 factorization, 5 linear solves, 3 evaluations
-    of the right-hand side and 2 stiff-part applications.  B is then read
-    only through its factorization, so every stage applies the B that D
-    was factored from.  factor picks the path: a factorization that
-    carries B's diagonal as floats sends the attempt to the generated
-    float stages for its dimension, and u6, k6, k1, y_next and y_emb are
-    then lists; any other runs them on arrays.  y may be either.
-    Raises SingularMatrix when the stage matrix cannot be factored and
-    DimensionMismatch when B's size differs from the state's, the
-    right-hand side returns anything but a sequence of n components or
-    the Jacobian provider returns neither matrix type.
+    Without tol, returns (y_next, y_emb), the main and embedded
+    solutions.  With tol and the drift guard's sum drift, returns None
+    when either solution is not finite, and otherwise
+    (y_next, err, v, drift, g_norm): err is error_norm of the two; on an
+    accepted attempt (err <= 1), v is the stability estimate when
+    control is set, else None, and drift is folded forward by
+    _drift_update, with g_norm its scaled norm; a rejected attempt
+    gives None for all three.  The estimate reads
+    k1 = h*phi(y) and k6 = h*phi(u6), the first and last evaluations of
+    the step-local non-stiff part phi(u) = f(u) - B*u with B held at its
+    start-of-step value, and u6, the last stage's argument.
+
+    The attempt evaluates B, factors D and counts its work here, once for
+    both paths: 1 factorization, 5 linear solves, 3 evaluations of the
+    right-hand side and 2 stiff-part applications.  B is then read only
+    through its factorization, so every stage applies the B that D was
+    factored from.  factor picks the path: a factorization that carries
+    B's diagonal as floats sends the attempt to the generated float
+    function for its dimension, and y_next and drift are then lists; any
+    other runs it on arrays.  y and drift may be either.  Raises
+    SingularMatrix when the stage matrix cannot be factored,
+    ZeroToleranceDenominator as error_norm does, and DimensionMismatch
+    when B's or tol's size differs from the state's, the right-hand side
+    returns anything but a sequence of n numbers or the Jacobian provider
+    returns neither matrix type.
     """
     y_arr = np.array(y) if type(y) is list else y
     B = problem.jac(y_arr)
@@ -360,15 +349,20 @@ def _stages(problem: SplitProblem, y, h: float,
     if fact.dim != n:
         raise DimensionMismatch(f"stage matrix size {fact.dim} != state "
                                 f"length {n}")
+    if tol is not None and len(tol.atol) != n:
+        raise DimensionMismatch(f"{len(tol.atol)} tolerances for a state "
+                                f"of {n}")
     stats.phi_evals += 3
     stats.g_evals += 2
     stats.linear_solves += 5
     full = problem.full
     if fact.b_floats is not None:
+        atol, rtol = tol.as_lists() if tol is not None else (None, None)
         return _float_stages(n)(
             full, fact.solve, fact.b_floats,
             y if type(y) is list else y_arr.tolist(), h,
-            scheme.stage_weights(), embedded.stage_weights(), fact.b_diag)
+            scheme.stage_weights(), embedded.stage_weights(), fact.b_diag,
+            atol, rtol, control, drift)
     y = y_arr
     (_, a42, a43, b42, b43, gamma, b63, b64, b65,
      p1, p2, p3, p4, p5, p6) = scheme.stage_weights()
@@ -392,7 +386,16 @@ def _stages(problem: SplitProblem, y, h: float,
 
     y_next = y + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6
     y_emb = y + r1 * k1 + r2 * k2 + r3 * k3 + r4 * k4 + r5 * k5_emb
-    return (u6, k6), k1, y_next, y_emb, fact.b_diag
+    if tol is None:
+        return y_next, y_emb
+    if not (_all_finite(y_next) and _all_finite(y_emb)):
+        return None
+    err = error_norm(y_next, y_emb, tol)
+    if not err <= 1.0:
+        return y_next, err, None, None, None
+    v = stability_estimate(y, u6, k1, k6) if control else None
+    return (y_next, err, v) + _drift_update(drift, h, fact.b_diag, y_next,
+                                            y_emb, tol)
 
 
 def _float_stages_source(n: int, name: str) -> str:
@@ -406,10 +409,17 @@ def _float_stages_source(n: int, name: str) -> str:
     weights arrive as arguments (w from SchemeCoefficients.stage_weights,
     r from EmbeddedCoefficients.stage_weights), so one function serves
     every scheme, and so do the factorization's solve, B's diagonal as
-    floats (b) and as the array the attempt reports (b_diag): _stages has
-    factored D and counted the work.  full is called on a tuple of the
-    stage argument's components, and its return unpacked into locals
+    floats (b) and as the array the drift decay reads (b_diag): _stages
+    has factored D and counted the work.  full is called on a tuple of
+    the stage argument's components, and its return unpacked into locals
     (_emit_rhs_call); the stage solves go through solve as lists.
+
+    Given the tolerances as lists (atol, rtol), the function goes on as
+    the numpy path's error_norm, stability_estimate and _drift_update do,
+    line for line on the locals: the same denominators, floors and
+    maxima, with NaN winning each maximum as in np.max.  The drift decay
+    stays one np.exp call on b_diag, as numpy's exp may differ from
+    math.exp in the last bit.
     """
     comps = range(n)
 
@@ -417,7 +427,8 @@ def _float_stages_source(n: int, name: str) -> str:
         # "x_0, x_1, ..., " with fmt formatted for every component
         return "".join(fmt.format(m=m) + ", " for m in comps)
 
-    lines = [f"def {name}(full, solve, b, y, h, w, r, b_diag):",
+    lines = [f"def {name}(full, solve, b, y, h, w, r, b_diag, atol, rtol, "
+             "control, drift):",
              "    (_, a42, a43, b42, b43, gamma, b63, b64, b65,",
              "     p1, p2, p3, p4, p5, p6) = w",
              "    r1, r2, r3, r4, r5 = r",
@@ -425,8 +436,17 @@ def _float_stages_source(n: int, name: str) -> str:
              f"    {each('b_{m}')}= b"]
     emit = lines.append
 
-    def per_component(fmt: str) -> None:
-        lines.extend("    " + fmt.format(m=m) for m in comps)
+    def per_component(fmt: str, indent: str = "    ") -> None:
+        lines.extend(indent + fmt.format(m=m) for m in comps)
+
+    def nan_max(out: str, fmt: str, indent: str = "    ") -> None:
+        # out = the largest of fmt over the components; a later item
+        # replaces it when greater or NaN, and nothing replaces a NaN
+        emit(f"{indent}{out} = {fmt.format(m=0)}")
+        for m in comps[1:]:
+            emit(f"{indent}q = {fmt.format(m=m)}")
+            emit(f"{indent}if not q <= {out} and {out} == {out}:")
+            emit(f"{indent}    {out} = q")
 
     _emit_rhs_call(emit, f"full(({each('y_{m}')}))", "f", n)
     per_component("k1_{m} = h * (f_{m} - b_{m} * y_{m})")
@@ -449,9 +469,52 @@ def _float_stages_source(n: int, name: str) -> str:
                   " + p4 * k4_{m} + p5 * k5_{m} + p6 * k6_{m})")
     per_component("ye_{m} = (y_{m} + r1 * k1_{m} + r2 * k2_{m} + r3 * k3_{m}"
                   " + r4 * k4_{m} + r5 * e5_{m})")
-    emit(f"    return (([{each('u6_{m}')}], [{each('k6_{m}')}]), "
-         f"[{each('k1_{m}')}],")
-    emit(f"            [{each('yn_{m}')}], [{each('ye_{m}')}], b_diag)")
+    emit("    if atol is None:")
+    emit(f"        return [{each('yn_{m}')}], [{each('ye_{m}')}]")
+    # _all_finite on y_next, then on y_emb
+    emit("    isfinite = math.isfinite")
+    emit("    try:")
+    emit("        finite = (" + "\n                  and ".join(
+        [f"isfinite(yn_{m})" for m in comps]
+        + [f"isfinite(ye_{m})" for m in comps]) + ")")
+    emit("    except TypeError:")
+    emit("        raise _not_numbers() from None")
+    emit("    if not finite:")
+    emit("        return None")
+    # error_norm
+    emit(f"    {each('at_{m}')}= atol")
+    emit(f"    {each('rt_{m}')}= rtol")
+    per_component("den_{m} = at_{m} + rt_{m} * abs(yn_{m})")
+    emit("    if " + " or ".join(f"den_{m} == 0.0" for m in comps) + ":")
+    emit("        raise _zero_denominator()")
+    nan_max("err", "abs(yn_{m} - ye_{m}) / den_{m}")
+    emit(f"    y_next = [{each('yn_{m}')}]")
+    emit("    if not err <= 1.0:")
+    emit("        return y_next, err, None, None, None")
+    # stability_estimate: the ratios start from -1.0, below any ratio
+    # (an absolute value over a positive displacement), so a v still
+    # below 0 kept no component
+    emit("    if control:")
+    per_component("pd_{m} = abs(u6_{m} - y_{m})", "        ")
+    nan_max("pmax", "pd_{m}", "        ")
+    emit("        share = PROBE_SHARE_FLOOR * pmax")
+    emit("        v = -1.0")
+    for m in comps:
+        emit(f"        if (pd_{m} >= share"
+             f" and pd_{m} >= PROBE_FLOOR * (1.0 + abs(y_{m}))):")
+        emit(f"            q = abs(k6_{m} - k1_{m}) / pd_{m}")
+        emit("            if not q <= v and v == v:")
+        emit("                v = q")
+    emit("        if v < 0.0:")
+    emit("            v = 0.0")
+    emit("    else:")
+    emit("        v = None")
+    # _drift_update
+    emit(f"    {each('dk_{m}')}= np.exp(np.minimum(0.0, h * b_diag)).tolist()")
+    emit(f"    {each('g_{m}')}= drift")
+    per_component("g_{m} = g_{m} * dk_{m} + (yn_{m} - ye_{m})")
+    nan_max("g_norm", "abs(g_{m}) / den_{m}")
+    emit(f"    return y_next, err, v, [{each('g_{m}')}], g_norm")
     return "\n".join(lines) + "\n"
 
 
@@ -471,7 +534,8 @@ def _compile_generated(source: str, name: str, filename: str,
 
 
 def _float_stages(n: int) -> Callable:
-    """The generated float-path stages for n components, made on first use."""
+    """The generated float-path function for n components, made on first
+    use."""
     stages = _FLOAT_STAGES.get(n)
     if stages is None:
         name = f"_float_stages_{n}"
@@ -484,8 +548,8 @@ def _float_stages(n: int) -> Callable:
 def attempt_step(problem: SplitProblem, y, h: float,
                  scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
                  tol: Tolerances, cfg: ControllerConfig,
-                 stats: RunStatistics,
-                 pressure: float = 1.0) -> StepReport:
+                 stats: RunStatistics, pressure: float = 1.0,
+                 drift=None) -> StepReport:
     """Attempt one step of size h from state y (an array, or a list).
 
     An accepted attempt carries the stability estimate v when stability
@@ -493,65 +557,50 @@ def attempt_step(problem: SplitProblem, y, h: float,
     same three non-stiff evaluations.  A rejected attempt reports
     v = None: its retry stepsize comes from the error model alone.  A
     drift-guard pressure above 1 lowers the proposed next stepsize
-    without touching acceptance.  A singular stage matrix or a non-finite
-    result is reported as a rejection with the stepsize halved.
+    without touching acceptance.  An accepted attempt folds its step
+    into the drift guard's sum (zeros when drift is None) and reports
+    the new sum and the next pressure, the sum's scaled norm over
+    DRIFT_BUDGET and at least 1.  A singular stage matrix or a
+    non-finite result is reported as a rejection with the stepsize
+    halved.
     """
+    if drift is None:
+        drift = [0.0] * len(y)
     try:
-        (u6, k6), k1, y_next, y_emb, b_diag = _stages(problem, y, h, scheme,
-                                                      embedded, stats)
+        out = _stages(problem, y, h, scheme, embedded, stats, tol,
+                      cfg.stability_control, drift)
     except SingularMatrix:
-        finite = False
-    else:
-        finite = _all_finite(y_next) and _all_finite(y_emb)
-    if not finite:
+        out = None
+    if out is None:
         return StepReport(accepted=False, err=math.inf, v=None, h_used=h,
                           h_next=max(0.5 * h, H_MIN),
                           retry_underflow=0.5 * h < H_MIN)
 
-    err = error_norm(y_next, y_emb, tol)
-    accepted = err <= 1.0
-    v = (stability_estimate(y, u6, k1, k6)
-         if accepted and cfg.stability_control else None)
+    y_next, err, v, drift, g_norm = out
     proposal = propose_next_h(h, err, v, pressure=pressure)
-    if accepted:
-        return StepReport(accepted=True, err=err, v=v, h_used=h,
-                          h_next=proposal.h_accept, retry_underflow=False,
-                          y_next=y_next, y_emb=y_emb, b_diag=b_diag)
+    if err <= 1.0:
+        return StepReport(
+            accepted=True, err=err, v=v, h_used=h, h_next=proposal.h_accept,
+            retry_underflow=False, y_next=y_next, drift=drift,
+            next_pressure=max(1.0, g_norm / DRIFT_BUDGET))
     return StepReport(accepted=False, err=err, v=None, h_used=h,
                       h_next=proposal.h_retry,
                       retry_underflow=proposal.retry_underflow)
 
 
-def _drift_update(drift, report: StepReport, tol: Tolerances) -> tuple:
-    """Fold an accepted step into the drift sum; returns (drift, pressure).
+def _drift_update(drift, h: float, b_diag: np.ndarray, y: np.ndarray,
+                  y_emb: np.ndarray, tol: Tolerances) -> tuple:
+    """Fold an accepted step into the drift sum; returns (drift, g_norm).
 
     The sum decays by exp(min(0, h*b_i)) per component before the step's
-    main-vs-embedded difference is added, and the pressure is its scaled
-    norm over DRIFT_BUDGET, at least 1.  drift is an array, or a list on
-    the float path.
+    main-vs-embedded difference y - y_emb is added, and g_norm is its
+    scaled norm, with error_norm's denominator at y.  The float path
+    does the same in its generated function.
     """
-    decay = np.exp(np.minimum(0.0, report.h_used * report.b_diag))
-    y, y_emb = report.y_next, report.y_emb
-    if type(y) is list:
-        drift, g_norm = _drift_sum_floats(drift, decay.tolist(), y, y_emb,
-                                          tol)
-    else:
-        drift = np.asarray(drift) * decay + (y - y_emb)
-        den = tol.atol + tol.rtol * np.abs(y)
-        g_norm = float(np.max(np.abs(drift) / den))
-    return drift, max(1.0, g_norm / DRIFT_BUDGET)
-
-
-def _drift_sum_floats(drift, decay: list, y: list, y_emb: list,
-                      tol: Tolerances) -> tuple:
-    """_drift_update's new sum and its scaled norm, on floats."""
-    if type(drift) is not list:
-        drift = drift.tolist()
-    atol, rtol = tol.as_lists()
-    drift = [g * e + (a - b) for g, e, a, b in zip(drift, decay, y, y_emb)]
-    # error_norm has ruled out a zero denominator at this y
-    return drift, _nan_max([abs(g) / (at + rt * abs(a))
-                            for g, at, rt, a in zip(drift, atol, rtol, y)])
+    decay = np.exp(np.minimum(0.0, h * b_diag))
+    drift = np.asarray(drift) * decay + (y - y_emb)
+    den = tol.atol + tol.rtol * np.abs(y)
+    return drift, float(np.max(np.abs(drift) / den))
 
 
 def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
@@ -595,12 +644,12 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
         rejects = 0
         while True:
             report = attempt_step(problem, y, h, scheme, embedded, tol,
-                                  cfg, stats, pressure=pressure)
+                                  cfg, stats, pressure=pressure, drift=drift)
             if report.accepted:
                 t += report.h_used
                 y = report.y_next
                 stats.steps_accepted += 1
-                drift, pressure = _drift_update(drift, report, tol)
+                drift, pressure = report.drift, report.next_pressure
                 if trace is not None:
                     trace.append((t, report.h_used, report.err, report.v,
                                   _as_array(y)))
@@ -650,7 +699,7 @@ def integrate_fixed(problem: SplitProblem, h: float,
     h_eff = span / n_steps
     stats = RunStatistics()
     for i in range(n_steps):
-        _, _, y, _, _ = _stages(problem, y, h_eff, scheme, embedded, stats)
+        y, _ = _stages(problem, y, h_eff, scheme, embedded, stats)
         if not _all_finite(y):
             raise NonFiniteState(f"state became non-finite at t={t:.6g}")
         t = problem.t0 + (i + 1) * h_eff
@@ -666,6 +715,6 @@ def embedded_difference(problem: SplitProblem, h: float,
     h must be finite and positive, as for integrate_fixed.
     """
     _check_stepsize(h)
-    _, _, y_next, y_emb, _ = _stages(problem, problem.y0, h, scheme, embedded,
-                                     RunStatistics())
+    y_next, y_emb = _stages(problem, problem.y0, h, scheme, embedded,
+                            RunStatistics())
     return float(np.max(np.abs(_as_array(y_next) - _as_array(y_emb))))

@@ -83,8 +83,8 @@ class TestPropagatedFactor:
         emb = derive_embedded(scheme)
         for x, z in ((0.3, -5.0), (-0.4, -0.2), (0.05, -80.0)):
             p = _scalar_split_problem(x, z)
-            _, _, y_next, y_emb, _ = _stages(p, np.array([1.0]), 1.0,
-                                             scheme, emb, RunStatistics())
+            y_next, y_emb = _stages(p, np.array([1.0]), 1.0, scheme, emb,
+                                    RunStatistics())
             assert abs(y_next[0] - eval_R(x, z).real) < 1e-13
             assert abs(y_emb[0] - eval_R2(x, z).real) < 1e-13
 

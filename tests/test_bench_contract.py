@@ -12,6 +12,7 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import asode
@@ -30,17 +31,22 @@ SCHEME = asode.derive_scheme()
 EMBEDDED = asode.derive_embedded(SCHEME)
 
 
-# bruss4 (n = 8) is too small for the banded LU; bruss64 (n = 128) takes it
+# bruss4 (n = 8) is too small for the banded LU; bruss64 (n = 128) takes it.
+# A diagonal B runs on floats up to SMALL_N components (bruss4) and on
+# arrays above (bruss16, n = 32)
 FACTORIZATION = {"dense": ("bruss4", asode.linalg._DenseFactorization),
-                 "diagonal": ("bruss4", asode.linalg._DiagonalFactorization),
+                 "diagonal": ("bruss16", asode.linalg._DiagonalFactorization),
+                 "small-diagonal": ("bruss4",
+                                    asode.linalg._SmallDiagonalFactorization),
                  "banded": ("bruss64", asode.linalg._BandedFactorization)}
 
 
-@pytest.mark.parametrize("variant", ["dense", "diagonal", "banded"])
+@pytest.mark.parametrize("variant", ["dense", "diagonal", "small-diagonal",
+                                     "banded"])
 def test_traced_bruss_solve_sees_every_layer(variant):
     name, factorization = FACTORIZATION[variant]
     problem = workloads.make_problem(name, seed=1, smoke=True)
-    if variant == "diagonal":
+    if variant.endswith("diagonal"):
         problem = workloads.diagonal_variant(problem)
     # the tracer wraps solve on direct subclasses of Factorization only
     assert factorization.__bases__ == (asode.linalg.Factorization,)
@@ -60,7 +66,10 @@ def test_traced_bruss_solve_sees_every_layer(variant):
     attempts = stats.steps_accepted + stats.steps_rejected
     assert tracer.calls["stepper.stages"] == attempts
     assert tracer.calls["stepper.control"] == attempts
-    assert tracer.calls["stepper.probe"] == stats.steps_accepted
+    # the float path estimates v in its generated function, not through
+    # stability_estimate
+    assert tracer.calls["stepper.probe"] == (
+        0 if variant == "small-diagonal" else stats.steps_accepted)
 
 
 @pytest.mark.parametrize("method", ["asode3-nocontrol", "merson"])
@@ -95,18 +104,10 @@ def test_traced_comparator_counts_every_step(method):
                                                  + stats.steps_rejected)
 
 
-@pytest.mark.parametrize("control", [True, False], ids=["control", "plain"])
-def test_traced_float_path_counts_every_call(control):
-    # example4 (n = 4, diagonal B) runs its attempts on Python floats; the
-    # traced names must still see one factor, five solves and every
-    # right-hand-side call per attempt, as the counters do
+def traced_example4(control: bool):
+    """(RunStatistics, tracer calls) of a short traced example4 solve."""
     problem = asode.builtin("example4")
     problem = dataclasses.replace(problem, t_end=problem.t0 + 0.05)
-    assert problem.n <= asode.linalg.SMALL_N
-    _, k1, _, _, _ = asode.stepper._stages(
-        problem, problem.y0, problem.h0, SCHEME, EMBEDDED,
-        asode.RunStatistics())
-    assert type(k1) is list
     cfg = asode.ControllerConfig(stability_control=control)
     tracer = layertrace.Tracer()
     with tracer.installed(asode):
@@ -121,9 +122,39 @@ def test_traced_float_path_counts_every_call(control):
     assert tracer.calls["linalg.factor"] == stats.factorizations == attempts
     assert tracer.calls["linalg.solve"] == stats.linear_solves
     assert tracer.calls["stepper.stages"] == attempts
-    assert tracer.calls["stepper.probe"] == (stats.steps_accepted if control
-                                             else 0)
     assert tracer.calls["problems.rhs"] == stats.phi_evals
+    return stats, tracer.calls
+
+
+@pytest.mark.parametrize("control", [True, False], ids=["control", "plain"])
+def test_traced_float_path_counts_every_call(control):
+    # example4 (n = 4, diagonal B) runs its attempts on Python floats; the
+    # traced names must still see one factor, five solves and every
+    # right-hand-side call per attempt, as the counters do
+    problem = asode.builtin("example4")
+    assert problem.n <= asode.linalg.SMALL_N
+    y_next, _ = asode.stepper._stages(
+        problem, problem.y0, problem.h0, SCHEME, EMBEDDED,
+        asode.RunStatistics())
+    assert type(y_next) is list
+    _, calls = traced_example4(control)
+    # the generated float function estimates v itself: stepper.probe,
+    # which traces stability_estimate, reads 0 on the float path
+    assert calls["stepper.probe"] == 0
+
+
+@pytest.mark.parametrize("control", [True, False], ids=["control", "plain"])
+def test_traced_numpy_path_counts_every_probe(control, monkeypatch):
+    # with the float path off, each accepted attempt under stability
+    # control calls stability_estimate once
+    monkeypatch.setattr(asode.linalg, "SMALL_N", 0)
+    problem = asode.builtin("example4")
+    y_next, _ = asode.stepper._stages(
+        problem, problem.y0, problem.h0, SCHEME, EMBEDDED,
+        asode.RunStatistics())
+    assert isinstance(y_next, np.ndarray)
+    stats, calls = traced_example4(control)
+    assert calls["stepper.probe"] == (stats.steps_accepted if control else 0)
 
 
 def test_benchmark_counter_names_match_the_package():

@@ -210,6 +210,19 @@ class TestOrderStudy:
         assert 2.5 <= study.slopes["asode3"] <= 3.5
         assert 3.5 <= study.slopes["merson"] <= 4.5
 
+    @pytest.mark.parametrize("ref_tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_reference_tolerance_rejected(self, ref_tol, monkeypatch):
+        # refused before any solve, also where a closed form makes the
+        # reference run unnecessary (powerlaw); inf used to return normally
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(benchmark, "integrate", no_solve)
+        monkeypatch.setattr(benchmark, "integrate_fixed", no_solve)
+        for name in ("powerlaw", "example1"):
+            with pytest.raises(ValueError, match="ref_tol must be finite"):
+                order_study(name, 0.02, ref_tol)
+
     def test_collapsed_ladder_rejected(self):
         with pytest.raises(ValueError, match=r"rungs take \[1, 1, 2, 3\]"):
             order_study(h0=5.0)

@@ -2,14 +2,17 @@
 
 A DiagonalMatrix B of at most SMALL_N components runs the step attempt on
 lists of Python floats; every other B runs it on arrays.  The numpy path
-is the reference: the kernels (stages, stability estimate, error norm,
-drift update, diagonal factorization) must return the same bits on the
-same input, NaN and inf included, and whole runs must agree in every
-result.
+is the reference: the generated float function's stages, error norm,
+stability estimate and drift sum must give the same bits as the numpy
+stages, error_norm, stability_estimate and _drift_update on the same
+input, NaN and inf included, and whole runs must agree in every result.
+The kernel tests reach the generated function through _stages with a
+scripted factorization, whose solves return chosen stages, so that the
+estimate, the norm and the drift see crafted values.
 Setting linalg.SMALL_N to 0 forces the numpy path: linalg.factor alone
 applies the rule, and the stepper follows the factorization it returns.
-The float-path stages are generated per state dimension on first use,
-with the scheme weights as arguments; these tests also hold them to that.
+The float-path function is generated per state dimension on first use,
+with the scheme weights as arguments; these tests also hold it to that.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ import os
 import subprocess
 import sys
 import traceback
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,8 +44,6 @@ from asode.problems import Tolerances, builtin
 from asode.stepper import (
     ControllerConfig,
     RunStatistics,
-    StepReport,
-    _drift_update,
     _stages,
     attempt_step,
     error_norm,
@@ -96,21 +98,136 @@ def array(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
-def probe_both(y, u6, k1, k6):
-    """stability_estimate on lists and on arrays: (v_floats, v_arrays).
+SCHEME_WEIGHTS = ("a", "a42", "a43", "b42", "b43", "gamma", "b63", "b64",
+                  "b65", "p1", "p2", "p3", "p4", "p5", "p6")
+EMBEDDED_WEIGHTS = ("r1", "r2", "r3", "r4", "r5")
 
-    y stays an array on the float path, as it is on a run's first step.
+
+def weights(**given):
+    """(scheme, embedded) as _stages reads them, every weight 0.0 except
+    those given by name."""
+    w = tuple(float(given.pop(k, 0.0)) for k in SCHEME_WEIGHTS)
+    r = tuple(float(given.pop(k, 0.0)) for k in EMBEDDED_WEIGHTS)
+    assert not given, given
+    return (SimpleNamespace(a=w[0], stage_weights=lambda: w),
+            SimpleNamespace(stage_weights=lambda: r))
+
+
+class ScriptedFactorization:
+    """What _stages reads of a factorization.  B's diagonal is b, and the
+    five solves return ks[0], ..., ks[4] (k2, k3, k4, k5 and the
+    embedded k5) in turn, whatever their right-hand side: lists with
+    b_floats set, which sends the attempt down the float path, and
+    arrays without."""
+
+    def __init__(self, b, ks, floats: bool):
+        self.dim = len(b)
+        self.b_diag = array(b)
+        self.b_floats = self.b_diag.tolist() if floats else None
+        self._ks = iter(ks)
+        self._floats = floats
+
+    def b_matvec(self, v):
+        return self.b_diag * array(v)
+
+    def solve(self, rhs):
+        k = next(self._ks)
+        return floats(k) if self._floats else array(k)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the solver error it raised."""
+    try:
+        return fn(*args)
+    except (DimensionMismatch, ZeroToleranceDenominator) as exc:
+        return type(exc)
+
+
+def assert_same_attempt(out_f, out_a):
+    """_stages' float-path result against its numpy-path one, bit for bit:
+    the same error class, both None (not finite), both (y_next, y_emb), or
+    both (y_next, err, v, drift, g_norm) with None in the same places."""
+    if out_f is None or isinstance(out_f, type):
+        assert out_a is out_f, (out_f, out_a)
+        return
+    assert type(out_a) is tuple and len(out_a) == len(out_f)
+    assert type(out_f[0]) is list and isinstance(out_a[0], np.ndarray)
+    for x_f, x_a in zip(out_f, out_a):
+        assert (x_f is None) == (x_a is None), (out_f, out_a)
+        if x_f is not None:
+            assert same_bits(x_f, x_a), (out_f, out_a)
+    if len(out_f) == 5:
+        # numpy floats from the right-hand side keep their type
+        assert isinstance(out_f[1], float) and type(out_a[1]) is float
+        assert out_f[2] is None or isinstance(out_f[2], float)
+        assert out_f[3] is None or type(out_f[3]) is list
+
+
+def kernel_both(monkeypatch, y, fs, ks, tol, b=None, h=1.0, control=True,
+                drift=None, **given):
+    """One attempt through _stages on each path, on scripted stages.
+
+    The right-hand side returns fs[0], fs[1] and fs[2] in turn, the
+    solves return ks (ScriptedFactorization), B's diagonal is b and the
+    drift sum drift (zeros by default), and the weights are 0.0 except
+    those given.  The float path measures the attempt in its generated
+    function, the numpy path with error_norm, stability_estimate and
+    _drift_update on arrays; the two must agree bit for bit
+    (assert_same_attempt).  Returns the float path's outcome.
     """
-    v_f = stability_estimate(array(y), floats(u6), floats(k1), floats(k6))
-    v_a = stability_estimate(array(y), array(u6), array(k1), array(k6))
-    assert type(v_f) is float and type(v_a) is float
-    return v_f, v_a
+    n = len(y)
+    b = [0.0] * n if b is None else b
+    drift = [0.0] * n if drift is None else drift
+    scheme, embedded = weights(**given)
+    out = []
+    for path_floats in (True, False):
+        fact = ScriptedFactorization(b, ks, path_floats)
+        returns = iter(fs)
+        # the attempt starts from y, not from the problem's y0
+        problem = split_problem("scripted", lambda u: floats(next(returns)),
+                                lambda u: DiagonalMatrix(np.ones(n)),
+                                [0.0] * n, h)
+        with monkeypatch.context() as m:
+            m.setattr(stepper, "factor", lambda B, c: fact)
+            out.append(outcome(_stages, problem, array(y), h, scheme,
+                               embedded, RunStatistics(), tol, control,
+                               drift))
+    assert_same_attempt(*out)
+    return out[0]
+
+
+def probe(monkeypatch, y, k1, k3, k6, k4=None):
+    """The stability estimate of an attempt whose first and last
+    non-stiff stages are k1 and k6 and whose last stage argument is
+    u6 = y + k3 + k4, on both paths (kernel_both); None when a stage is
+    not finite, which rejects the attempt before any estimate.
+
+    h = 1 and B = 0 make the stages the scripted values, and zero
+    solution weights make y_next = y_emb = y, so the attempt is accepted.
+    """
+    zeros = [0.0] * len(y)
+    out = kernel_both(monkeypatch, y, [k1, zeros, k6],
+                      [zeros, k3, k4 or zeros, zeros, zeros],
+                      Tolerances.uniform(1e-3, len(y)), b63=1.0, b64=1.0)
+    if out is None:
+        return None
+    _, err, v, _, _ = out
+    assert err == 0.0 and type(v) is float
+    return v
+
+
+BIG = 1e308
 
 
 class TestProbeKernel:
     # d1 = u6 - y is each component's displacement over the attempt and
     # d2 = k6 - k1 the change of its non-stiff stage, so the estimate is
-    # the largest |d2_i| / |d1_i| over the components the floors keep
+    # the largest |d2_i| / |d1_i| over the components the floors keep.
+    # Each case holds stability_estimate to the value given, on arrays and
+    # lists, and the generated function to the numpy path on the same
+    # stages.  A NaN or inf stage rejects the attempt before any estimate
+    # on both paths; test_overflowing_differences reaches the generated
+    # estimate's NaN and inf cases through overflow instead
     @pytest.mark.parametrize("d1, d2, k1, expected", [
         # every displacement below the absolute floor: no information
         ([1e-15, -1e-15], [5.0, 6.0], [1.0, 2.0], 0.0),
@@ -130,13 +247,40 @@ class TestProbeKernel:
         ([1.0, 0.05], [1.0, 10.0], [0.0, 0.0], 1.0),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_crafted_inputs(self, d1, d2, k1, expected):
+    def test_crafted_inputs(self, d1, d2, k1, expected, monkeypatch):
         y = np.full(len(d1), 0.5)
         u6 = y + array(d1)
         k6 = array(k1) + array(d2)
-        v_f, v_a = probe_both(y, u6, k1, k6)
-        assert same_bits(v_f, v_a)
-        assert same_bits(v_f, expected)
+        assert same_bits(stability_estimate(y, u6, array(k1), k6), expected)
+        assert same_bits(stability_estimate(y, floats(u6), k1, floats(k6)),
+                         expected)
+        v = probe(monkeypatch, y.tolist(), k1, d1, floats(k6))
+        finite = all(map(math.isfinite, d1 + d2 + k1))
+        assert (v is not None) == finite
+        if finite:
+            assert same_bits(v, expected)
+
+    @pytest.mark.parametrize("k1, k6, expected", [
+        # inf displacement with an inf stage change: inf/inf is NaN, and
+        # the share floor, 0.1*inf, drops the other component
+        ([-BIG, 0.0], [BIG, 1.0], math.nan),
+        # two inf displacements: 1/inf is 0, and the NaN quotient after
+        # it wins the max
+        ([0.0, -BIG], [1.0, BIG], math.nan),
+        # ... and the 0 after a NaN does not replace it
+        ([-BIG, 0.0], [BIG, 1.0], math.nan),
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_differences(self, k1, k6, expected, monkeypatch):
+        # u6 = -BIG + BIG + BIG = BIG on the first component, so its
+        # displacement from y overflows; the second case does the same on
+        # both components
+        both = k6[0] == 1.0
+        y = [-BIG, -BIG if both else 0.5]
+        k3 = [BIG, BIG if both else 1.0]
+        k4 = [BIG, BIG if both else 0.0]
+        v = probe(monkeypatch, y, k1, k3, k6, k4)
+        assert same_bits(v, expected)
 
     @pytest.mark.parametrize("y, u6, k6, expected", [
         # a large state raises its floor above its displacement; kept,
@@ -152,22 +296,28 @@ class TestProbeKernel:
         ([-0.0, 0.0], [1.0, 1.5], [3.0, -0.0], 3.0),
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_state_scale_floor(self, y, u6, k6, expected):
-        v_f, v_a = probe_both(y, u6, [0.0, -0.0], k6)
-        assert same_bits(v_f, v_a)
-        assert same_bits(v_f, expected)
+    def test_state_scale_floor(self, y, u6, k6, expected, monkeypatch):
+        k1 = [0.0, -0.0]
+        assert same_bits(stability_estimate(array(y), array(u6), array(k1),
+                                            array(k6)), expected)
+        # the generated function's u6 is y + (u6 - y), exact here; a state
+        # that is not finite rejects the attempt on both paths
+        v = probe(monkeypatch, y, k1, (array(u6) - array(y)).tolist(), k6)
+        assert (v is not None) == all(map(math.isfinite, y))
+        if v is not None:
+            assert same_bits(v, expected)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_fuzzed_inputs(self):
+    def test_fuzzed_inputs(self, monkeypatch):
         rng = np.random.default_rng(2024)
         for _ in range(3000):
             n = int(rng.integers(1, 6))
-            y, u6, k1, k6 = (draw(rng, n) for _ in range(4))
+            y, k1, k6, k3, k4 = (draw(rng, n).tolist() for _ in range(5))
             if rng.random() < 0.5:
                 # near-stage arguments reach the share and state floors
-                u6 = y + draw(rng, n) * 10.0 ** rng.integers(-16, 0)
-            v_f, v_a = probe_both(y, u6, k1, k6)
-            assert same_bits(v_f, v_a), (y, u6, k1, k6)
+                k3 = (draw(rng, n) * 10.0 ** rng.integers(-16, 0)).tolist()
+                k4 = None
+            probe(monkeypatch, y, k1, k3, k6, k4)
 
     @pytest.mark.parametrize("y, u6, k1, k6", [
         # unchecked, lists gave 2.0 on each, and arrays 2.0 or numpy's
@@ -177,29 +327,76 @@ class TestProbeKernel:
         ([1.0, 2.0], [1.5, 2.5], [0.0, 0.0], [1.0]),
     ])
     def test_length_mismatch_raises(self, y, u6, k1, k6):
-        # lists would zip away, and arrays broadcast, the extra components
+        # arrays would broadcast the extra components
         with pytest.raises(DimensionMismatch):
             stability_estimate(array(y), floats(u6), floats(k1), floats(k6))
         with pytest.raises(DimensionMismatch):
             stability_estimate(array(y), array(u6), array(k1), array(k6))
 
+    def test_lists_give_the_arrays_estimate(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            y, u6, k1, k6 = (draw(rng, n, 0.1) for _ in range(4))
+            with np.errstate(all="ignore"):
+                v_l = stability_estimate(*map(floats, (y, u6, k1, k6)))
+                v_a = stability_estimate(y, u6, k1, k6)
+            assert type(v_l) is float and same_bits(v_l, v_a)
+
+
+def error_attempt(monkeypatch, y, k1, k2, tol, k3=None):
+    """The outcome of an attempt with y_next = y + k1 and
+    y_emb = y + k2 + k3 (k3 zeros by default) on both paths
+    (kernel_both); h = 1 and B = 0 make k1, k2 and k3 the stages."""
+    zeros = [0.0] * len(y)
+    return kernel_both(monkeypatch, y, [k1, zeros, zeros],
+                       [k2, k3 or zeros, zeros, zeros, zeros], tol,
+                       p1=1.0, r2=1.0, r3=1.0)
+
 
 class TestErrorNormKernel:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_fuzzed_inputs(self):
+    def test_fuzzed_inputs(self, monkeypatch):
         rng = np.random.default_rng(7)
         for _ in range(3000):
             n = int(rng.integers(1, 6))
-            y, y2 = draw(rng, n), draw(rng, n)
-            tol = Tolerances(atol=rng.uniform(1e-8, 1e-2, n),
-                             rtol=rng.uniform(0.0, 1e-2, n))
-            e_f = error_norm(y.tolist(), y2.tolist(), tol)
-            e_a = error_norm(y, y2, tol)
-            assert type(e_f) is float and type(e_a) is float
-            assert same_bits(e_f, e_a), (y, y2)
+            y, k1, k2 = draw(rng, n), draw(rng, n), draw(rng, n)
+            atol = rng.uniform(1e-8, 1e-2, n)
+            atol[rng.random(n) < 0.2] = 0.0
+            rtol = rng.uniform(1e-6, 1e-2, n)
+            if rng.random() < 0.2:
+                # y_next = 0 (or -0.0) over atol = 0: a zero denominator
+                k1 = -y
+            error_attempt(monkeypatch, y.tolist(), k1.tolist(), k2.tolist(),
+                          Tolerances(atol=atol, rtol=rtol))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_crafted_inputs(self, monkeypatch):
+        tol = Tolerances.uniform(1e-3, 2)
+        # the largest scaled deviation, on either component
+        out = error_attempt(monkeypatch, [1.0, 2.0], [0.0, 3e-3],
+                            [1e-3, 0.0], tol)
+        assert out[1] == pytest.approx(3e-3 / (1e-3 + 1e-3 * 2.003))
+        # a stage that is not finite leaves no err
+        for bad in (math.nan, math.inf, -math.inf):
+            assert error_attempt(monkeypatch, [1.0, 2.0], [bad, 0.0],
+                                 [0.0, 0.0], tol) is None
+            assert error_attempt(monkeypatch, [1.0, 2.0], [0.0, 0.0],
+                                 [0.0, bad], tol) is None
+        # |y_next - y_emb| and the denominator both overflow: inf/inf is
+        # NaN, and NaN wins the max from either place
+        wide = Tolerances(atol=np.full(2, 1e-3), rtol=np.full(2, 10.0))
+        for m in (0, 1):
+            y = [1.0, 1.0]
+            y[m] = BIG
+            k2 = [0.0, 0.0]
+            k2[m] = -BIG
+            out = error_attempt(monkeypatch, y, [0.0, 0.0], k2, wide, k3=k2)
+            assert math.isnan(out[1]) and out[2:] == (None, None, None)
+        # a NaN err is no acceptance: no estimate and no drift
 
     def test_length_mismatch_raises(self):
-        # lists would zip away, and arrays broadcast, the extra components
+        # arrays would broadcast the extra components
         tol = Tolerances.uniform(1e-3, 2)
         for y, y2 in (([1.0], [1.0, 2.0]), ([1.0, 2.0], [1.0]),
                       ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])):
@@ -208,7 +405,7 @@ class TestErrorNormKernel:
             with pytest.raises(DimensionMismatch):
                 error_norm(np.array(y), np.array(y2), tol)
 
-    def test_zero_denominator_on_both_paths(self):
+    def test_zero_denominator_on_both_paths(self, monkeypatch):
         tol = Tolerances(atol=np.array([1e-3, 0.0]),
                          rtol=np.array([1e-3, 1e-3]))
         for y in ([1.0, 0.0], [1.0, -0.0]):
@@ -216,46 +413,91 @@ class TestErrorNormKernel:
                 error_norm(y, [1.0, 1.0], tol)
             with pytest.raises(ZeroToleranceDenominator):
                 error_norm(np.array(y), np.array([1.0, 1.0]), tol)
+            assert error_attempt(monkeypatch, y, [0.0, 0.0], [0.0, 1.0],
+                                 tol) is ZeroToleranceDenominator
+
+    def test_lists_give_the_arrays_norm(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            y, y2 = draw(rng, n, 0.1), draw(rng, n, 0.1)
+            tol = Tolerances(atol=rng.uniform(1e-8, 1e-2, n),
+                             rtol=rng.uniform(0.0, 1e-2, n))
+            with np.errstate(all="ignore"):
+                e_l = error_norm(y.tolist(), y2.tolist(), tol)
+                e_a = error_norm(y, y2, tol)
+            assert type(e_l) is float and same_bits(e_l, e_a)
 
 
-def drift_both(drift, y, y_emb, b_diag, h, tol):
-    out = []
-    for conv in (floats, array):
-        report = StepReport(accepted=True, err=0.5, v=None, h_used=h,
-                            h_next=h, retry_underflow=False,
-                            y_next=conv(y), y_emb=conv(y_emb),
-                            b_diag=np.asarray(b_diag, dtype=float))
-        new, pressure = _drift_update(conv(drift), report, tol)
-        assert type(pressure) is float
-        out.append((new, pressure))
-    (d_f, p_f), (d_a, p_a) = out
-    assert type(d_f) is list and isinstance(d_a, np.ndarray)
-    assert same_bits(d_f, d_a)
-    assert same_bits(p_f, p_a)
-    return p_f
+def drift_attempt(monkeypatch, drift, y, dy, b, h, tol):
+    """The outcome of an accepted attempt with y_next - y_emb = dy, B's
+    diagonal b and stepsize h, folding it into the drift sum, on both
+    paths (kernel_both)."""
+    zeros = [0.0] * len(y)
+    return kernel_both(monkeypatch, y, [zeros] * 3,
+                       [dy, zeros, zeros, zeros, zeros], tol, b=b, h=h,
+                       control=False, drift=drift, p2=1.0)
 
 
 class TestDriftKernel:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_fuzzed_inputs(self):
+    def test_fuzzed_inputs(self, monkeypatch):
         rng = np.random.default_rng(11)
         for _ in range(2000):
             n = int(rng.integers(1, 6))
-            tol = Tolerances.uniform(float(10.0 ** rng.uniform(-6, -1)), n)
-            y = rng.normal(size=n)
-            y_emb = y + draw(rng, n, 0.1) * 1e-4
-            drift = draw(rng, n, 0.1) * 1e-3
-            b_diag = draw(rng, n, 0.2) * 100.0
-            drift_both(drift, y, y_emb, b_diag,
-                       float(10.0 ** rng.uniform(-5, 0)), tol)
+            tol = float(10.0 ** rng.uniform(-6, -1))
+            y = rng.normal(size=n).tolist()
+            dy = (draw(rng, n, 0.1) * 0.5 * tol).tolist()
+            drift = (draw(rng, n, 0.1) * 1e-3).tolist()
+            b = (draw(rng, n, 0.2) * 100.0).tolist()
+            out = drift_attempt(monkeypatch, drift, y, dy, b,
+                                float(10.0 ** rng.uniform(-5, 0)),
+                                Tolerances.uniform(tol, n))
+            if out is not None and out[1] <= 1.0:
+                _, _, v, new, g_norm = out
+                assert v is None and type(new) is list
+                assert type(g_norm) is float
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_crafted_inputs(self, monkeypatch):
+        tol = Tolerances.uniform(1e-3, 2)
+        # growth is clipped (b > 0 decays by 1), a stiff component's sum
+        # is wiped (exp(-inf) = 0) before this step's difference is added
+        out = drift_attempt(monkeypatch, [0.02, -0.01], [1.0, 2.0],
+                            [1e-4, -1e-4], [5.0, -1e300], 0.1, tol)
+        _, _, _, new, g_norm = out
+        assert new == [pytest.approx(0.0201), pytest.approx(-1e-4)]
+        assert g_norm == pytest.approx(0.0201 / 2.0001e-3)
+        # NaN and inf in the carried sum: NaN wins the norm, either place
+        for drift in ([math.nan, math.inf], [math.inf, math.nan],
+                      [-math.inf, 0.0], [-0.0, 0.0]):
+            drift_attempt(monkeypatch, drift, [1.0, 2.0], [0.0, -0.0],
+                          [-1.0, 0.0], 0.5, tol)
 
     def test_monkeypatched_budget_acts_on_both_paths(self, monkeypatch):
-        tol = Tolerances.uniform(1e-3, 2)
-        args = ([0.02, -0.01], [1.0, 2.0], [0.99, 2.01], [-5.0, 0.0], 0.1,
-                tol)
-        assert drift_both(*args) == 1.0
+        problem = diagonal_problem([-1.0, -2.0], [-5.0, 0.0], [1.0, 2.0])
+
+        def pressure():
+            reports = []
+            for small_n in (linalg.SMALL_N, 0):
+                with monkeypatch.context() as m:
+                    m.setattr(linalg, "SMALL_N", small_n)
+                    reports.append(attempt_step(
+                        problem, problem.y0, 0.01, SCHEME, EMBEDDED,
+                        Tolerances.uniform(1e-3, 2), ControllerConfig(),
+                        RunStatistics(), drift=[0.02, -0.01]))
+            rep_f, rep_a = reports
+            assert rep_f.accepted and rep_a.accepted
+            assert type(rep_f.drift) is list
+            assert isinstance(rep_a.drift, np.ndarray)
+            assert same_bits(rep_f.drift, rep_a.drift)
+            assert type(rep_f.next_pressure) is float
+            assert rep_f.next_pressure == rep_a.next_pressure
+            return rep_f.next_pressure
+
+        assert pressure() == 1.0
         monkeypatch.setattr(stepper, "DRIFT_BUDGET", 0.5)
-        assert drift_both(*args) > 1.0
+        assert pressure() > 1.0
 
 
 def diagonal_problem(rates, b_values, y0):
@@ -285,29 +527,38 @@ def diagonal_problem(rates, b_values, y0):
 
 def stages_both(problem, y, h, monkeypatch, scheme=SCHEME,
                 embedded=EMBEDDED):
-    """Run _stages on both paths, assert the same bits; returns y_next."""
-    stats_f = RunStatistics()
-    last_f, k1_f, yn_f, ye_f, bd_f = _stages(problem, y, h, scheme, embedded,
-                                             stats_f)
-    floats_out = (k1_f, yn_f, ye_f) + last_f
-    assert all(type(x) is list for x in floats_out)
-    with monkeypatch.context() as m:
-        force_numpy_path(m)
-        m.setattr(stepper, "_FLOAT_STAGES", {})
-        stats_a = RunStatistics()
-        last_a, k1_a, yn_a, ye_a, bd_a = _stages(problem, y, h, scheme,
-                                                 embedded, stats_a)
-        # factor alone picks the path: no float stages were generated
-        assert stepper._FLOAT_STAGES == {}
-    arrays_out = (k1_a, yn_a, ye_a) + last_a
-    assert all(isinstance(x, np.ndarray) for x in arrays_out)
-    for a, b in zip(floats_out + (bd_f,), arrays_out + (bd_a,)):
-        assert same_bits(a, b)
-    assert stats_f.as_dict() == stats_a.as_dict()
-    (u6_f, k6_f), (u6_a, k6_a) = last_f, last_a
-    assert same_bits(stability_estimate(y, u6_f, k1_f, k6_f),
-                     stability_estimate(y, u6_a, k1_a, k6_a))
-    return yn_f
+    """Run _stages on both paths, assert the same bits; returns y_next.
+
+    Once without tolerances, for the two solutions, then measured: under
+    a tight tolerance, which mostly rejects, and under a loose one, which
+    accepts and so also estimates v and folds the step into a drift sum.
+    """
+    n = len(y)
+    drift = [1e-4 * (-1.0) ** m for m in range(n)]
+    measured = [(Tolerances.uniform(1e-9, n), True, drift),
+                (Tolerances.uniform(1e3, n), True, drift),
+                (Tolerances.uniform(1e3, n), False, [0.0] * n)]
+    outs = []
+    for args in [()] + measured:
+        stats_f = RunStatistics()
+        out_f = outcome(_stages, problem, y, h, scheme, embedded, stats_f,
+                        *args)
+        with monkeypatch.context() as m:
+            force_numpy_path(m)
+            m.setattr(stepper, "_FLOAT_STAGES", {})
+            stats_a = RunStatistics()
+            out_a = outcome(_stages, problem, y, h, scheme, embedded,
+                            stats_a, *args)
+            # factor alone picks the path: no float function was generated
+            assert stepper._FLOAT_STAGES == {}
+        assert_same_attempt(out_f, out_a)
+        assert stats_f.as_dict() == stats_a.as_dict()
+        outs.append(out_f)
+    y_next, y_emb = outs[0]
+    for out in outs[1:]:
+        if out is not None:
+            assert same_bits(out[0], y_next)
+    return y_next
 
 
 class TestStagesKernel:
@@ -380,8 +631,8 @@ class TestStagesKernel:
         big = linalg.SMALL_N + 1
         for n in (2, 3, 2, big, 3, 2):
             problem = diagonal_problem([-1.0] * n, [-2.0] * n, [1.0] * n)
-            _, _, y_next, _, _ = _stages(problem, problem.y0, 0.01, SCHEME,
-                                         EMBEDDED, RunStatistics())
+            y_next, _ = _stages(problem, problem.y0, 0.01, SCHEME, EMBEDDED,
+                                RunStatistics())
             assert type(y_next) is (list if n < big else np.ndarray)
         assert made == ["<stepper float stages, n=2>",
                         "<stepper float stages, n=3>"]
@@ -454,7 +705,8 @@ class TestStagesKernel:
             with monkeypatch.context() as m:
                 m.setattr(linalg, "SMALL_N", 0)
                 big = factor(B, c)
-            assert type(small) is type(big) is linalg._DiagonalFactorization
+            assert type(small) is linalg._SmallDiagonalFactorization
+            assert type(big) is linalg._DiagonalFactorization
             x = small.solve(rhs)
             assert isinstance(x, np.ndarray)
             assert same_bits(x, big.solve(rhs))

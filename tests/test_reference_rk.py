@@ -147,14 +147,24 @@ class TestRkStep:
     def test_probe_reads_dominant_rate_on_diagonal_field(self):
         f = lambda y: (-80.0 * y[0], -2.0 * y[1])
         for tab in (MERSON, FEHLBERG45):
-            _, _, v = _rk_step_full(tab, f, (1.0, 1.0), 0.01)
+            _, _, v, _ = _rk_step_full(tab, f, (1.0, 1.0), 0.01, *UNIT_TOL)
             assert abs(v - 0.8) < 1e-9 * 0.8
 
     def test_probe_silent_on_constant_field(self):
         f = lambda y: (3.0, -1.0)
         for tab in (MERSON, FEHLBERG45):
-            _, _, v = _rk_step_full(tab, f, (0.2, 0.4), 0.05)
+            _, _, v, _ = _rk_step_full(tab, f, (0.2, 0.4), 0.05, *UNIT_TOL)
             assert v == 0.0
+
+    def test_err_is_rk_integrates_scaled_norm(self):
+        f = lambda y: (-80.0 * y[0], -2.0 * y[1])
+        atol, rtol = (1e-6, 1e-3), (1e-4, 0.0)
+        for tab in (MERSON, FEHLBERG45):
+            y_next, est, _, err = _rk_step_full(tab, f, (1.0, 1.0), 0.01,
+                                                atol, rtol)
+            assert err == max(abs(e) / (a + r * abs(yn)) for yn, e, a, r
+                              in zip(y_next, est, atol, rtol))
+            assert err > 0.0
 
 
 def _scripted_field(n, seed, kind, specials):
@@ -214,10 +224,40 @@ def _same(a, b):
 
 
 def _same_step(out, ref):
-    (y_a, e_a, v_a), (y_b, e_b, v_b) = out, ref
+    (y_a, e_a, v_a, err_a), (y_b, e_b, v_b, err_b) = out, ref
     return (len(y_a) == len(y_b) == len(e_a) == len(e_b)
             and all(map(_same, y_a, y_b)) and all(map(_same, e_a, e_b))
-            and _same(v_a, v_b))
+            and _same(v_a, v_b) and _same(err_a, err_b))
+
+
+def _outcome(step, *args):
+    """step(*args), or the type of the exception it raised."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _same_outcome(out, ref):
+    if isinstance(out, type) or isinstance(ref, type):
+        return out is ref
+    return _same_step(out, ref)
+
+
+def _draw_tolerances(rng, n):
+    """atol and rtol as tuples; some atol are 0, so that a zero component
+    of the new state makes a zero denominator."""
+    atol = 10.0 ** rng.uniform(-10, 0, n)
+    atol[rng.random(n) < 0.2] = 0.0
+    return tuple(atol.tolist()), tuple((10.0 ** rng.uniform(-8, 0, n)).tolist())
+
+
+def unit_tol(n):
+    """atol 1 and rtol 0: a step's err is then its largest |estimate|."""
+    return (1.0,) * n, (0.0,) * n
+
+
+UNIT_TOL = unit_tol(2)
 
 
 class TestGeneratedStep:
@@ -242,46 +282,97 @@ class TestGeneratedStep:
             y[rng.random(n) < 0.2] = 0.0
             y = tuple(y.tolist())
             h = 10.0 ** rng.uniform(-8, 1)
+            atol, rtol = _draw_tolerances(rng, n)
             for kind in ("tuple", "list", "float64", "array"):
                 for specials in (False, True):
                     seed = int(rng.integers(2**31))
                     f, calls = _scripted_field(n, seed, kind, specials)
                     g, ref_calls = _scripted_field(n, seed, kind, specials)
-                    out = _rk_step_full(tab, f, y, h)
-                    ref = _rk_step_loop(tab, g, y, h)
-                    assert _same_step(out, ref), (kind, specials, y, h)
+                    out = _outcome(_rk_step_full, tab, f, y, h, atol, rtol)
+                    ref = _outcome(_rk_step_loop, tab, g, y, h, atol, rtol)
+                    assert _same_outcome(out, ref), (kind, specials, y, h)
                     assert calls[0] is y
                     assert all(type(c) is tuple for c in calls)
                     assert len(calls) == len(ref_calls) == tab.stages
                     for c, rc in zip(calls, ref_calls):
                         assert all(map(_same, c, rc))
             for f in smooth:
-                out = _rk_step_full(tab, f, y, h)
-                assert _same_step(out, _rk_step_loop(tab, f, y, h))
-            out = _rk_step_full(tab, _signed_zero_field(tab, n), y, h)
-            ref = _rk_step_loop(tab, _signed_zero_field(tab, n), y, h)
+                for tols in ((atol, rtol), unit_tol(n)):
+                    out = _outcome(_rk_step_full, tab, f, y, h, *tols)
+                    ref = _outcome(_rk_step_loop, tab, f, y, h, *tols)
+                    assert _same_outcome(out, ref)
+            out = _rk_step_full(tab, _signed_zero_field(tab, n), y, h,
+                                *unit_tol(n))
+            ref = _rk_step_loop(tab, _signed_zero_field(tab, n), y, h,
+                                *unit_tol(n))
             assert _same_step(out, ref)
         assert n in tab._steps
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
+    def test_err_matches_loop(self, tab):
+        # the generated error norm, straight through or handed to the
+        # loop's _scaled_error, against the loop: crafted states reach a
+        # zero denominator before or after a component that is not
+        # finite, and NaN in the estimate alone
+        zero = lambda y: (0.0,) * len(y)
+        cases = [
+            # a zero component of y_next over atol = 0 raises
+            (zero, (0.0, 1.0), (0.0, 1e-3), (1e-3, 1e-3)),
+            # inf first: err is inf before the zero denominator
+            (lambda y: (math.inf, 0.0), (1.0, 0.0), (0.0, 0.0),
+             (1e-3, 1e-3)),
+            # the zero denominator comes first and raises
+            (lambda y: (0.0, math.inf), (0.0, 1.0), (0.0, 0.0),
+             (1e-3, 1e-3)),
+            # NaN in y_next
+            (lambda y: (math.nan, 1.0), (1.0, 1.0), (1e-3, 1e-3),
+             (1e-3, 1e-3)),
+            # a NaN estimate on a finite state never wins the norm
+            (lambda y: (1e300, -1.0), (1e300, 1.0), (1e-3, 1e-3),
+             (1e-3, 1e-3)),
+            # signed zeros and a state-scaled denominator
+            (lambda y: (-0.0, -y[1]), (-0.0, 2.0), (1e-6, 0.0), (0.0, 1e-3)),
+        ]
+        for f, y, atol, rtol in cases:
+            out = _outcome(_rk_step_full, tab, f, y, 0.1, atol, rtol)
+            ref = _outcome(_rk_step_loop, tab, f, y, 0.1, atol, rtol)
+            assert _same_outcome(out, ref), (y, atol, rtol, out, ref)
+        rng = np.random.default_rng(97)
+        for _ in range(400):
+            n = int(rng.integers(1, SMALL_N + 1))
+            seed = int(rng.integers(2**31))
+            y = tuple(rng.normal(size=n).tolist())
+            tols = _draw_tolerances(rng, n)
+            specials = bool(rng.random() < 0.5)
+            f, _ = _scripted_field(n, seed, "tuple", specials)
+            g, _ = _scripted_field(n, seed, "tuple", specials)
+            h = 10.0 ** rng.uniform(-8, -1)
+            out = _outcome(_rk_step_full, tab, f, y, h, *tols)
+            ref = _outcome(_rk_step_loop, tab, g, y, h, *tols)
+            assert _same_outcome(out, ref)
 
     def test_large_state_takes_the_loop(self, monkeypatch):
         taken = []
 
-        def loop(tab, f, y, h):
+        def loop(tab, f, y, h, atol, rtol):
             taken.append(len(y))
-            return _rk_step_loop(tab, f, y, h)
+            return _rk_step_loop(tab, f, y, h, atol, rtol)
 
         monkeypatch.setattr(reference_rk, "_rk_step_loop", loop)
         f = lambda y: tuple(-v for v in y)
         tab = dataclasses.replace(MERSON)
         for n in (SMALL_N, SMALL_N + 1):
-            _rk_step_full(tab, f, (1.0,) * n, 0.1)
+            _rk_step_full(tab, f, (1.0,) * n, 0.1, *unit_tol(n))
         assert taken == [SMALL_N + 1]
         assert set(tab._steps) == {SMALL_N}
 
     def test_generated_on_first_use_with_source_lines(self):
         tab = dataclasses.replace(FEHLBERG45)
         assert tab._steps == {}
-        _rk_step_full(tab, lambda y: (-y[0], -y[1]), (1.0, 2.0), 0.1)
+        _rk_step_full(tab, lambda y: (-y[0], -y[1]), (1.0, 2.0), 0.1,
+                      *UNIT_TOL)
         code = tab._steps[2].__code__
         assert linecache.getline(code.co_filename, code.co_firstlineno) \
             .startswith("def ")
@@ -301,7 +392,7 @@ class TestGeneratedStep:
         with pytest.raises(DimensionMismatch,
                            match=f"returned {n + extra} components "
                                  f"for a state of {n}"):
-            _rk_step_full(MERSON, f, (1.0,) * n, 0.1)
+            _rk_step_full(MERSON, f, (1.0,) * n, 0.1, *unit_tol(n))
         assert len(calls) == bad_call + 1
 
     @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
@@ -316,6 +407,19 @@ class TestGeneratedStep:
                            match=f"returned a {kind} for a state of {n}"):
             rk_integrate(tab, lambda y: value, (1.0,) * n, (0.0, 1.0),
                          Tolerances.uniform(1e-4, n), 1e-3)
+
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("n", [2, 20], ids=["generated", "loop"])
+    def test_rhs_returning_a_column_raises(self, tab, n):
+        # an (n, 1) array has n items, so it unpacks, but each is a
+        # one-element array: math.isfinite raised a bare TypeError on them
+        column = lambda y: -np.asarray(y).reshape(-1, 1)
+        with pytest.raises(DimensionMismatch, match="not numbers"):
+            rk_integrate(tab, column, (1.0,) * n, (0.0, 1.0),
+                         Tolerances.uniform(1e-3, n), 1e-2)
+        with pytest.raises(DimensionMismatch, match="not numbers"):
+            rk_step(tab, column, (1.0,) * n, 1e-2)
 
 
 class TestRkIntegrate:

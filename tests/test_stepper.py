@@ -30,7 +30,6 @@ from asode.stepper import (
     integrate,
     integrate_fixed,
     propose_next_h,
-    stability_estimate,
 )
 
 from conftest import split_problem
@@ -81,12 +80,22 @@ class TestErrorNorm:
 
 class TestStabilityEstimate:
     def probe(self, full, y, h):
-        """The estimate from the stages of one explicit (B = 0) attempt."""
+        """The estimate of one explicit (B = 0) attempt, accepted under
+        tolerances too loose to reject it; both paths give the same."""
         zero = DiagonalMatrix(np.zeros(len(y)))
         prob = split_problem("probe", full, lambda u: zero, y, h)
-        (u6, k6), k1, _, _, _ = _stages(prob, y, h, SCHEME, EMBEDDED,
-                                        RunStatistics())
-        return stability_estimate(y, u6, k1, k6)
+        tol = Tolerances.uniform(1e300, len(y))
+        out = []
+        for small_n in (linalg.SMALL_N, 0):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(linalg, "SMALL_N", small_n)
+                _, err, v, _, _ = _stages(prob, y, h, SCHEME, EMBEDDED,
+                                          RunStatistics(), tol, True,
+                                          [0.0] * len(y))
+            assert err <= 1.0
+            out.append(v)
+        assert out[0] == out[1]
+        return out[0]
 
     def test_two_rate_diagonal_is_exact(self):
         A = np.array([-1.0, -10.0])
@@ -273,11 +282,16 @@ class TestAttemptStep:
 
         monkeypatch.setattr(stepper, "stability_estimate", never)
         prob = scalar_problem(-1e6, 0.0)
-        rep, stats = self.run_once(prob, np.array([1.0]), 1e-3,
-                                   cfg=ControllerConfig())
-        assert not rep.accepted and rep.err > 1.0
-        assert rep.v is None
-        assert stats.phi_evals == 3
+        # the float path estimates in its generated function, so the
+        # numpy path (SMALL_N = 0) is the one that would call `never`
+        for small_n in (linalg.SMALL_N, 0):
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "SMALL_N", small_n)
+                rep, stats = self.run_once(prob, np.array([1.0]), 1e-3,
+                                           cfg=ControllerConfig())
+            assert not rep.accepted and rep.err > 1.0
+            assert rep.v is None
+            assert stats.phi_evals == 3
 
     def test_acceptance_report_shape(self):
         prob = builtin("smooth")

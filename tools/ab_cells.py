@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the additive kinetics cells of two source trees against each other.
+"""Time the kinetics cells of two source trees against each other.
 
 Usage, from anywhere:
 
@@ -7,21 +7,24 @@ Usage, from anywhere:
 
 TREE_A and TREE_B are roots of source trees (each with src/asode).  One
 process imports both packages, under the names asode_a and asode_b, and
-runs the 14 additive cells of the benchmark's kinetics workload
-(example1-4 x tol 1e-2/1e-4 x asode3/asode3-nocontrol, without example2
-at 1e-4) at the built-in initial states.  Each round runs every cell once
-per tree, the two trees back to back, and swaps which goes first from
-round to round.  Time is process CPU time (time.process_time).  A warm-up
-round, untimed, runs first, so code generated on first use is not timed.
+runs the 20 cells of the benchmark's kinetics workload at the built-in
+initial states: the 14 additive cells (example1-4 x tol 1e-2/1e-4 x
+asode3/asode3-nocontrol, without example2 at 1e-4) and the 6 comparator
+cells (merson/rkf45 x example1/3/4 at 1e-4).  Each round runs every cell
+once per tree, the two trees back to back, and swaps which goes first
+from round to round.  Time is process CPU time (time.process_time).  A
+warm-up round, untimed, runs first, so code generated on first use is
+not timed.
 
 Every run of a cell must end at the same t and state, bit for bit, with
 the same work counters, in both trees; a difference stops the tool with
-exit 1.  It prints, per cell and for the sum of all cells, the median
-over the rounds of time(B) / time(A) and its range.  Passing the same
-tree twice (an A/A run) shows the noise of the host.
+exit 1.  It prints, per cell, per family (additive, comparator) and for
+the sum of all cells, the median over the rounds of time(B) / time(A)
+and its range.  Passing the same tree twice (an A/A run) shows the noise
+of the host.
 
-This is a quick paired check of the additive solver's own time.  It does
-not replace the benchmark under perfbench/, which times whole passes in
+This is a quick paired check of the solvers' own time.  It does not
+replace the benchmark under perfbench/, which times whole passes in
 separate processes.
 """
 
@@ -39,8 +42,13 @@ TOLS = (1e-2, 1e-4)
 METHODS = ("asode3", "asode3-nocontrol")
 # the kinetics workload leaves this cell out of its additive solves
 SKIP = (("example2", 1e-4),)
-CELLS = [(p, tol, m) for p in PROBLEMS for tol in TOLS for m in METHODS
-         if (p, tol) not in SKIP]
+ADDITIVE = [(p, tol, m) for p in PROBLEMS for tol in TOLS for m in METHODS
+            if (p, tol) not in SKIP]
+# the comparators run example1, 3 and 4 at 1e-4 only, as in the workload
+COMPARATOR = [(p, 1e-4, m) for p in ("example1", "example3", "example4")
+              for m in ("merson", "rkf45")]
+CELLS = ADDITIVE + COMPARATOR
+FAMILIES = (("additive", ADDITIVE), ("comparator", COMPARATOR))
 
 
 def load(tree: str, name: str):
@@ -75,13 +83,20 @@ class Tree:
     def run(self, cell) -> tuple:
         """(CPU seconds, (t, final state, counters)) of one solve."""
         problem, tol, cfg = self.inputs[cell]
+        method = cell[2]
+        pkg = self.pkg
         start = time.process_time()
-        res = self.pkg.integrate(problem, self.scheme, self.embedded, tol,
-                                 cfg)
+        if method in METHODS:
+            res = pkg.integrate(problem, self.scheme, self.embedded, tol, cfg)
+            t, y, stats = res.t, res.y.tolist(), res.stats
+        else:
+            stats = pkg.RunStatistics()
+            t, y, _ = pkg.rk_integrate(
+                pkg.TABLEAUS[method], problem.full, tuple(problem.y0),
+                (problem.t0, problem.t_end), tol, problem.h0, stats=stats)
         elapsed = time.process_time() - start
         # repr tells -0.0 from 0.0 and matches NaN with NaN
-        return elapsed, (repr(res.t), repr(res.y.tolist()),
-                         res.stats.as_dict())
+        return elapsed, (repr(t), repr(list(y)), stats.as_dict())
 
 
 def spread(values) -> str:
@@ -121,11 +136,14 @@ def main(argv=None) -> int:
         problem, tol, method = cell
         label = f"{problem}@{tol:g}/{method}"
         print(f"{label:<32} {spread([y / x for x, y in zip(a, b)])}")
-    sum_a = [sum(times[c][0][r] for c in CELLS) for r in range(args.rounds)]
-    sum_b = [sum(times[c][1][r] for c in CELLS) for r in range(args.rounds)]
-    print(f"{'sum':<32} {spread([y / x for x, y in zip(sum_a, sum_b)])}")
-    print(f"summed seconds per round: A {statistics.median(sum_a):.3f}, "
-          f"B {statistics.median(sum_b):.3f} (medians)")
+    for label, cells in FAMILIES + (("sum", CELLS),):
+        sum_a = [sum(times[c][0][r] for c in cells)
+                 for r in range(args.rounds)]
+        sum_b = [sum(times[c][1][r] for c in cells)
+                 for r in range(args.rounds)]
+        print(f"{label:<32} {spread([y / x for x, y in zip(sum_a, sum_b)])}"
+              f"   seconds per round: A {statistics.median(sum_a):.3f}, "
+              f"B {statistics.median(sum_b):.3f} (medians)")
     print("final states and counters identical in every cell and round")
     return 0
 
