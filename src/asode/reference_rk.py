@@ -14,12 +14,10 @@ diagonal-B attempt on Python floats, the step is a straight-line function
 generated on first use for each (tableau, dimension) and kept on the
 tableau: every component is a local, zero coefficients are left out, and
 each sum runs in the loop's order from the loop's start value, so the
-results are bit-identical to the loop's.  It is compiled and registered
-with linecache by the helper that also builds the additive stepper's
-generated stages (stepper._compile_generated), and it calls the
-right-hand side through the emitter those stages use too
-(stepper._emit_rhs_call): one call on a tuple, its return unpacked into
-locals.  A return that is not a sequence of n items raises
+results are bit-identical to the loop's.  It is written with the
+emitters of asode._codegen, which the additive stepper's generated stages
+share, and calls the right-hand side once per stage on a tuple, its
+return unpacked into locals.  A return that is not a sequence of n items raises
 DimensionMismatch in the generated step and in the loop alike.  The step
 also measures itself: it returns rk_integrate's scaled error norm along
 with the new state, the error estimate and the stability estimate, and
@@ -41,19 +39,13 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._codegen import (_compile_generated, _emit_rhs_call, _not_numbers,
+                       _wrong_length, _zero_denominator, each,
+                       emit_denominators, emit_each, emit_finite, emit_max)
 from .exceptions import NonFiniteState, StepsizeUnderflow
 from .linalg import SMALL_N
 from .problems import Tolerances
-from .stepper import (
-    PROBE_FLOOR,
-    PROBE_SHARE_FLOOR,
-    RunStatistics,
-    _compile_generated,
-    _emit_rhs_call,
-    _not_numbers,
-    _wrong_length,
-    _zero_denominator,
-)
+from .stepper import PROBE_FLOOR, PROBE_SHARE_FLOOR, RunStatistics
 
 # rooted-tree order conditions up to order five: (order, weight, 1/density)
 # with the elementary weight written in terms of A, b, c
@@ -387,38 +379,22 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
                     weights[c] = f"w{len(weights)}"
                     emit(f"    {weights[c]} = h * {c!r}")
                 terms.append((weights[c], j))
-        for m in comps:
-            emit(f"    {out}_{m} = " + " + ".join(
-                [start.format(m=m)] + [f"{w} * k{j}_{m}" for w, j in terms]))
+        emit_each(emit, f"{out}_{{m}} = " + " + ".join(
+            [start] + [f"{w} * k{j}_{{m}}" for w, j in terms]), n)
 
     _emit_rhs_call(emit, "f(y)", "k0", n)
     for i, row in enumerate(tableau.a[1:], start=1):
         combine(f"u{i}", "y_{m}", row)
-        _emit_rhs_call(emit, "f((" + "".join(f"u{i}_{m}, " for m in comps)
-                       + "))", f"k{i}", n)
+        _emit_rhs_call(emit, f"f(({each(f'u{i}_{{m}}', n)}))", f"k{i}", n)
     combine("yn", "y_{m}", tableau.b)
     combine("e", "0.0", tableau.d)
 
-    yn = "".join(f"yn_{m}, " for m in comps)
-    e = "".join(f"e_{m}, " for m in comps)
-    emit("    isfinite = math.isfinite")
-    emit("    try:")
-    emit("        finite = (" + "\n                  and ".join(
-        f"isfinite(yn_{m})" for m in comps) + ")")
-    emit("    except TypeError:")
-    emit("        finite = False")
+    yn = each("yn_{m}", n)
+    e = each("e_{m}", n)
+    emit_finite(emit, [f"yn_{m}" for m in comps], "finite = False")
     emit("    if finite:")
-    emit(f"        {''.join(f'at_{m}, ' for m in comps)}= atol")
-    emit(f"        {''.join(f'rt_{m}, ' for m in comps)}= rtol")
-    for m in comps:
-        emit(f"        den_{m} = at_{m} + rt_{m} * abs(yn_{m})")
-    emit("        if " + " or ".join(f"den_{m} == 0.0" for m in comps) + ":")
-    emit("            raise _zero_denominator()")
-    emit("        err = 0.0")
-    for m in comps:
-        emit(f"        q = abs(e_{m}) / den_{m}")
-        emit("        if q > err:")
-        emit("            err = q")
+    emit_denominators(emit, n, "        ")
+    emit_max(emit, "err", "abs(e_{m}) / den_{m}", n, "        ", start="0.0")
     emit("    else:")
     emit(f"        err = _scaled_error(({yn}), ({e}), atol, rtol)")
 
@@ -428,12 +404,9 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
               (f"u2_{{m}} - u1_{{m}} - {rho!r} * (u1_{{m}} - y_{{m}})",
                f"k2_{{m}} - k1_{{m}} - {rho!r} * (k1_{{m}} - k0_{{m}})"))
     for p, (den, num) in enumerate(probes):
-        for m in comps:
-            emit(f"    d{p}_{m} = abs({den.format(m=m)})")
-        for m in comps:
-            emit(f"    n{p}_{m} = abs({num.format(m=m)})")
-    for m in comps:
-        emit(f"    fl_{m} = PROBE_FLOOR * (1.0 + abs(u1_{m}))")
+        emit_each(emit, f"d{p}_{{m}} = abs({den})", n)
+        emit_each(emit, f"n{p}_{{m}} = abs({num})", n)
+    emit_each(emit, "fl_{m} = PROBE_FLOOR * (1.0 + abs(u1_{m}))", n)
     emit("    v = 0.0")
     for p in range(len(probes)):
         # dmax = max(d<p>_0, ...) and the floors max(share, fl_m) keep

@@ -60,13 +60,15 @@ copy that both paths share.
 
 from __future__ import annotations
 
-import linecache
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._codegen import (_compile_generated, _emit_rhs_call, _not_numbers,
+                       _wrong_length, _zero_denominator, each,
+                       emit_denominators, emit_each, emit_finite, emit_max)
 from .coefficients import EmbeddedCoefficients, SchemeCoefficients
 from .exceptions import (
     DimensionMismatch,
@@ -74,7 +76,6 @@ from .exceptions import (
     NonFiniteState,
     SingularMatrix,
     StepsizeUnderflow,
-    ZeroToleranceDenominator,
 )
 from .linalg import factor
 from .problems import SplitProblem, Tolerances
@@ -172,22 +173,6 @@ class IntegrationResult:
     trace: Optional[list] = field(default=None)
 
 
-def _not_numbers() -> DimensionMismatch:
-    """The error for a state that holds items which are no numbers.
-
-    A float-path or comparator state holds what the right-hand side
-    returned, combined with floats, so such an item came from it (an
-    (n, 1) column gives one-element arrays, for instance).
-    """
-    return DimensionMismatch("right-hand side returned components that "
-                             "are not numbers")
-
-
-def _zero_denominator() -> ZeroToleranceDenominator:
-    return ZeroToleranceDenominator(
-        "atol + rtol*|y| vanished for some component")
-
-
 def _all_finite(x) -> bool:
     if type(x) is list:
         try:
@@ -279,33 +264,6 @@ def _rhs(full, u: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"right-hand side returned shape {f.shape} "
                                 f"for a state of shape {u.shape}")
     return f
-
-
-def _wrong_length(k, n: int) -> DimensionMismatch:
-    """The error for a right-hand side that returned k, which is not a
-    sequence of n items, for a state of n components."""
-    try:
-        got = f"{len(k)} components"
-    except TypeError:
-        got = f"a {type(k).__name__}"
-    return DimensionMismatch(f"right-hand side returned {got} for a state "
-                             f"of {n}")
-
-
-def _emit_rhs_call(emit: Callable, call: str, out: str, n: int) -> None:
-    """Emit generated code that calls a right-hand side and unpacks it.
-
-    The lines are `k = call`, then k unpacked into the locals out_0, ...,
-    out_<n-1>.  A k that is not a sequence of n items raises
-    _wrong_length's DimensionMismatch, looked up in the generated
-    function's module.  The additive float stages and the comparator
-    steps both call their right-hand side through this.
-    """
-    emit(f"    k = {call}")
-    emit("    try:")
-    emit("        " + "".join(f"{out}_{m}, " for m in range(n)) + "= k")
-    emit("    except (TypeError, ValueError):")
-    emit(f"        raise _wrong_length(k, {n}) from None")
 
 
 def _stages(problem: SplitProblem, y, h: float,
@@ -422,81 +380,55 @@ def _float_stages_source(n: int, name: str) -> str:
     math.exp in the last bit.
     """
     comps = range(n)
-
-    def each(fmt: str) -> str:
-        # "x_0, x_1, ..., " with fmt formatted for every component
-        return "".join(fmt.format(m=m) + ", " for m in comps)
-
     lines = [f"def {name}(full, solve, b, y, h, w, r, b_diag, atol, rtol, "
              "control, drift):",
              "    (_, a42, a43, b42, b43, gamma, b63, b64, b65,",
              "     p1, p2, p3, p4, p5, p6) = w",
              "    r1, r2, r3, r4, r5 = r",
-             f"    {each('y_{m}')}= y",
-             f"    {each('b_{m}')}= b"]
+             f"    {each('y_{m}', n)}= y",
+             f"    {each('b_{m}', n)}= b"]
     emit = lines.append
-
-    def per_component(fmt: str, indent: str = "    ") -> None:
-        lines.extend(indent + fmt.format(m=m) for m in comps)
-
-    def nan_max(out: str, fmt: str, indent: str = "    ") -> None:
-        # out = the largest of fmt over the components; a later item
-        # replaces it when greater or NaN, and nothing replaces a NaN
-        emit(f"{indent}{out} = {fmt.format(m=0)}")
-        for m in comps[1:]:
-            emit(f"{indent}q = {fmt.format(m=m)}")
-            emit(f"{indent}if not q <= {out} and {out} == {out}:")
-            emit(f"{indent}    {out} = q")
-
-    _emit_rhs_call(emit, f"full(({each('y_{m}')}))", "f", n)
-    per_component("k1_{m} = h * (f_{m} - b_{m} * y_{m})")
-    emit(f"    k2 = solve([{each('h * f_{m}')}])")
-    emit(f"    {each('k2_{m}')}= k2")
-    emit(f"    {each('k3_{m}')}= solve(k2)")
-    per_component("u_{m} = y_{m} + b42 * k2_{m} + b43 * k3_{m}")
-    per_component("w_{m} = y_{m} + a42 * k2_{m} + a43 * k3_{m}")
-    _emit_rhs_call(emit, f"full(({each('u_{m}')}))", "f", n)
+    _emit_rhs_call(emit, f"full(({each('y_{m}', n)}))", "f", n)
+    emit_each(emit, "k1_{m} = h * (f_{m} - b_{m} * y_{m})", n)
+    emit(f"    k2 = solve([{each('h * f_{m}', n)}])")
+    emit(f"    {each('k2_{m}', n)}= k2")
+    emit(f"    {each('k3_{m}', n)}= solve(k2)")
+    emit_each(emit, "u_{m} = y_{m} + b42 * k2_{m} + b43 * k3_{m}", n)
+    emit_each(emit, "w_{m} = y_{m} + a42 * k2_{m} + a43 * k3_{m}", n)
+    _emit_rhs_call(emit, f"full(({each('u_{m}', n)}))", "f", n)
     emit("    k4 = solve([")
-    per_component("    h * f_{m} + h * (b_{m} * (w_{m} - u_{m})),")
+    emit_each(emit, "    h * f_{m} + h * (b_{m} * (w_{m} - u_{m})),", n)
     emit("    ])")
-    emit(f"    {each('k4_{m}')}= k4")
-    emit(f"    {each('k5_{m}')}= solve([{each('k4_{m} + gamma * k3_{m}')}])")
-    per_component("u6_{m} = y_{m} + b63 * k3_{m} + b64 * k4_{m} + b65 * k5_{m}")
-    _emit_rhs_call(emit, f"full(({each('u6_{m}')}))", "f", n)
-    per_component("k6_{m} = h * (f_{m} - b_{m} * u6_{m})")
-    emit(f"    {each('e5_{m}')}= solve(k4)")
-    per_component("yn_{m} = (y_{m} + p1 * k1_{m} + p2 * k2_{m} + p3 * k3_{m}"
-                  " + p4 * k4_{m} + p5 * k5_{m} + p6 * k6_{m})")
-    per_component("ye_{m} = (y_{m} + r1 * k1_{m} + r2 * k2_{m} + r3 * k3_{m}"
-                  " + r4 * k4_{m} + r5 * e5_{m})")
+    emit(f"    {each('k4_{m}', n)}= k4")
+    k5 = each("k4_{m} + gamma * k3_{m}", n)
+    emit(f"    {each('k5_{m}', n)}= solve([{k5}])")
+    emit_each(emit, "u6_{m} = y_{m} + b63 * k3_{m} + b64 * k4_{m}"
+              " + b65 * k5_{m}", n)
+    _emit_rhs_call(emit, f"full(({each('u6_{m}', n)}))", "f", n)
+    emit_each(emit, "k6_{m} = h * (f_{m} - b_{m} * u6_{m})", n)
+    emit(f"    {each('e5_{m}', n)}= solve(k4)")
+    emit_each(emit, "yn_{m} = (y_{m} + p1 * k1_{m} + p2 * k2_{m} + p3 * k3_{m}"
+              " + p4 * k4_{m} + p5 * k5_{m} + p6 * k6_{m})", n)
+    emit_each(emit, "ye_{m} = (y_{m} + r1 * k1_{m} + r2 * k2_{m} + r3 * k3_{m}"
+              " + r4 * k4_{m} + r5 * e5_{m})", n)
     emit("    if atol is None:")
-    emit(f"        return [{each('yn_{m}')}], [{each('ye_{m}')}]")
+    emit(f"        return [{each('yn_{m}', n)}], [{each('ye_{m}', n)}]")
     # _all_finite on y_next, then on y_emb
-    emit("    isfinite = math.isfinite")
-    emit("    try:")
-    emit("        finite = (" + "\n                  and ".join(
-        [f"isfinite(yn_{m})" for m in comps]
-        + [f"isfinite(ye_{m})" for m in comps]) + ")")
-    emit("    except TypeError:")
-    emit("        raise _not_numbers() from None")
+    emit_finite(emit, [f"yn_{m}" for m in comps] + [f"ye_{m}" for m in comps],
+                "raise _not_numbers() from None")
     emit("    if not finite:")
     emit("        return None")
-    # error_norm
-    emit(f"    {each('at_{m}')}= atol")
-    emit(f"    {each('rt_{m}')}= rtol")
-    per_component("den_{m} = at_{m} + rt_{m} * abs(yn_{m})")
-    emit("    if " + " or ".join(f"den_{m} == 0.0" for m in comps) + ":")
-    emit("        raise _zero_denominator()")
-    nan_max("err", "abs(yn_{m} - ye_{m}) / den_{m}")
-    emit(f"    y_next = [{each('yn_{m}')}]")
+    emit_denominators(emit, n, "    ")  # error_norm
+    emit_max(emit, "err", "abs(yn_{m} - ye_{m}) / den_{m}", n)
+    emit(f"    y_next = [{each('yn_{m}', n)}]")
     emit("    if not err <= 1.0:")
     emit("        return y_next, err, None, None, None")
     # stability_estimate: the ratios start from -1.0, below any ratio
     # (an absolute value over a positive displacement), so a v still
     # below 0 kept no component
     emit("    if control:")
-    per_component("pd_{m} = abs(u6_{m} - y_{m})", "        ")
-    nan_max("pmax", "pd_{m}", "        ")
+    emit_each(emit, "pd_{m} = abs(u6_{m} - y_{m})", n, "        ")
+    emit_max(emit, "pmax", "pd_{m}", n, "        ")
     emit("        share = PROBE_SHARE_FLOOR * pmax")
     emit("        v = -1.0")
     for m in comps:
@@ -510,32 +442,17 @@ def _float_stages_source(n: int, name: str) -> str:
     emit("    else:")
     emit("        v = None")
     # _drift_update
-    emit(f"    {each('dk_{m}')}= np.exp(np.minimum(0.0, h * b_diag)).tolist()")
-    emit(f"    {each('g_{m}')}= drift")
-    per_component("g_{m} = g_{m} * dk_{m} + (yn_{m} - ye_{m})")
-    nan_max("g_norm", "abs(g_{m}) / den_{m}")
-    emit(f"    return y_next, err, v, [{each('g_{m}')}], g_norm")
+    emit(f"    {each('dk_{m}', n)}= "
+         "np.exp(np.minimum(0.0, h * b_diag)).tolist()")
+    emit(f"    {each('g_{m}', n)}= drift")
+    emit_each(emit, "g_{m} = g_{m} * dk_{m} + (yn_{m} - ye_{m})", n)
+    emit_max(emit, "g_norm", "abs(g_{m}) / den_{m}", n)
+    emit(f"    return y_next, err, v, [{each('g_{m}', n)}], g_norm")
     return "\n".join(lines) + "\n"
 
 
-def _compile_generated(source: str, name: str, filename: str,
-                       scope: dict) -> Callable:
-    """Compile generated source and return its function called name.
-
-    scope is the function's globals, where the names it reads are looked
-    up at call time.  The source is registered with linecache under
-    filename, so tracebacks and profilers show the generated lines.
-    """
-    namespace = {}
-    exec(compile(source, filename, "exec"), scope, namespace)
-    linecache.cache[filename] = (len(source), None,
-                                 source.splitlines(True), filename)
-    return namespace[name]
-
-
 def _float_stages(n: int) -> Callable:
-    """The generated float-path function for n components, made on first
-    use."""
+    """The generated float-path function for n components, made once."""
     stages = _FLOAT_STAGES.get(n)
     if stages is None:
         name = f"_float_stages_{n}"
