@@ -359,8 +359,13 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
     bit-identical.  The error norm runs straight through when every
     component of the new state is a finite number; otherwise it is left
     to _scaled_error, the loop's own, which finds the first component
-    that is not and raises or returns as the loop does.  The probe
-    floors and math.isfinite are looked up in this module at call time,
+    that is not and raises or returns as the loop does.  The probe keeps
+    the signed first differences u1 - y, k1 - k0, u2 - u1 and k2 - k1 as
+    locals that its three directions share, and tests finiteness by
+    comparison with inf (1e999).  When c1 = c2 (Merson), rho is 0 and
+    b - 0.0*a is b for a finite a, so the third direction repeats the
+    second whenever every first difference is finite, and is skipped
+    then.  The probe floors are looked up in this module at call time,
     as the loop does.
     """
     comps = range(n)
@@ -398,33 +403,43 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
     emit("    else:")
     emit(f"        err = _scaled_error(({yn}), ({e}), atol, rtol)")
 
+    # the signed first differences, which all three directions share:
+    # u2 - u1 - rho*(u1 - y) parses as (u2 - u1) - rho*(u1 - y)
+    for dif, fmt in (("da", "u1_{m} - y_{m}"), ("ka", "k1_{m} - k0_{m}"),
+                     ("db", "u2_{m} - u1_{m}"), ("kb", "k2_{m} - k1_{m}")):
+        emit_each(emit, f"{dif}_{{m}} = {fmt}", n)
     rho = (tableau.c[2] - tableau.c[1]) / tableau.c[1]
-    probes = (("u1_{m} - y_{m}", "k1_{m} - k0_{m}"),
-              ("u2_{m} - u1_{m}", "k2_{m} - k1_{m}"),
-              (f"u2_{{m}} - u1_{{m}} - {rho!r} * (u1_{{m}} - y_{{m}})",
-               f"k2_{{m}} - k1_{{m}} - {rho!r} * (k1_{{m}} - k0_{{m}})"))
-    for p, (den, num) in enumerate(probes):
-        emit_each(emit, f"d{p}_{{m}} = abs({den})", n)
-        emit_each(emit, f"n{p}_{{m}} = abs({num})", n)
+    probes = (("da_{m}", "ka_{m}"), ("db_{m}", "kb_{m}"),
+              (f"db_{{m}} - {rho!r} * da_{{m}}",
+               f"kb_{{m}} - {rho!r} * ka_{{m}}"))
     emit_each(emit, "fl_{m} = PROBE_FLOOR * (1.0 + abs(u1_{m}))", n)
     emit("    v = 0.0")
-    for p in range(len(probes)):
+    for p, (den, num) in enumerate(probes):
+        indent = "    "
+        if p == 2 and rho == 0.0:
+            # b - 0.0*a == b for a finite a, so with every first
+            # difference finite the third direction repeats the second
+            indent = "        "
+            emit("    if not (" + "\n            and ".join(
+                f"d0_{m} < 1e999 and n0_{m} < 1e999" for m in comps) + "):")
+        emit_each(emit, f"d{p}_{{m}} = abs({den})", n, indent)
+        emit_each(emit, f"n{p}_{{m}} = abs({num})", n, indent)
         # dmax = max(d<p>_0, ...) and the floors max(share, fl_m) keep
         # the builtin's rule (a later item wins only if greater), so NaN
         # and ties resolve as in the loop
-        emit(f"    dmax = d{p}_0")
+        emit(f"{indent}dmax = d{p}_0")
         for m in comps[1:]:
-            emit(f"    if d{p}_{m} > dmax:")
-            emit(f"        dmax = d{p}_{m}")
-        emit("    if dmax > 0.0 and math.isfinite(dmax):")
-        emit("        share = PROBE_SHARE_FLOOR * dmax")
+            emit(f"{indent}if d{p}_{m} > dmax:")
+            emit(f"{indent}    dmax = d{p}_{m}")
+        emit(f"{indent}if 0.0 < dmax < 1e999:")
+        emit(f"{indent}    share = PROBE_SHARE_FLOOR * dmax")
         for m in comps:
-            emit(f"        if (not (d{p}_{m} < (fl_{m} if fl_{m} > share "
+            emit(f"{indent}    if (not (d{p}_{m} < (fl_{m} if fl_{m} > share "
                  f"else share))")
-            emit(f"                and math.isfinite(n{p}_{m})):")
-            emit(f"            q = h * n{p}_{m} / d{p}_{m}")
-            emit("            if q > v:")
-            emit("                v = q")
+            emit(f"{indent}            and n{p}_{m} < 1e999):")
+            emit(f"{indent}        q = h * n{p}_{m} / d{p}_{m}")
+            emit(f"{indent}        if q > v:")
+            emit(f"{indent}            v = q")
     emit(f"    return ({yn}), ({e}), v, err")
     return "\n".join(lines) + "\n"
 
@@ -476,7 +491,8 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     not positive (NaN included) raise ValueError.
     Returns (t, y, RunStatistics) with every right-hand-side evaluation
     counted in phi_evals; with collect_trace a list of per-step rows
-    (t, h_used, err, v, y) is returned as a fourth element.
+    (t, h_used, err, v, y) is returned as a fourth element.  A run that
+    raises has still added the work of its completed steps to stats.
     """
     t, t_end = float(span[0]), float(span[1])
     if not (math.isfinite(t) and t < t_end < math.inf):
@@ -499,32 +515,44 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     t_close = 1e-14 * max(abs(t_end - t), abs(t_end))
     just_rejected = False
     trace = [] if collect_trace else None
-
-    while t_end - t > t_close:
-        if h >= (t_end - t) / 1.0001:
-            h = t_end - t
-        y_next, _, v, err = _rk_step_full(tableau, f, y, h, atol, rtol)
-        stats.phi_evals += s
-        h_stab = h * v_cap / v if v > 0.0 else math.inf
-        if err <= 1.0:
-            t += h
-            y = y_next
-            stats.steps_accepted += 1
-            if trace is not None:
-                trace.append((t, h, err, v, y))
-            if err < double_below and not just_rejected:
-                h = 2.0 * h
-            just_rejected = False
-            h = max(min(h, h_stab), H_MIN)
-        else:
-            stats.steps_rejected += 1
-            just_rejected = True
-            if 0.5 * h < H_MIN:
-                raise StepsizeUnderflow(
-                    f"retry stepsize fell below h_min={H_MIN:g} at "
-                    f"t={t:.6g} (err={err:.3g})")
-            # a diverged step's huge v must not cap the retry below H_MIN
-            h = 0.5 * h if h_stab < H_MIN else min(0.5 * h, h_stab)
+    inf = math.inf
+    # the counters run as locals and reach stats however the run ends
+    phi_evals = accepted = rejected = 0
+    try:
+        while t_end - t > t_close:
+            if h >= (t_end - t) / 1.0001:
+                h = t_end - t
+            y_next, _, v, err = _rk_step_full(tableau, f, y, h, atol, rtol)
+            phi_evals += s
+            h_stab = h * v_cap / v if v > 0.0 else inf
+            if err <= 1.0:
+                t += h
+                y = y_next
+                accepted += 1
+                if trace is not None:
+                    trace.append((t, h, err, v, y))
+                if err < double_below and not just_rejected:
+                    h = 2.0 * h
+                just_rejected = False
+                # h = max(min(h, h_stab), H_MIN)
+                if h_stab < h:
+                    h = h_stab
+                if h < H_MIN:
+                    h = H_MIN
+            else:
+                rejected += 1
+                just_rejected = True
+                if 0.5 * h < H_MIN:
+                    raise StepsizeUnderflow(
+                        f"retry stepsize fell below h_min={H_MIN:g} at "
+                        f"t={t:.6g} (err={err:.3g})")
+                # a diverged step's huge v must not cap the retry below
+                # H_MIN
+                h = 0.5 * h if h_stab < H_MIN else min(0.5 * h, h_stab)
+    finally:
+        stats.phi_evals += phi_evals
+        stats.steps_accepted += accepted
+        stats.steps_rejected += rejected
 
     if trace is not None:
         return t, y, stats, trace

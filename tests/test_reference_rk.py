@@ -15,6 +15,7 @@ from asode.exceptions import (
     ZeroToleranceDenominator,
 )
 from asode.problems import Tolerances, builtin
+from asode.stepper import RunStatistics
 from asode.reference_rk import (
     FEHLBERG45,
     MERSON,
@@ -353,6 +354,43 @@ class TestGeneratedStep:
             ref = _outcome(_rk_step_loop, tab, g, y, h, *tols)
             assert _same_outcome(out, ref)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n", range(1, SMALL_N + 1))
+    def test_merson_third_direction_with_non_finite_differences(self, n):
+        # Merson's third probe direction repeats its second while every
+        # first difference u1 - y, k1 - k0 is finite, and the generated
+        # step skips it only then.  Each field here makes one of them
+        # non-finite in component j and is otherwise a stiff linear field
+        y = (1.0,) * n
+        cases = [
+            # (h/3)*k0_j overflows while (h/6)*k0_j does not: u1 - y is
+            # inf, u2 - u1 is -inf, and only the third direction, which
+            # drops component j as NaN, reads the other components
+            (6.0, 1e308, 0.0),
+            # k1 - k0 overflows on finite stages
+            (1e-3, -1e308, 1e308),
+            (1e-3, math.inf, 0.0),
+            (1e-3, 0.0, math.nan),
+        ]
+        for j in range(n):
+            for h, k0_j, k1_j in cases:
+                def field(calls):
+                    def f(u):
+                        calls.append(u)
+                        k = [-(10.0 ** (m % 3)) * v for m, v in enumerate(u)]
+                        if len(calls) <= 2:
+                            k[j] = (k0_j, k1_j)[len(calls) - 1]
+                        return tuple(k)
+                    return f
+
+                out = _outcome(_rk_step_full, MERSON, field([]), y, h,
+                               *unit_tol(n))
+                ref = _outcome(_rk_step_loop, MERSON, field([]), y, h,
+                               *unit_tol(n))
+                assert _same_outcome(out, ref), (j, h, k0_j, k1_j)
+                if h == 6.0 and j > 0:
+                    assert ref[2] > 0.0
+
     def test_large_state_takes_the_loop(self, monkeypatch):
         taken = []
 
@@ -486,6 +524,39 @@ class TestRkIntegrate:
             assert t == pytest.approx(prob.t_end, abs=1e-12)
             assert all(map(math.isfinite, y))
             assert stats.steps_rejected > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tab, phi_evals", [(MERSON, 7 + 5 * 37),
+                                                (FEHLBERG45, 7 + 6 * 37)],
+                             ids=["merson", "rkf45"])
+    def test_stats_after_underflow(self, tab, phi_evals):
+        # a caller's stats holds the work of every attempt before the
+        # error, added to what it held
+        stats = RunStatistics(phi_evals=7, steps_accepted=2)
+        with pytest.raises(StepsizeUnderflow):
+            rk_integrate(tab, lambda s: (math.inf,), (1.0,), (0.0, 1.0),
+                         Tolerances.uniform(1e-4, 1), 1e-3, stats=stats)
+        assert stats == RunStatistics(phi_evals=phi_evals, steps_accepted=2,
+                                      steps_rejected=37)
+
+    @pytest.mark.parametrize("tab, steps", [(MERSON, 40), (FEHLBERG45, 33)],
+                             ids=["merson", "rkf45"])
+    def test_stats_after_mid_run_dimension_mismatch(self, tab, steps):
+        # the 203rd call returns one component: the steps before the one
+        # it falls in are counted, that step is not
+        calls = []
+
+        def f(y):
+            calls.append(y)
+            return (1.0,) if len(calls) == 203 else (-y[0], -2.0 * y[1])
+
+        stats = RunStatistics(phi_evals=7, steps_accepted=2)
+        with pytest.raises(DimensionMismatch):
+            rk_integrate(tab, f, (1.0, 1.0), (0.0, 10.0),
+                         Tolerances.uniform(1e-8, 2), 1e-3, stats=stats)
+        assert len(calls) == 203
+        assert stats == RunStatistics(phi_evals=7 + tab.stages * steps,
+                                      steps_accepted=2 + steps)
 
     @pytest.mark.parametrize("h0", [math.nan, 0.0, -1.0])
     def test_non_positive_h0_rejected(self, h0):

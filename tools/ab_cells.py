@@ -10,7 +10,11 @@ process imports both packages, under the names asode_a and asode_b, and
 runs the 20 cells of the benchmark's kinetics workload at the built-in
 initial states: the 14 additive cells (example1-4 x tol 1e-2/1e-4 x
 asode3/asode3-nocontrol, without example2 at 1e-4) and the 6 comparator
-cells (merson/rkf45 x example1/3/4 at 1e-4).  Each round runs every cell
+cells (merson/rkf45 x example1/3/4 at 1e-4).  Two more cells, merson and
+rkf45 on example2 at 1e-4 over t in [0, 10] (about 105 000 steps each),
+form a family of their own: on the full span, example2 under the
+comparators dominates the serial `asode bench` and the benchmark-matrix
+test, and the kinetics workload leaves it out.  Each round runs every cell
 once per tree, the two trees back to back, and swaps which goes first
 from round to round.  Time is process CPU time (time.process_time).  A
 warm-up round, untimed, runs first, so code generated on first use is
@@ -18,9 +22,9 @@ not timed.
 
 Every run of a cell must end at the same t and state, bit for bit, with
 the same work counters, in both trees; a difference stops the tool with
-exit 1.  It prints, per cell, per family (additive, comparator) and for
-the sum of all cells, the median over the rounds of time(B) / time(A)
-and its range.  Passing the same tree twice (an A/A run) shows the noise
+exit 1.  It prints, per cell, per family (additive, comparator,
+example2 comparator) and for the sum of the 20 kinetics cells, the
+median over the rounds of time(B) / time(A) and its range.  Passing the same tree twice (an A/A run) shows the noise
 of the host.
 
 This is a quick paired check of the solvers' own time.  It does not
@@ -31,6 +35,7 @@ separate processes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import os
 import statistics
@@ -47,8 +52,13 @@ ADDITIVE = [(p, tol, m) for p in PROBLEMS for tol in TOLS for m in METHODS
 # the comparators run example1, 3 and 4 at 1e-4 only, as in the workload
 COMPARATOR = [(p, 1e-4, m) for p in ("example1", "example3", "example4")
               for m in ("merson", "rkf45")]
-CELLS = ADDITIVE + COMPARATOR
-FAMILIES = (("additive", ADDITIVE), ("comparator", COMPARATOR))
+# example2 under the comparators, on t in [0, EXAMPLE2_T_END]
+EXAMPLE2_T_END = 10.0
+EXAMPLE2 = [("example2", 1e-4, m) for m in ("merson", "rkf45")]
+KINETICS = ADDITIVE + COMPARATOR
+CELLS = KINETICS + EXAMPLE2
+FAMILIES = (("additive", ADDITIVE), ("comparator", COMPARATOR),
+            ("example2 comparator", EXAMPLE2))
 
 
 def load(tree: str, name: str):
@@ -74,8 +84,11 @@ class Tree:
         self.scheme = scheme
         self.embedded = pkg.derive_embedded(scheme)
         self.inputs = {}
-        for problem, tol, method in CELLS:
+        for cell in CELLS:
+            problem, tol, method = cell
             p = pkg.builtin(problem)
+            if cell in EXAMPLE2:
+                p = dataclasses.replace(p, t_end=EXAMPLE2_T_END)
             self.inputs[problem, tol, method] = (
                 p, pkg.Tolerances.uniform(tol, p.n),
                 pkg.ControllerConfig(stability_control=method == "asode3"))
@@ -135,8 +148,10 @@ def main(argv=None) -> int:
     for cell, (a, b) in times.items():
         problem, tol, method = cell
         label = f"{problem}@{tol:g}/{method}"
+        if cell in EXAMPLE2:
+            label = f"{problem}[0-{EXAMPLE2_T_END:g}]@{tol:g}/{method}"
         print(f"{label:<32} {spread([y / x for x, y in zip(a, b)])}")
-    for label, cells in FAMILIES + (("sum", CELLS),):
+    for label, cells in FAMILIES + (("sum", KINETICS),):
         sum_a = [sum(times[c][0][r] for c in cells)
                  for r in range(args.rounds)]
         sum_b = [sum(times[c][1][r] for c in cells)
