@@ -271,14 +271,27 @@ def _factor_banded(values: np.ndarray, kl: int, ku: int,
 
 def _factor_diagonal_floats(B: DiagonalMatrix,
                             a_times_h: float) -> _SmallDiagonalFactorization:
-    """factor's diagonal branch on Python floats, with the same checks."""
+    """factor's diagonal branch on Python floats, with the same checks.
+
+    One pass over the pivots finds a non-finite one, the scale
+    max(1, max|d|) and the smallest |d|.
+    """
     values = B.values.tolist()
     a_times_h = float(a_times_h)
-    d = [1.0 - a_times_h * b for b in values]
-    if not all(map(math.isfinite, d)):
-        raise SingularMatrix("non-finite entries in stage matrix")
-    scale = max(1.0, max(map(abs, d)))
-    if min(map(abs, d)) < PIVOT_FLOOR * scale:
+    d = []
+    scale = 1.0
+    low = math.inf
+    for b in values:
+        x = 1.0 - a_times_h * b
+        m = abs(x)
+        if not m < math.inf:
+            raise SingularMatrix("non-finite entries in stage matrix")
+        if m > scale:
+            scale = m
+        if m < low:
+            low = m
+        d.append(x)
+    if low < PIVOT_FLOOR * scale:
         raise SingularMatrix(
             f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
     return _SmallDiagonalFactorization([1.0 / x for x in d], B, values)

@@ -28,9 +28,9 @@ from .linalg import DiagonalMatrix, JacobianApprox
 class Tolerances:
     """Per-component absolute and relative error tolerances.
 
-    atol and rtol are read-only copies, so the lists of floats taken from
-    them once at construction (as_lists, for the stepper's float path)
-    always match them.
+    atol and rtol are read-only copies, so the tuples of floats taken
+    from them once at construction (as_lists, for the stepper's float
+    path and the comparators) always match them.
     """
 
     atol: np.ndarray
@@ -53,10 +53,13 @@ class Tolerances:
         rtol.setflags(write=False)
         object.__setattr__(self, "atol", atol)
         object.__setattr__(self, "rtol", rtol)
-        object.__setattr__(self, "_lists", (atol.tolist(), rtol.tolist()))
+        object.__setattr__(self, "_lists", (tuple(atol.tolist()),
+                                            tuple(rtol.tolist())))
 
     def as_lists(self) -> tuple:
-        """(atol, rtol) as lists of Python floats."""
+        """(atol, rtol) as tuples of Python floats, which cannot be
+        changed: the float path and the comparators read them while the
+        numpy path reads the arrays."""
         return self._lists
 
     @classmethod
@@ -131,12 +134,12 @@ def _ex1_f(y):
 
 
 def _ex1_jac(y):
-    y1, y2, y3 = y
-    return DiagonalMatrix(np.array([
+    y1, y2, y3 = y.tolist()
+    return DiagonalMatrix((
         -0.013 - 1000.0 * y3,
         -2500.0 * y3,
         -1000.0 * y1 - 2500.0 * y2,
-    ]))
+    ))
 
 
 # -- oscillating chemical reaction -------------------------------------------
@@ -149,12 +152,12 @@ def _ex2_f(y):
 
 
 def _ex2_jac(y):
-    y1, y2, _ = y
-    return DiagonalMatrix(np.array([
+    y1, y2, _ = y.tolist()
+    return DiagonalMatrix((
         77.27 * (1.0 - y2 - 1.675e-5 * y1),
         (-1.0 - y1) / 77.27,
         -0.161,
-    ]))
+    ))
 
 
 # -- autocatalytic kinetics with quadratic loss -------------------------------
@@ -167,12 +170,12 @@ def _ex3_f(y):
 
 
 def _ex3_jac(y):
-    _, y2, y3 = y
-    return DiagonalMatrix(np.array([
+    _, y2, y3 = y.tolist()
+    return DiagonalMatrix((
         -0.04,
         -100.0 * y3 - 6000.0 * y2,
         0.0,
-    ]))
+    ))
 
 
 # -- four-component reaction with quadratic coupling --------------------------
@@ -188,13 +191,13 @@ def _ex4_f(y):
 
 
 def _ex4_jac(y):
-    y1, y2, _, _ = y
-    return DiagonalMatrix(np.array([
+    y1, y2, _, _ = y.tolist()
+    return DiagonalMatrix((
         -100.0 * y2,
         -100.0 * y1 - 4.0e4 * y2,
         -1.0,
         -1.0,
-    ]))
+    ))
 
 
 # -- smooth mildly stiff problem with closed-form solution --------------------
@@ -214,7 +217,7 @@ def _smooth_f(y):
 
 
 def _smooth_jac(y):
-    return DiagonalMatrix(np.array([-(_SMOOTH_L + y[1]), -1.0]))
+    return DiagonalMatrix((-(_SMOOTH_L + float(y[1])), -1.0))
 
 
 def _smooth_exact(t):

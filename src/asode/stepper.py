@@ -49,7 +49,9 @@ same quantities with error_norm, stability_estimate and _drift_update on
 arrays; it is the reference the tests hold the float path to.  The two
 give bit-identical results: each sum keeps numpy's association and order
 (zero weights included), the maxima let NaN win as np.max does, and the
-drift decay still calls np.exp on the array of B's diagonal.  The user's
+drift decay calls np.exp once on a tuple of the clipped h*b_i, the
+values the numpy path's array holds, since numpy's exp may differ from
+math.exp in the last bit.  The user's
 right-hand side full takes a sequence of n floats and returns a sequence
 of n numbers: it receives a tuple of floats on the float path, as in the
 comparators, and an array on the numpy path.  The Jacobian provider
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -140,9 +142,9 @@ class RunStatistics:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
-    """Outcome of one step attempt."""
+    """Outcome of one step attempt, built positionally on the hot path."""
 
     accepted: bool
     err: float
@@ -158,8 +160,7 @@ class StepReport:
     next_pressure: float = 1.0
 
 
-@dataclass(frozen=True)
-class StepProposal:
+class StepProposal(NamedTuple):
     h_accept: float
     h_retry: float
     retry_underflow: bool
@@ -242,19 +243,29 @@ def propose_next_h(h: float, err: float, v: Optional[float],
     never grows; retry_underflow flags that the unclamped retry fell
     below H_MIN.
     """
-    q1 = (1.0 / max(err, ERR_FLOOR)) ** (1.0 / 3.0)
+    # each comparison below is the builtin max or min it stands for:
+    # max(a, b) is b only if b > a, min(a, b) is b only if b < a
+    q1 = (1.0 / (ERR_FLOOR if ERR_FLOOR > err else err)) ** (1.0 / 3.0)
     h_acc = SAFETY * q1 * h
+    # max(h, min(h_acc, h_st)), with h_st = inf when v gives no cap
+    h_accept = h_acc
     if v is not None and v > 0.0:
         h_st = (EXPLICIT_STABILITY_SPAN / v) * h
-    else:
-        h_st = math.inf
-    h_accept = max(h, min(h_acc, h_st))
+        if h_st < h_acc:
+            h_accept = h_st
+    if not h_accept > h:
+        h_accept = h
     if pressure > 1.0:
-        h_accept = min(h_accept, h_acc / pressure)
-    h_accept = max(h_accept, H_MIN)
-    h_retry = min(max(h_acc, H_MIN), h)
-    return StepProposal(h_accept=h_accept, h_retry=h_retry,
-                        retry_underflow=h_acc < H_MIN)
+        h_press = h_acc / pressure
+        if h_press < h_accept:
+            h_accept = h_press
+    if H_MIN > h_accept:
+        h_accept = H_MIN
+    # min(max(h_acc, H_MIN), h)
+    h_retry = H_MIN if H_MIN > h_acc else h_acc
+    if h < h_retry:
+        h_retry = h
+    return StepProposal(h_accept, h_retry, h_acc < H_MIN)
 
 
 def _rhs(full, u: np.ndarray) -> np.ndarray:
@@ -319,8 +330,8 @@ def _stages(problem: SplitProblem, y, h: float,
         return _float_stages(n)(
             full, fact.solve, fact.b_floats,
             y if type(y) is list else y_arr.tolist(), h,
-            scheme.stage_weights(), embedded.stage_weights(), fact.b_diag,
-            atol, rtol, control, drift)
+            scheme.stage_weights(), embedded.stage_weights(), atol, rtol,
+            control, drift)
     y = y_arr
     (_, a42, a43, b42, b43, gamma, b63, b64, b65,
      p1, p2, p3, p4, p5, p6) = scheme.stage_weights()
@@ -366,9 +377,9 @@ def _float_stages_source(n: int, name: str) -> str:
     multiplies them, so signed zeros and NaN come out the same.  The
     weights arrive as arguments (w from SchemeCoefficients.stage_weights,
     r from EmbeddedCoefficients.stage_weights), so one function serves
-    every scheme, and so do the factorization's solve, B's diagonal as
-    floats (b) and as the array the drift decay reads (b_diag): _stages
-    has factored D and counted the work.  full is called on a tuple of
+    every scheme, and so do the factorization's solve and B's diagonal
+    as floats (b): _stages has factored D and counted the work.  full is
+    called on a tuple of
     the stage argument's components, and its return unpacked into locals
     (_emit_rhs_call); the stage solves go through solve as lists.
 
@@ -376,12 +387,15 @@ def _float_stages_source(n: int, name: str) -> str:
     the numpy path's error_norm, stability_estimate and _drift_update do,
     line for line on the locals: the same denominators, floors and
     maxima, with NaN winning each maximum as in np.max.  The drift decay
-    stays one np.exp call on b_diag, as numpy's exp may differ from
-    math.exp in the last bit.
+    is one np.exp call on the tuple of x_m = h*b_m clipped to x_m < 0.0,
+    else 0.0: the arguments of the numpy path's
+    np.exp(np.minimum(0.0, h*b_diag)) but for the sign of a zero, as b
+    is finite here (a non-finite b_m makes k1_m, and so the new state,
+    not finite) and exp(-0.0) = exp(0.0) = 1.0.
     """
     comps = range(n)
-    lines = [f"def {name}(full, solve, b, y, h, w, r, b_diag, atol, rtol, "
-             "control, drift):",
+    lines = [f"def {name}(full, solve, b, y, h, w, r, atol, rtol, control, "
+             "drift):",
              "    (_, a42, a43, b42, b43, gamma, b63, b64, b65,",
              "     p1, p2, p3, p4, p5, p6) = w",
              "    r1, r2, r3, r4, r5 = r",
@@ -441,9 +455,12 @@ def _float_stages_source(n: int, name: str) -> str:
     emit("            v = 0.0")
     emit("    else:")
     emit("        v = None")
-    # _drift_update
+    # _drift_update; x if x < 0.0 else 0.0 differs from np.minimum(0.0, x)
+    # only on NaN, which a finite b rules out, and on the sign of a zero,
+    # which exp maps to 1.0 either way
+    emit_each(emit, "x_{m} = h * b_{m}", n)
     emit(f"    {each('dk_{m}', n)}= "
-         "np.exp(np.minimum(0.0, h * b_diag)).tolist()")
+         f"np.exp(({each('x_{m} if x_{m} < 0.0 else 0.0', n)})).tolist()")
     emit(f"    {each('g_{m}', n)}= drift")
     emit_each(emit, "g_{m} = g_{m} * dk_{m} + (yn_{m} - ye_{m})", n)
     emit_max(emit, "g_norm", "abs(g_{m}) / den_{m}", n)
@@ -489,20 +506,17 @@ def attempt_step(problem: SplitProblem, y, h: float,
     except SingularMatrix:
         out = None
     if out is None:
-        return StepReport(accepted=False, err=math.inf, v=None, h_used=h,
-                          h_next=max(0.5 * h, H_MIN),
-                          retry_underflow=0.5 * h < H_MIN)
+        return StepReport(False, math.inf, None, h, max(0.5 * h, H_MIN),
+                          0.5 * h < H_MIN)
 
     y_next, err, v, drift, g_norm = out
-    proposal = propose_next_h(h, err, v, pressure=pressure)
+    h_accept, h_retry, retry_underflow = propose_next_h(h, err, v, pressure)
     if err <= 1.0:
-        return StepReport(
-            accepted=True, err=err, v=v, h_used=h, h_next=proposal.h_accept,
-            retry_underflow=False, y_next=y_next, drift=drift,
-            next_pressure=max(1.0, g_norm / DRIFT_BUDGET))
-    return StepReport(accepted=False, err=err, v=None, h_used=h,
-                      h_next=proposal.h_retry,
-                      retry_underflow=proposal.retry_underflow)
+        # max(1.0, g_norm / DRIFT_BUDGET)
+        pressure = g_norm / DRIFT_BUDGET
+        return StepReport(True, err, v, h, h_accept, False, y_next, drift,
+                          pressure if pressure > 1.0 else 1.0)
+    return StepReport(False, err, None, h, h_retry, retry_underflow)
 
 
 def _drift_update(drift, h: float, b_diag: np.ndarray, y: np.ndarray,

@@ -474,6 +474,26 @@ class TestDriftKernel:
             drift_attempt(monkeypatch, drift, [1.0, 2.0], [0.0, -0.0],
                           [-1.0, 0.0], 0.5, tol)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("h, b", [
+        # h*b is -0.0, 0.0, positive (clipped to 0), overflows to -inf,
+        # and a plain decay
+        (1e10, [-0.0, 0.0, 5.0, -1e300, -2e-10]),
+        # h*b is subnormal
+        (1e-10, [-0.0, 0.0, 5.0, -1e-300, -4e-299]),
+    ])
+    def test_decay_is_numpys(self, h, b, monkeypatch):
+        # the float path's decay, np.exp over x if x < 0.0 else 0.0 with
+        # x = h*b, against np.exp(np.minimum(0.0, h*b_diag)): with a unit
+        # drift sum and no new difference the new sum is the decay.  A
+        # zero state keeps b*y, and so the stages, finite
+        n = len(b)
+        out = drift_attempt(monkeypatch, [1.0] * n, [0.0] * n, [0.0] * n,
+                            b, h, Tolerances.uniform(1e-3, n))
+        _, err, _, new, _ = out
+        assert err == 0.0
+        assert same_bits(new, np.exp(np.minimum(0.0, h * np.array(b))))
+
     def test_monkeypatched_budget_acts_on_both_paths(self, monkeypatch):
         problem = diagonal_problem([-1.0, -2.0], [-5.0, 0.0], [1.0, 2.0])
 

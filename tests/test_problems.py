@@ -13,6 +13,7 @@ import pytest
 
 from asode.exceptions import UnknownProblem
 from asode.linalg import DenseMatrix, DiagonalMatrix
+from asode.reference_rk import MERSON, rk_integrate
 from asode.problems import (
     BUILTIN_NAMES,
     SplitProblem,
@@ -200,8 +201,24 @@ def test_tolerances_are_read_only_copies():
     with pytest.raises(ValueError):
         t.rtol[1] = 5.0
     lists = t.as_lists()
-    assert lists == ([1e-6, 2e-6], [1e-3, 0.0])
+    assert lists == ((1e-6, 2e-6), (1e-3, 0.0))
     assert all(type(v) is float for part in lists for v in part)
+
+
+def test_tolerance_floats_cannot_be_changed():
+    # writing atol = rtol = 0 into the float copies got past the
+    # validation, and a comparator run then raised
+    # ZeroToleranceDenominator part way
+    t = Tolerances.uniform(1e-4, 2)
+    atol, rtol = t.as_lists()
+    with pytest.raises(TypeError):
+        atol[0] = 0.0
+    with pytest.raises(TypeError):
+        rtol[0] = 0.0
+    assert t.as_lists() == ((1e-4, 1e-4), (1e-4, 1e-4))
+    t, y, _ = rk_integrate(MERSON, lambda s: (-s[0], -s[1]), (0.0, 1.0),
+                           (0.0, 1.0), t, 1e-3)
+    assert t == pytest.approx(1.0) and y[0] == 0.0
 
 
 def test_tolerances_validation():
