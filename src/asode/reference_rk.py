@@ -15,20 +15,23 @@ generated on first use for each (tableau, dimension) and kept on the
 tableau: every component is a local, zero coefficients are left out, and
 each sum runs in the loop's order from the loop's start value, so the
 results are bit-identical to the loop's.  It is written with the
-emitters of asode._codegen, which the additive stepper's generated stages
-share, and calls the right-hand side once per stage on a tuple, its
-return unpacked into locals.  A return that is not a sequence of n items raises
-DimensionMismatch in the generated step and in the loop alike.  The step
-also measures itself: it returns rk_integrate's scaled error norm along
-with the new state, the error estimate and the stability estimate, and
-a state whose items are not numbers (an (n, 1) column from the
-right-hand side) raises DimensionMismatch there too.  On the
-three-component kinetics problems generating the step cuts its cost to
-between a quarter and a third.  The generated source grows with the
-dimension: at 64 components (the benchmark's BRUSS N = 32) generating
-the steps of both tableaus took about 90 ms and raised peak memory by
-about 9.5 MB, against 1.5 MB at 16.  So larger states run the generic
-loop over the tableau, which the tests also use as the reference.
+emitters of asode._codegen, which the additive stepper's generated
+stages share, and calls the right-hand side once per stage on a tuple,
+its return unpacked into locals.  A return that is not a sequence of n
+items raises DimensionMismatch in the generated step and in the loop
+alike.  The step also measures itself: it returns rk_integrate's scaled
+error norm along with the new state, the error estimate and the
+stability estimate, and a state whose items are not numbers (an (n, 1)
+column from the right-hand side) raises DimensionMismatch there too.
+Its stability probe shares the first stage differences among its three
+directions and skips Merson's third when it can only repeat the second
+(_step_source).  On the three-component kinetics problems generating
+the step cuts its cost to between a quarter and a third.  The generated
+source grows with the dimension: at 64 components (the benchmark's
+BRUSS N = 32) generating the steps of both tableaus took about 90 ms and
+raised peak memory by about 9.5 MB, against 1.5 MB at 16.  So larger
+states run the generic loop over the tableau, which the tests also use
+as the reference.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ Every run of a cell must end at the same t and state, bit for bit, with
 the same work counters, in both trees; a difference stops the tool with
 exit 1.  It prints, per cell, per family (additive, comparator,
 example2 comparator) and for the sum of the 20 kinetics cells, the
-median over the rounds of time(B) / time(A) and its range.  Passing the same tree twice (an A/A run) shows the noise
-of the host.
+median over the rounds of time(B) / time(A) and its range.  Passing the
+same tree twice (an A/A run) shows the noise of the host.
 
 This is a quick paired check of the solvers' own time.  It does not
 replace the benchmark under perfbench/, which times whole passes in
