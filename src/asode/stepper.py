@@ -379,9 +379,9 @@ def _float_stages_source(n: int, name: str) -> str:
     r from EmbeddedCoefficients.stage_weights), so one function serves
     every scheme, and so do the factorization's solve and B's diagonal
     as floats (b): _stages has factored D and counted the work.  full is
-    called on a tuple of
-    the stage argument's components, and its return unpacked into locals
-    (_emit_rhs_call); the stage solves go through solve as lists.
+    called on a tuple of the stage argument's components, and its return
+    unpacked into locals (_emit_rhs_call); the stage solves go through
+    solve as lists.
 
     Given the tolerances as lists (atol, rtol), the function goes on as
     the numpy path's error_norm, stability_estimate and _drift_update do,
@@ -414,8 +414,8 @@ def _float_stages_source(n: int, name: str) -> str:
     emit_each(emit, "    h * f_{m} + h * (b_{m} * (w_{m} - u_{m})),", n)
     emit("    ])")
     emit(f"    {each('k4_{m}', n)}= k4")
-    k5 = each("k4_{m} + gamma * k3_{m}", n)
-    emit(f"    {each('k5_{m}', n)}= solve([{k5}])")
+    rhs5 = each("k4_{m} + gamma * k3_{m}", n)
+    emit(f"    {each('k5_{m}', n)}= solve([{rhs5}])")
     emit_each(emit, "u6_{m} = y_{m} + b63 * k3_{m} + b64 * k4_{m}"
               " + b65 * k5_{m}", n)
     _emit_rhs_call(emit, f"full(({each('u6_{m}', n)}))", "f", n)

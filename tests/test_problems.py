@@ -13,7 +13,6 @@ import pytest
 
 from asode.exceptions import UnknownProblem
 from asode.linalg import DenseMatrix, DiagonalMatrix
-from asode.reference_rk import MERSON, rk_integrate
 from asode.problems import (
     BUILTIN_NAMES,
     SplitProblem,
@@ -21,6 +20,7 @@ from asode.problems import (
     builtin,
     make_split,
 )
+from asode.reference_rk import MERSON, rk_integrate
 
 
 def rhs_example1(y):
@@ -209,15 +209,15 @@ def test_tolerance_floats_cannot_be_changed():
     # writing atol = rtol = 0 into the float copies got past the
     # validation, and a comparator run then raised
     # ZeroToleranceDenominator part way
-    t = Tolerances.uniform(1e-4, 2)
-    atol, rtol = t.as_lists()
+    tol = Tolerances.uniform(1e-4, 2)
+    atol, rtol = tol.as_lists()
     with pytest.raises(TypeError):
         atol[0] = 0.0
     with pytest.raises(TypeError):
         rtol[0] = 0.0
-    assert t.as_lists() == ((1e-4, 1e-4), (1e-4, 1e-4))
+    assert tol.as_lists() == ((1e-4, 1e-4), (1e-4, 1e-4))
     t, y, _ = rk_integrate(MERSON, lambda s: (-s[0], -s[1]), (0.0, 1.0),
-                           (0.0, 1.0), t, 1e-3)
+                           (0.0, 1.0), tol, 1e-3)
     assert t == pytest.approx(1.0) and y[0] == 0.0
 
 
