@@ -26,12 +26,13 @@ A DiagonalMatrix of at most SMALL_N entries is checked and inverted on
 Python floats rather than numpy arrays: on a handful of components
 numpy's cost per call is many times the arithmetic.  The checks are the
 same (non-finite entries are singular, the scale is max(1, max|d|), the
-pivot floor applies) and so are the reciprocals, bit for bit.  It has
-its own factorization class, whose solve multiplies a list of floats by
-the reciprocals in one map (an array still gives an array), and which
-keeps B's diagonal floats as b_floats.  factor is the one place that
-applies this rule: the additive stepper runs an attempt on floats
-exactly when its factorization carries b_floats.
+pivot floor applies) and so are the reciprocals, bit for bit.  Its
+factorization keeps the reciprocals as floats and B's diagonal floats as
+b_floats; a large one keeps an array and no b_floats.  Either solves a
+list of floats into a list by one map and an array into an array.
+factor is the one place that applies this rule: the additive stepper
+runs an attempt on floats exactly when its factorization carries
+b_floats.
 """
 
 from __future__ import annotations
@@ -144,24 +145,11 @@ class Factorization:
 
 
 class _DiagonalFactorization(Factorization):
-    """Reciprocals of D's diagonal, an array."""
+    """Reciprocals of D's diagonal: Python floats, with B's diagonal
+    floats as b_floats, when D was factored on floats, else an array."""
 
-    def __init__(self, reciprocals: np.ndarray, B: DiagonalMatrix):
-        self._recip = reciprocals
-        self.b_matvec = B.matvec
-        self.b_diag = B.values
-        self.dim = len(reciprocals)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._recip * self._checked(rhs)
-
-
-class _SmallDiagonalFactorization(Factorization):
-    """Reciprocals of a small D's diagonal as Python floats, and B's
-    diagonal floats as b_floats."""
-
-    def __init__(self, reciprocals: list, B: DiagonalMatrix,
-                 b_floats: list):
+    def __init__(self, reciprocals, B: DiagonalMatrix,
+                 b_floats: list | None = None):
         self._recip = reciprocals
         self.b_matvec = B.matvec
         self.b_diag = B.values
@@ -171,11 +159,11 @@ class _SmallDiagonalFactorization(Factorization):
     def solve(self, rhs):
         """rhs, a list of dim numbers, solved into a list; an array rhs
         gives an array."""
-        if type(rhs) is not list:
-            return np.asarray(self._recip) * self._checked(rhs)
-        if len(rhs) != self.dim:
-            raise DimensionMismatch(f"rhs length {len(rhs)} != {self.dim}")
-        return list(map(operator.mul, self._recip, rhs))
+        if type(rhs) is list:
+            if len(rhs) != self.dim:
+                raise DimensionMismatch(f"rhs length {len(rhs)} != {self.dim}")
+            return list(map(operator.mul, self._recip, rhs))
+        return np.asarray(self._recip) * self._checked(rhs)
 
 
 class _DenseFactorization(Factorization):
@@ -270,7 +258,7 @@ def _factor_banded(values: np.ndarray, kl: int, ku: int,
 
 
 def _factor_diagonal_floats(B: DiagonalMatrix,
-                            a_times_h: float) -> _SmallDiagonalFactorization:
+                            a_times_h: float) -> _DiagonalFactorization:
     """factor's diagonal branch on Python floats, with the same checks.
 
     One pass over the pivots finds a non-finite one, the scale
@@ -294,7 +282,7 @@ def _factor_diagonal_floats(B: DiagonalMatrix,
     if low < PIVOT_FLOOR * scale:
         raise SingularMatrix(
             f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
-    return _SmallDiagonalFactorization([1.0 / x for x in d], B, values)
+    return _DiagonalFactorization([1.0 / x for x in d], B, values)
 
 
 def factor(B: JacobianApprox, a_times_h: float) -> Factorization:

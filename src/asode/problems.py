@@ -29,7 +29,7 @@ class Tolerances:
     """Per-component absolute and relative error tolerances.
 
     atol and rtol are read-only copies, so the tuples of floats taken
-    from them once at construction (as_lists, for the stepper's float
+    from them once at construction (for_state, for the stepper's float
     path and the comparators) always match them.
     """
 
@@ -56,10 +56,12 @@ class Tolerances:
         object.__setattr__(self, "_lists", (tuple(atol.tolist()),
                                             tuple(rtol.tolist())))
 
-    def as_lists(self) -> tuple:
+    def for_state(self, n: int) -> tuple:
         """(atol, rtol) as tuples of Python floats, which cannot be
-        changed: the float path and the comparators read them while the
-        numpy path reads the arrays."""
+        changed, for the float path and the comparators; ValueError
+        unless the tolerances have n components."""
+        if len(self.atol) != n:
+            raise ValueError("tolerance length does not match the state")
         return self._lists
 
     @classmethod
@@ -79,7 +81,8 @@ class SplitProblem:
     receives a tuple on the stepper's float path and in the comparators,
     an array on the numpy path.  jac receives an array on both paths.
     exact, when present, is the closed-form solution t -> y used as an
-    order-study reference.
+    order-study reference.  y0, t0, t_end and h0 pass check_start, and
+    y0 is kept as the read-only copy it returns.
     """
 
     name: str
@@ -95,19 +98,30 @@ class SplitProblem:
     exact: Optional[Callable[[float], np.ndarray]] = field(default=None)
 
     def __post_init__(self):
-        if not self.n >= 1:
-            raise ValueError(f"a problem needs at least one component, "
-                             f"got n={self.n}")
-        y0 = np.asarray(self.y0, dtype=float)
+        y0 = check_start(self.y0, self.t0, self.t_end, self.h0)
         if y0.shape != (self.n,):
             raise ValueError(f"y0 shape {y0.shape} != ({self.n},)")
-        if not np.all(np.isfinite(y0)):
-            raise ValueError("y0 must be finite")
-        if not (math.isfinite(self.t0) and self.t0 < self.t_end < math.inf):
-            raise ValueError("t_end must exceed t0 and both must be finite")
-        if not self.h0 > 0.0:
-            raise ValueError("h0 must be positive")
         object.__setattr__(self, "y0", y0)
+
+
+def check_start(y0, t0: float, t_end: float, h0: float) -> np.ndarray:
+    """y0 as a read-only copy, once y0 is a non-empty 1-D sequence of
+    finite numbers, t0 < t_end with t_end - t0 finite and h0 > 0; else
+    ValueError.  SplitProblem and rk_integrate both start here."""
+    y0 = np.array(y0, dtype=float)
+    if y0.ndim != 1 or y0.size == 0:
+        raise ValueError(f"y0 must be 1-D with at least one component, "
+                         f"got shape {y0.shape}")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("y0 must be finite")
+    # a finite t_end - t0 leaves neither end infinite
+    if not (t0 < t_end and math.isfinite(t_end - t0)):
+        raise ValueError("t_end must exceed t0, and t0, t_end and "
+                         "t_end - t0 must be finite")
+    if not h0 > 0.0:
+        raise ValueError("h0 must be positive")
+    y0.setflags(write=False)
+    return y0
 
 
 def make_split(f: Callable, B_provider: Callable) -> tuple[Callable, Callable]:

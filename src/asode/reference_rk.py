@@ -45,10 +45,11 @@ import numpy as np
 from ._codegen import (_compile_generated, _emit_rhs_call, _not_numbers,
                        _wrong_length, _zero_denominator, each,
                        emit_denominators, emit_each, emit_finite, emit_max)
-from .exceptions import NonFiniteState, StepsizeUnderflow
+from .exceptions import StepsizeUnderflow
 from .linalg import SMALL_N
-from .problems import Tolerances
-from .stepper import PROBE_FLOOR, PROBE_SHARE_FLOOR, RunStatistics
+from .problems import Tolerances, check_start
+from .stepper import (END_SHARE, END_STRETCH, PROBE_FLOOR, PROBE_SHARE_FLOOR,
+                      RunStatistics)
 
 # rooted-tree order conditions up to order five: (order, weight, 1/density)
 # with the elementary weight written in terms of A, b, c
@@ -73,8 +74,8 @@ _ORDER_CONDITIONS = [
 ]
 
 _VERIFY_TOL = 1e-12
-# smallest stepsize a run may take or retry with
-H_MIN = 1e-14
+# smallest stepsize a comparator run may take or retry with
+RK_H_MIN = 1e-14
 
 
 def order_condition_residuals(a_rows, weights, nodes, order: int) -> list:
@@ -487,44 +488,37 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     effect of both mechanisms the work count is nearly
     tolerance-independent whenever stability rather than accuracy limits
     the step.  A non-finite result halves the step like any failure.  A
-    retry that the cap would put below H_MIN (a step whose stages
+    retry that the cap would put below RK_H_MIN (a step whose stages
     diverged reads a huge v) is a plain halving, and StepsizeUnderflow
-    is raised only when h/2 itself falls below H_MIN.  A span whose end
-    does not exceed its start, or that is not finite, and an h0 that is
-    not positive (NaN included) raise ValueError.
+    is raised only when h/2 itself falls below RK_H_MIN.  y0, span and
+    h0 pass check_start, as a SplitProblem's do, and tol for_state
+    (ValueError); time counts from t0 and the run ends as integrate's.
     Returns (t, y, RunStatistics) with every right-hand-side evaluation
     counted in phi_evals; with collect_trace a list of per-step rows
     (t, h_used, err, v, y) is returned as a fourth element.  A run that
     raises has still added the work of its completed steps to stats.
     """
-    t, t_end = float(span[0]), float(span[1])
-    if not (math.isfinite(t) and t < t_end < math.inf):
-        raise ValueError("span end must exceed its start and both must be "
-                         "finite")
-    if not h0 > 0.0:
-        raise ValueError("h0 must be positive")
-    y = tuple(float(v) for v in y0)
-    if not all(math.isfinite(v) for v in y):
-        raise NonFiniteState("initial state is not finite")
-    atol, rtol = tol.as_lists()
-    if len(atol) != len(y):
-        raise ValueError("tolerance length does not match the state")
+    t0, t_end = float(span[0]), float(span[1])
+    y = tuple(check_start(y0, t0, t_end, h0).tolist())
+    atol, rtol = tol.for_state(len(y))
     stats = stats if stats is not None else RunStatistics()
-    h = max(float(h0), H_MIN)
+    h = max(float(h0), RK_H_MIN)
     s = tableau.stages
     double_below = 2.0 ** -(tableau.order_hat + 2)
     v_cap = 0.9 * tableau.stability_span
-    # the run ends within this distance of t_end
-    t_close = 1e-14 * max(abs(t_end - t), abs(t_end))
+    length = t_end - t0
+    t_close = END_SHARE * length
+    stretch = END_STRETCH
+    t = 0.0
     just_rejected = False
     trace = [] if collect_trace else None
     inf = math.inf
     # the counters run as locals and reach stats however the run ends
     phi_evals = accepted = rejected = 0
     try:
-        while t_end - t > t_close:
-            if h >= (t_end - t) / 1.0001:
-                h = t_end - t
+        while length - t > t_close:
+            if h >= (length - t) / stretch:
+                h = length - t
             y_next, _, v, err = _rk_step_full(tableau, f, y, h, atol, rtol)
             phi_evals += s
             h_stab = h * v_cap / v if v > 0.0 else inf
@@ -533,30 +527,30 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
                 y = y_next
                 accepted += 1
                 if trace is not None:
-                    trace.append((t, h, err, v, y))
+                    trace.append((t0 + t, h, err, v, y))
                 if err < double_below and not just_rejected:
                     h = 2.0 * h
                 just_rejected = False
-                # h = max(min(h, h_stab), H_MIN)
+                # h = max(min(h, h_stab), RK_H_MIN)
                 if h_stab < h:
                     h = h_stab
-                if h < H_MIN:
-                    h = H_MIN
+                if h < RK_H_MIN:
+                    h = RK_H_MIN
             else:
                 rejected += 1
                 just_rejected = True
-                if 0.5 * h < H_MIN:
+                if 0.5 * h < RK_H_MIN:
                     raise StepsizeUnderflow(
-                        f"retry stepsize fell below h_min={H_MIN:g} at "
-                        f"t={t:.6g} (err={err:.3g})")
+                        f"retry stepsize fell below h_min={RK_H_MIN:g} at "
+                        f"t={t0 + t:.6g} (err={err:.3g})")
                 # a diverged step's huge v must not cap the retry below
-                # H_MIN
-                h = 0.5 * h if h_stab < H_MIN else min(0.5 * h, h_stab)
+                # RK_H_MIN
+                h = 0.5 * h if h_stab < RK_H_MIN else min(0.5 * h, h_stab)
     finally:
         stats.phi_evals += phi_evals
         stats.steps_accepted += accepted
         stats.steps_rejected += rejected
 
     if trace is not None:
-        return t, y, stats, trace
-    return t, y, stats
+        return t0 + t, y, stats, trace
+    return t0 + t, y, stats

@@ -98,6 +98,10 @@ EXPLICIT_STABILITY_SPAN = 2.0
 SAFETY = 0.9
 # smallest stepsize a run may take or retry with
 H_MIN = 1e-12
+# a run (here and in reference_rk) ends within END_SHARE of its span from
+# the end, and stretches or cuts onto the end a step within 0.01 % of it
+END_SHARE = 1e-14
+END_STRETCH = 1.0001
 # rejections of one step after which the run gives up
 MAX_REJECTS = 20
 # most steps integrate_fixed takes, and so the finest rung of an
@@ -304,10 +308,10 @@ def _stages(problem: SplitProblem, y, h: float,
     function for its dimension, and y_next and drift are then lists; any
     other runs it on arrays.  y and drift may be either.  Raises
     SingularMatrix when the stage matrix cannot be factored,
-    ZeroToleranceDenominator as error_norm does, and DimensionMismatch
-    when B's or tol's size differs from the state's, the right-hand side
-    returns anything but a sequence of n numbers or the Jacobian provider
-    returns neither matrix type.
+    ZeroToleranceDenominator as error_norm does, ValueError (for_state)
+    when tol's size differs from the state's, and DimensionMismatch when
+    B's does, the right-hand side returns anything but a sequence of n
+    numbers or the Jacobian provider returns neither matrix type.
     """
     y_arr = np.array(y) if type(y) is list else y
     B = problem.jac(y_arr)
@@ -318,15 +322,12 @@ def _stages(problem: SplitProblem, y, h: float,
     if fact.dim != n:
         raise DimensionMismatch(f"stage matrix size {fact.dim} != state "
                                 f"length {n}")
-    if tol is not None and len(tol.atol) != n:
-        raise DimensionMismatch(f"{len(tol.atol)} tolerances for a state "
-                                f"of {n}")
+    atol, rtol = tol.for_state(n) if tol is not None else (None, None)
     stats.phi_evals += 3
     stats.g_evals += 2
     stats.linear_solves += 5
     full = problem.full
     if fact.b_floats is not None:
-        atol, rtol = tol.as_lists() if tol is not None else (None, None)
         return _float_stages(n)(
             full, fact.solve, fact.b_floats,
             y if type(y) is list else y_arr.tolist(), h,
@@ -540,38 +541,40 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
               collect_trace: bool = False) -> IntegrationResult:
     """Integrate from t0 to t_end with adaptive stepsize.
 
-    Every attempt, accepted or rejected, costs one factorization, five
-    solves, three non-stiff and two stiff evaluations, with or without
-    stability control.  The trace, when requested, records
-    (t, h, err, v, y) per accepted step, y as an array and v None when
-    stability control is off.  The drift guard folds every accepted step's
-    main-vs-embedded difference into a running sum whose components decay
-    at their own linearized rates; once the sum's scaled norm exceeds
-    DRIFT_BUDGET, subsequent stepsize proposals are divided by the
-    overshoot factor.  Raises ValueError when the tolerances do not have
-    one entry per state component, StepsizeUnderflow when a rejection
-    pushes h below H_MIN and MaxRejectsExceeded when one step keeps
-    failing.
+    The problem is autonomous, so t runs from 0 to the span t_end - t0
+    and is reported (result, trace rows, errors) as t0 + t: a large |t0|
+    cannot swallow a step.  The run ends within END_SHARE of the span
+    from its end.  Every attempt, accepted or rejected, costs one
+    factorization, five solves, three non-stiff and two stiff
+    evaluations, with or without stability control.  The trace, when
+    requested, records (t, h, err, v, y) per accepted step, y as an
+    array and v None when stability control is off.  The drift guard
+    folds every accepted step's main-vs-embedded difference into a
+    running sum whose components decay at their own linearized rates;
+    once the sum's scaled norm exceeds DRIFT_BUDGET, subsequent stepsize
+    proposals are divided by the overshoot factor.  Raises ValueError
+    when the tolerances do not have one entry per state component,
+    StepsizeUnderflow when a rejection pushes h below H_MIN and
+    MaxRejectsExceeded when one step keeps failing.
     """
-    if len(tol.atol) != problem.n:
-        raise ValueError("tolerance length does not match the state")
+    tol.for_state(problem.n)  # raises on a length mismatch
     cfg = cfg if cfg is not None else ControllerConfig()
-    t = problem.t0
-    t_stop = problem.t_end
-    # the one copy: a result never aliases the problem's y0
-    y = problem.y0.copy()
+    t0 = problem.t0
+    span = problem.t_end - t0
+    t_close = END_SHARE * span
+    t = 0.0
+    # read-only, and every accepted step makes a new state
+    y = problem.y0
     h = max(problem.h0, H_MIN)
 
     stats = RunStatistics()
     trace: Optional[list] = [] if collect_trace else None
-    span = t_stop - t
     drift = [0.0] * problem.n
     pressure = 1.0
 
-    while t_stop - t > 1e-14 * max(abs(span), abs(t_stop)):
-        # stretch or truncate onto the endpoint when already within 0.01 %
-        if h >= (t_stop - t) / 1.0001:
-            h = t_stop - t
+    while span - t > t_close:
+        if h >= (span - t) / END_STRETCH:
+            h = span - t
         rejects = 0
         while True:
             report = attempt_step(problem, y, h, scheme, embedded, tol,
@@ -582,8 +585,8 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
                 stats.steps_accepted += 1
                 drift, pressure = report.drift, report.next_pressure
                 if trace is not None:
-                    trace.append((t, report.h_used, report.err, report.v,
-                                  _as_array(y)))
+                    trace.append((t0 + t, report.h_used, report.err,
+                                  report.v, _as_array(y)))
                 h = report.h_next
                 break
             stats.steps_rejected += 1
@@ -591,14 +594,14 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
             if report.retry_underflow:
                 raise StepsizeUnderflow(
                     f"retry stepsize fell below h_min={H_MIN:g} at "
-                    f"t={t:.6g} (err={report.err:.3g})")
+                    f"t={t0 + t:.6g} (err={report.err:.3g})")
             if rejects > MAX_REJECTS:
                 raise MaxRejectsExceeded(
-                    f"step at t={t:.6g} rejected {rejects} times "
+                    f"step at t={t0 + t:.6g} rejected {rejects} times "
                     f"(h={report.h_used:.3g}, err={report.err:.3g})")
             h = report.h_next
 
-    return IntegrationResult(t=t, y=_as_array(y), stats=stats, trace=trace)
+    return IntegrationResult(t0 + t, _as_array(y), stats, trace)
 
 
 def _check_stepsize(h: float) -> None:

@@ -37,7 +37,7 @@ EMBEDDED = asode.derive_embedded(SCHEME)
 FACTORIZATION = {"dense": ("bruss4", asode.linalg._DenseFactorization),
                  "diagonal": ("bruss16", asode.linalg._DiagonalFactorization),
                  "small-diagonal": ("bruss4",
-                                    asode.linalg._SmallDiagonalFactorization),
+                                    asode.linalg._DiagonalFactorization),
                  "banded": ("bruss64", asode.linalg._BandedFactorization)}
 
 
@@ -50,7 +50,10 @@ def test_traced_bruss_solve_sees_every_layer(variant):
         problem = workloads.diagonal_variant(problem)
     # the tracer wraps solve on direct subclasses of Factorization only
     assert factorization.__bases__ == (asode.linalg.Factorization,)
-    assert type(asode.factor(problem.jac(problem.y0), 0.1)) is factorization
+    fact = asode.factor(problem.jac(problem.y0), 0.1)
+    assert type(fact) is factorization
+    # b_floats marks the float path
+    assert (fact.b_floats is not None) == (variant == "small-diagonal")
     assert problem.t_end - problem.t0 == pytest.approx(
         workloads.SMOKE_SPAN * workloads.BRUSS_T_END)
     tracer = layertrace.Tracer()

@@ -1,12 +1,14 @@
 """Tests for the benchmark matrix, its report writers, and order studies."""
 
 import csv
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from asode import benchmark, problems
+from asode import benchmark, builtin, problems
 from asode.linalg import DiagonalMatrix
 from asode.benchmark import (
     BENCH_PROBLEMS,
@@ -28,6 +30,7 @@ from asode.exceptions import (
     ReferenceUnavailable,
     StepsizeUnderflow,
 )
+from asode.problems import Tolerances
 from asode.stepper import RunStatistics
 
 
@@ -135,6 +138,48 @@ def _sample_results():
                                          steps_rejected=5),
                      wall_seconds=0.5)
     return [good, bad]
+
+
+def guarded(problem, seconds=20.0):
+    """problem with a right-hand side that raises once the run has taken
+    longer than seconds, so a run that never ends fails instead"""
+    full = problem.full
+    deadline = time.monotonic() + seconds
+
+    def f(y):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"run exceeded {seconds:g} s")
+        return full(y)
+
+    return dataclasses.replace(problem, full=f)
+
+
+def run_example1(method, t0, span):
+    """run_method on example1 over [t0, t0 + span] at tol 1e-4."""
+    p = dataclasses.replace(builtin("example1"), t0=t0, t_end=t0 + span)
+    t, y, stats, _ = benchmark.run_method(method, guarded(p),
+                                          Tolerances.uniform(1e-4, p.n),
+                                          RunStatistics())
+    return t, [float(c) for c in y], stats
+
+
+class TestTimeFromStart:
+    # a run counts time from t0, so where the span lies changes nothing
+    # but the reported t; on t_end's scale a large |t0| swallowed steps
+    @pytest.mark.parametrize("method", ["asode3", "merson"])
+    @pytest.mark.parametrize("t0", [1e9, 1e13, 1e14, -1e15])
+    def test_shifted_span_runs_as_from_zero(self, method, t0):
+        t_ref, y_ref, stats_ref = run_example1(method, 0.0, 10.0)
+        t, y, stats = run_example1(method, t0, 10.0)
+        assert y == y_ref
+        assert stats == stats_ref
+        assert t == t0 + t_ref
+
+    @pytest.mark.parametrize("method", ["asode3", "merson"])
+    def test_short_span_far_from_zero_takes_a_step(self, method):
+        _, y, stats = run_example1(method, 1e9, 1e-6)
+        assert stats.steps_accepted >= 1
+        assert y != list(builtin("example1").y0)
 
 
 class TestReporting:

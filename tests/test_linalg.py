@@ -388,7 +388,7 @@ def test_factorization_applies_the_b_it_factored(kind):
     rng = np.random.default_rng(17)
     B, cls = {
         "floats": (DiagonalMatrix(rng.uniform(-5.0, 0.5, linalg.SMALL_N)),
-                   linalg._SmallDiagonalFactorization),
+                   linalg._DiagonalFactorization),
         "diagonal": (DiagonalMatrix(rng.uniform(-5.0, 0.5,
                                                 linalg.SMALL_N + 1)),
                      linalg._DiagonalFactorization),

@@ -200,9 +200,17 @@ def test_tolerances_are_read_only_copies():
         t.atol[0] = 5.0
     with pytest.raises(ValueError):
         t.rtol[1] = 5.0
-    lists = t.as_lists()
+    lists = t.for_state(2)
     assert lists == ((1e-6, 2e-6), (1e-3, 0.0))
     assert all(type(v) is float for part in lists for v in part)
+
+
+def test_builtin_initial_state_is_read_only():
+    # a NaN written into y0 surfaced only as a failed run
+    p = builtin("example1")
+    with pytest.raises(ValueError):
+        p.y0[0] = math.nan
+    assert p.y0.tolist() == [1.0, 1.0, 0.0]
 
 
 def test_tolerance_floats_cannot_be_changed():
@@ -210,12 +218,12 @@ def test_tolerance_floats_cannot_be_changed():
     # validation, and a comparator run then raised
     # ZeroToleranceDenominator part way
     tol = Tolerances.uniform(1e-4, 2)
-    atol, rtol = tol.as_lists()
+    atol, rtol = tol.for_state(2)
     with pytest.raises(TypeError):
         atol[0] = 0.0
     with pytest.raises(TypeError):
         rtol[0] = 0.0
-    assert tol.as_lists() == ((1e-4, 1e-4), (1e-4, 1e-4))
+    assert tol.for_state(2) == ((1e-4, 1e-4), (1e-4, 1e-4))
     t, y, _ = rk_integrate(MERSON, lambda s: (-s[0], -s[1]), (0.0, 1.0),
                            (0.0, 1.0), tol, 1e-3)
     assert t == pytest.approx(1.0) and y[0] == 0.0

@@ -317,6 +317,12 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="t_end must exceed t0"):
             dataclasses.replace(builtin("smooth"), t_end=t_end)
 
+    def test_span_of_infinite_length_rejected(self):
+        # both ends are finite, but t_end - t0 overflows: a run counted
+        # from t0 could not end
+        with pytest.raises(ValueError, match="t_end must exceed t0"):
+            dataclasses.replace(builtin("smooth"), t0=-1e308, t_end=1e308)
+
     def test_result_does_not_alias_initial_state(self):
         prob = builtin("smooth")
         res = integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 2))
