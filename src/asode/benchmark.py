@@ -236,11 +236,12 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
     """Convergence study at steps near h0, h0/2, h0/4, h0/8.
 
     Each rung covers the span in round(span/h) equal steps, and the
-    slopes are fitted against those steps; an h0 so large that two rungs
-    take the same number of steps, or so small that the finest rung
-    would take more than ORDER_STUDY_MAX_STEPS, raises ValueError before
-    any solve, and so does a ref_tol that is not finite and positive,
-    whether or not the problem needs the reference run.
+    slopes are fitted against those steps; an h0 that is not positive,
+    or so large that two rungs take the same number of steps, or so
+    small that the finest rung would take more than
+    ORDER_STUDY_MAX_STEPS, raises ValueError before any solve, and so
+    does a ref_tol that is not finite and positive, whether or not the
+    problem needs the reference run.
 
     Measures three ladders against a reference final state: the additive
     scheme's fixed-step global error, the one-step gap between its main
@@ -253,6 +254,8 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
     if not 0.0 < ref_tol < math.inf:
         raise ValueError(f"ref_tol must be finite and positive, got "
                          f"{ref_tol!r}")
+    if not h0 > 0.0:
+        raise ValueError(f"h0 must be positive, got {h0!r}")
     p = builtin(problem_name)
     span = p.t_end - p.t0
     # the finest rung's step count before rounding; where h0/8 would

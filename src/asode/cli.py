@@ -321,6 +321,9 @@ def cmd_stability_region(args: argparse.Namespace) -> int:
     if points > REGION_MAX_POINTS:
         raise ConfigError(f"x_points * z_points = {points} exceeds the "
                           f"grid bound {REGION_MAX_POINTS}")
+    if cfg["out"]:
+        # an unwritable path fails now, not after the whole scan
+        open(cfg["out"], "a").close()
     xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_points"])
     zs = np.linspace(cfg["z_min"], cfg["z_max"], cfg["z_points"])
     grid = stability_region_scan(xs, zs, cfg["which"])
@@ -344,6 +347,9 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _COEFFS_SCHEMA)
     scheme = derive_scheme(cfg["a"])
     embedded = derive_embedded(scheme)
+    if cfg["csv"] is not None:
+        # an unwritable path fails now, not after the table is printed
+        open(cfg["csv"], "a").close()
     rows = [("a", scheme.a), ("gamma", scheme.gamma)]
     rows += [(f"p{i}", v) for i, v in enumerate(scheme.p, start=1)]
     rows += [("alpha42", scheme.alpha4[1]), ("alpha43", scheme.alpha4[2]),

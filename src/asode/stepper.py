@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -153,21 +153,14 @@ class StepReport:
     accepted: bool
     err: float
     v: Optional[float]
-    h_used: float
+    # the stepsize to go on with, or after a rejection to retry with
     h_next: float
-    retry_underflow: bool
     # set on acceptance: the new state (an array, or a list of floats from
     # the float path), the drift guard's sum with this step folded in and
     # the pressure that sum puts on the next stepsize
     y_next: Optional[np.ndarray | list] = field(default=None)
     drift: Optional[np.ndarray | list] = field(default=None)
     next_pressure: float = 1.0
-
-
-class StepProposal(NamedTuple):
-    h_accept: float
-    h_retry: float
-    retry_underflow: bool
 
 
 @dataclass
@@ -235,22 +228,23 @@ def stability_estimate(y, u6, k1, k6) -> float:
 
 
 def propose_next_h(h: float, err: float, v: Optional[float],
-                   pressure: float = 1.0) -> StepProposal:
-    """Stepsizes suggested by the error and stability models.
+                   pressure: float = 1.0) -> float:
+    """The next stepsize from the error and stability models.
 
-    h_accept applies after an accepted step: the accuracy-predicted step
-    (with safety factor) and the stability-capped step compete, and the
-    result never shrinks below the current h.  A drift-guard pressure
-    above 1 additionally caps h_accept at the accuracy-predicted step
-    divided by the pressure -- the one case where the next step may
-    shrink after an acceptance.  h_retry applies after a rejection and
-    never grows; retry_underflow flags that the unclamped retry fell
-    below H_MIN.
+    After a rejection (err > 1) it is the accuracy-predicted step
+    SAFETY*err^(-1/3)*h, at most 0.9*h and unclamped.  After an
+    acceptance the accuracy-predicted and the stability-capped steps
+    compete, the result never shrinks below h, a drift-guard pressure
+    above 1 caps it at the accuracy-predicted step over the pressure --
+    the one case where the next step may shrink after an acceptance --
+    and it is at least H_MIN.
     """
     # each comparison below is the builtin max or min it stands for:
     # max(a, b) is b only if b > a, min(a, b) is b only if b < a
     q1 = (1.0 / (ERR_FLOOR if ERR_FLOOR > err else err)) ** (1.0 / 3.0)
     h_acc = SAFETY * q1 * h
+    if not err <= 1.0:
+        return h_acc
     # max(h, min(h_acc, h_st)), with h_st = inf when v gives no cap
     h_accept = h_acc
     if v is not None and v > 0.0:
@@ -265,11 +259,7 @@ def propose_next_h(h: float, err: float, v: Optional[float],
             h_accept = h_press
     if H_MIN > h_accept:
         h_accept = H_MIN
-    # min(max(h_acc, H_MIN), h)
-    h_retry = H_MIN if H_MIN > h_acc else h_acc
-    if h < h_retry:
-        h_retry = h
-    return StepProposal(h_accept, h_retry, h_acc < H_MIN)
+    return h_accept
 
 
 def _rhs(full, u: np.ndarray) -> np.ndarray:
@@ -497,7 +487,7 @@ def attempt_step(problem: SplitProblem, y, h: float,
     the new sum and the next pressure, the sum's scaled norm over
     DRIFT_BUDGET and at least 1.  A singular stage matrix or a
     non-finite result is reported as a rejection with the stepsize
-    halved.
+    halved.  integrate alone tests a retry's h_next against H_MIN.
     """
     if drift is None:
         drift = [0.0] * len(y)
@@ -507,17 +497,16 @@ def attempt_step(problem: SplitProblem, y, h: float,
     except SingularMatrix:
         out = None
     if out is None:
-        return StepReport(False, math.inf, None, h, max(0.5 * h, H_MIN),
-                          0.5 * h < H_MIN)
+        return StepReport(False, math.inf, None, 0.5 * h)
 
     y_next, err, v, drift, g_norm = out
-    h_accept, h_retry, retry_underflow = propose_next_h(h, err, v, pressure)
+    h_next = propose_next_h(h, err, v, pressure)
     if err <= 1.0:
         # max(1.0, g_norm / DRIFT_BUDGET)
         pressure = g_norm / DRIFT_BUDGET
-        return StepReport(True, err, v, h, h_accept, False, y_next, drift,
+        return StepReport(True, err, v, h_next, y_next, drift,
                           pressure if pressure > 1.0 else 1.0)
-    return StepReport(False, err, None, h, h_retry, retry_underflow)
+    return StepReport(False, err, None, h_next)
 
 
 def _drift_update(drift, h: float, b_diag: np.ndarray, y: np.ndarray,
@@ -580,25 +569,25 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
             report = attempt_step(problem, y, h, scheme, embedded, tol,
                                   cfg, stats, pressure=pressure, drift=drift)
             if report.accepted:
-                t += report.h_used
+                t += h
                 y = report.y_next
                 stats.steps_accepted += 1
                 drift, pressure = report.drift, report.next_pressure
                 if trace is not None:
-                    trace.append((t0 + t, report.h_used, report.err,
-                                  report.v, _as_array(y)))
+                    trace.append((t0 + t, h, report.err, report.v,
+                                  _as_array(y)))
                 h = report.h_next
                 break
             stats.steps_rejected += 1
             rejects += 1
-            if report.retry_underflow:
+            if report.h_next < H_MIN:
                 raise StepsizeUnderflow(
                     f"retry stepsize fell below h_min={H_MIN:g} at "
                     f"t={t0 + t:.6g} (err={report.err:.3g})")
             if rejects > MAX_REJECTS:
                 raise MaxRejectsExceeded(
                     f"step at t={t0 + t:.6g} rejected {rejects} times "
-                    f"(h={report.h_used:.3g}, err={report.err:.3g})")
+                    f"(h={h:.3g}, err={report.err:.3g})")
             h = report.h_next
 
     return IntegrationResult(t0 + t, _as_array(y), stats, trace)

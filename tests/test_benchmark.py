@@ -268,6 +268,13 @@ class TestOrderStudy:
             with pytest.raises(ValueError, match="ref_tol must be finite"):
                 order_study(name, 0.02, ref_tol)
 
+    @pytest.mark.parametrize("h0", [0.0, -0.02, math.nan])
+    def test_nonpositive_h0_rejected(self, h0):
+        # 0 used to divide by zero, -0.02 to read as too large and NaN as
+        # too small
+        with pytest.raises(ValueError, match="h0 must be positive"):
+            order_study("powerlaw", h0)
+
     def test_collapsed_ladder_rejected(self):
         with pytest.raises(ValueError, match=r"rungs take \[1, 1, 2, 3\]"):
             order_study(h0=5.0)

@@ -487,6 +487,19 @@ class TestTopLevel:
                                          capsys):
         path = tmp_path / "missing" / "out.csv"
         assert main(command + [flag, str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and str(path) in err[0]
+
+    def test_unwritable_region_path_fails_before_the_scan(self, tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+        def no_scan(*args):
+            raise AssertionError("the grid was scanned")
+
+        monkeypatch.setattr(cli, "stability_region_scan", no_scan)
+        path = tmp_path / "missing" / "out.csv"
+        assert main(["stability-region", "--out", str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
