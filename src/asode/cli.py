@@ -14,6 +14,7 @@ bit-for-bit across implementations; wall-clock readings never enter CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
@@ -96,41 +97,48 @@ def _conv_which(text: str) -> str:
     return text
 
 
-# per-subcommand config schema: key -> (converter, default); the converter
-# checks a key's flag value and its config-file value alike
+# per-subcommand config schema, key -> (converter, default, help): each key
+# is a --flag with that help line (None: none) and a config-file key, and
+# its converter checks the flag's value and the file's value alike
 _SOLVE_SCHEMA = {
-    "problem": (str, None),
-    "method": (_conv_method, "asode3"),
-    "tol": (_conv_tolerance, 1e-4),
-    "tol_file": (str, None),
-    "h0": (_conv_positive_float, None),
-    "t_end": (_conv_float, None),
-    "trace": (str, None),
+    "problem": (str, None, f"one of: {', '.join(BUILTIN_NAMES)}"),
+    "method": (_conv_method, "asode3",
+               f"one of: {', '.join(benchmark.METHODS)}"),
+    "tol": (_conv_tolerance, 1e-4, "uniform absolute and relative tolerance"),
+    "tol_file": (str, None, "per-component tolerances, one 'atol rtol' "
+                            "pair per line (overrides --tol)"),
+    "h0": (_conv_positive_float, None,
+           "initial stepsize (default: the problem's)"),
+    "t_end": (_conv_float, None, "override the problem's end time"),
+    "trace": (str, None, "write per-step CSV trace to this path"),
 }
 _BENCH_SCHEMA = {
-    "csv": (str, None),
+    "csv": (str, None, "also write the matrix as CSV to this path"),
 }
 _ORDER_SCHEMA = {
-    "problem": (str, "powerlaw"),
-    "h0": (_conv_positive_float, 0.02),
-    "ref_tol": (_conv_tolerance, 1e-10),
+    "problem": (str, "powerlaw", None),
+    "h0": (_conv_positive_float, 0.02,
+           "coarsest step of the h, h/2, h/4, h/8 ladder"),
+    "ref_tol": (_conv_tolerance, 1e-10, "tolerance of the reference run for "
+                "problems without a closed-form solution"),
 }
 _REGION_SCHEMA = {
-    "x_min": (_conv_finite_float, -3.0),
-    "x_max": (_conv_finite_float, 0.5),
-    "x_points": (_conv_positive_int, 71),
-    "z_min": (_conv_finite_float, -5.0),
-    "z_max": (_conv_finite_float, 1.0),
-    "z_points": (_conv_positive_int, 121),
-    "which": (_conv_which, "main"),
-    "out": (str, None),
+    "x_min": (_conv_finite_float, -3.0, None),
+    "x_max": (_conv_finite_float, 0.5, None),
+    "x_points": (_conv_positive_int, 71, None),
+    "z_min": (_conv_finite_float, -5.0, None),
+    "z_max": (_conv_finite_float, 1.0, None),
+    "z_points": (_conv_positive_int, 121, None),
+    "which": (_conv_which, "main", "'main' or 'embedded'"),
+    "out": (str, None, "CSV path (default: stdout)"),
 }
 # most grid points stability-region evaluates, x_points * z_points; the
 # default grid has 71 * 121 = 8591, and a point costs about 25 us
 REGION_MAX_POINTS = 1_000_000
 _COEFFS_SCHEMA = {
-    "a": (_conv_float, DEFAULT_A),
-    "csv": (str, None),
+    "a": (_conv_float, DEFAULT_A,
+          "free scheme parameter (default: the L-stable design root)"),
+    "csv": (str, None, "also write name,value rows to this path"),
 }
 
 
@@ -174,7 +182,7 @@ def _resolve(args: argparse.Namespace, schema: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     cfg = {}
-    for key, (convert, default) in schema.items():
+    for key, (convert, default, _) in schema.items():
         flag_value = getattr(args, key)
         if flag_value is not None:
             cfg[key] = flag_value
@@ -205,15 +213,19 @@ def _load_tol_file(path: str, n: int) -> Tolerances:
         ) from None
 
 
-def _write_trace_csv(path: str, rows, n: int) -> None:
-    with open(path, "w", newline="") as fh:
+def _claim_output(path: Optional[str]) -> None:
+    """Open path now (None: stdout), so an unwritable one fails early."""
+    if path is not None:
+        open(path, "a").close()
+
+
+def _write_csv(path: Optional[str], header: list, rows) -> None:
+    """header, then each of rows, as CSV to path (None: stdout)."""
+    with (open(path, "w", newline="") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "h", "err", "v"]
-                        + [f"y{i}" for i in range(1, n + 1)])
-        for t, h, err, v, y in rows:
-            writer.writerow([_g17(t), _g17(h), _g17(err),
-                             "" if v is None else _g17(v)]
-                            + [_g17(c) for c in y])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -231,44 +243,41 @@ def cmd_solve(args: argparse.Namespace) -> int:
             tol = Tolerances.uniform(cfg["tol"], problem.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    want_trace = cfg["trace"] is not None
-    if want_trace:
-        # an unwritable path fails now, not after the whole solve
-        open(cfg["trace"], "a").close()
+    _claim_output(cfg["trace"])
 
     start = time.perf_counter()
     t, y, stats, trace = benchmark.run_method(
-        cfg["method"], problem, tol, RunStatistics(), collect_trace=want_trace)
+        cfg["method"], problem, tol, RunStatistics(),
+        collect_trace=cfg["trace"] is not None)
     wall = time.perf_counter() - start
 
-    if want_trace:
-        _write_trace_csv(cfg["trace"], trace, problem.n)
-    print(f"problem:         {cfg['problem']}")
-    print(f"method:          {cfg['method']}")
-    if cfg["tol_file"] is not None:
-        print(f"tol:             per-component from {cfg['tol_file']}")
-    else:
-        print(f"tol:             {cfg['tol']:g}")
-    print(f"reached t:       {_g17(t)}")
-    print(f"final state:     {' '.join(_g17(c) for c in y)}")
-    for key, value in (("phi_evals", stats.phi_evals),
-                       ("g_evals", stats.g_evals),
-                       ("factorizations", stats.factorizations),
-                       ("solves", stats.linear_solves),
-                       ("steps_accepted", stats.steps_accepted),
-                       ("steps_rejected", stats.steps_rejected)):
-        print(f"{key + ':':<17}{value}")
-    print(f"wall_seconds:    {wall:.3f}")
-    if want_trace:
-        print(f"trace:           {cfg['trace']}")
+    if trace is not None:
+        _write_csv(cfg["trace"], ["t", "h", "err", "v"]
+                   + [f"y{i}" for i in range(1, problem.n + 1)],
+                   ([_g17(t), _g17(h), _g17(err),
+                     "" if v is None else _g17(v)] + [_g17(c) for c in y]
+                    for t, h, err, v, y in trace))
+    summary = [("problem", cfg["problem"]), ("method", cfg["method"]),
+               ("tol", f"{cfg['tol']:g}" if cfg["tol_file"] is None
+                else f"per-component from {cfg['tol_file']}"),
+               ("reached t", _g17(t)),
+               ("final state", " ".join(_g17(c) for c in y)),
+               ("phi_evals", stats.phi_evals), ("g_evals", stats.g_evals),
+               ("factorizations", stats.factorizations),
+               ("solves", stats.linear_solves),
+               ("steps_accepted", stats.steps_accepted),
+               ("steps_rejected", stats.steps_rejected),
+               ("wall_seconds", f"{wall:.3f}")]
+    if trace is not None:
+        summary.append(("trace", cfg["trace"]))
+    for label, value in summary:
+        print(f"{label + ':':<17}{value}")
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _BENCH_SCHEMA)
-    if cfg["csv"] is not None:
-        # an unwritable path fails now, not after the whole matrix has run
-        open(cfg["csv"], "a").close()
+    _claim_output(cfg["csv"])
     slopes = benchmark.verify_comparator_orders()
     print("comparator fixed-step order check: "
           + ", ".join(f"{name} slope {slope:.3f}"
@@ -300,12 +309,10 @@ def cmd_order_study(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     methods = tuple(study.errors)
     print(f"problem: {study.problem}")
-    header = "h".ljust(12) + "".join(m.rjust(16) for m in methods)
-    print(header)
+    print("h".ljust(12) + "".join(m.rjust(16) for m in methods))
     for i, h in enumerate(study.hs):
-        row = f"{h:<12g}" + "".join(
-            f"{study.errors[m][i]:>16.6e}" for m in methods)
-        print(row)
+        print(f"{h:<12g}" + "".join(
+            f"{study.errors[m][i]:>16.6e}" for m in methods))
     for m in methods:
         print(f"{m} slope: {study.slopes[m]:.3f}")
     return 0
@@ -321,24 +328,17 @@ def cmd_stability_region(args: argparse.Namespace) -> int:
     if points > REGION_MAX_POINTS:
         raise ConfigError(f"x_points * z_points = {points} exceeds the "
                           f"grid bound {REGION_MAX_POINTS}")
-    if cfg["out"]:
-        # an unwritable path fails now, not after the whole scan
-        open(cfg["out"], "a").close()
+    out = cfg["out"] or None      # --out '' means stdout too
+    _claim_output(out)
     xs = np.linspace(cfg["x_min"], cfg["x_max"], cfg["x_points"])
     zs = np.linspace(cfg["z_min"], cfg["z_max"], cfg["z_points"])
     grid = stability_region_scan(xs, zs, cfg["which"])
-    dest = open(cfg["out"], "w", newline="") if cfg["out"] else sys.stdout
-    try:
-        writer = csv.writer(dest)
-        writer.writerow([""] + [_g17(x) for x in xs])
-        for z, row in zip(zs, grid):
-            writer.writerow([_g17(z)] + [_g17(v) for v in row])
-    finally:
-        if cfg["out"]:
-            dest.close()
+    _write_csv(out, [""] + [_g17(x) for x in xs],
+               ([_g17(z)] + [_g17(v) for v in row]
+                for z, row in zip(zs, grid)))
     inside = int(np.count_nonzero(grid <= 1.0))
-    if cfg["out"]:
-        print(f"wrote {cfg['out']}")
+    if out is not None:
+        print(f"wrote {out}")
         print(f"{inside} of {grid.size} grid points have |R| <= 1")
     return 0
 
@@ -347,9 +347,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _COEFFS_SCHEMA)
     scheme = derive_scheme(cfg["a"])
     embedded = derive_embedded(scheme)
-    if cfg["csv"] is not None:
-        # an unwritable path fails now, not after the table is printed
-        open(cfg["csv"], "a").close()
+    _claim_output(cfg["csv"])
     rows = [("a", scheme.a), ("gamma", scheme.gamma)]
     rows += [(f"p{i}", v) for i, v in enumerate(scheme.p, start=1)]
     rows += [("alpha42", scheme.alpha4[1]), ("alpha43", scheme.alpha4[2]),
@@ -360,15 +358,11 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {_g17(value)}")
-    quartic = solve_design_quartic()
     print(f"{'design quartic roots:':<{width}}  "
-          + " ".join(_g17(r) for r in quartic.roots))
+          + " ".join(_g17(r) for r in solve_design_quartic().roots))
     if cfg["csv"] is not None:
-        with open(cfg["csv"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "value"])
-            for name, value in rows:
-                writer.writerow([name, _g17(value)])
+        _write_csv(cfg["csv"], ["name", "value"],
+                   ([name, _g17(value)] for name, value in rows))
         print(f"wrote {cfg['csv']}")
     return 0
 
@@ -380,18 +374,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_flags(parser: argparse.ArgumentParser, schema: dict,
-               helps: dict) -> None:
+def _add_flags(parser: argparse.ArgumentParser, schema: dict) -> None:
     """One flag per schema key, converted by that key's schema converter.
 
     A ConfigError raised by a converter passes through argparse unchanged.
     """
-    for key, (convert, _) in schema.items():
-        flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, default=None, help=helps.get(key),
-                            type=convert)
+    for key, (convert, _, help_text) in schema.items():
+        parser.add_argument("--" + key.replace("_", "-"), default=None,
+                            help=help_text, type=convert)
     parser.add_argument("--config", default=None,
                         help="key=value file; flags override it")
+
+
+# subcommand name -> (summary, command, schema), in --help order
+_COMMANDS = {
+    "solve": ("integrate one built-in problem", cmd_solve, _SOLVE_SCHEMA),
+    "bench": ("run the full benchmark matrix", cmd_bench, _BENCH_SCHEMA),
+    "order-study": ("fixed-step convergence slopes", cmd_order_study,
+                    _ORDER_SCHEMA),
+    "stability-region": ("|R| over an (x, z) grid as CSV",
+                         cmd_stability_region, _REGION_SCHEMA),
+    "coeffs": ("derived scheme and estimator coefficients", cmd_coeffs,
+               _COEFFS_SCHEMA),
+}
 
 
 def build_parser() -> _Parser:
@@ -400,43 +405,9 @@ def build_parser() -> _Parser:
                                  "split systems, with benchmark and "
                                  "analysis commands.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    commands = (
-        ("solve", "integrate one built-in problem", cmd_solve,
-         _SOLVE_SCHEMA, {
-             "problem": f"one of: {', '.join(BUILTIN_NAMES)}",
-             "method": f"one of: {', '.join(benchmark.METHODS)}",
-             "tol": "uniform absolute and relative tolerance",
-             "tol_file": "per-component tolerances, one 'atol rtol' pair "
-                         "per line (overrides --tol)",
-             "h0": "initial stepsize (default: the problem's)",
-             "t_end": "override the problem's end time",
-             "trace": "write per-step CSV trace to this path",
-         }),
-        ("bench", "run the full benchmark matrix", cmd_bench,
-         _BENCH_SCHEMA, {
-             "csv": "also write the matrix as CSV to this path",
-         }),
-        ("order-study", "fixed-step convergence slopes", cmd_order_study,
-         _ORDER_SCHEMA, {
-             "h0": "coarsest step of the h, h/2, h/4, h/8 ladder",
-             "ref_tol": "tolerance of the reference run for problems "
-                        "without a closed-form solution",
-         }),
-        ("stability-region", "|R| over an (x, z) grid as CSV",
-         cmd_stability_region, _REGION_SCHEMA, {
-             "which": "'main' or 'embedded'",
-             "out": "CSV path (default: stdout)",
-         }),
-        ("coeffs", "derived scheme and estimator coefficients", cmd_coeffs,
-         _COEFFS_SCHEMA, {
-             "a": "free scheme parameter (default: the L-stable design "
-                  "root)",
-             "csv": "also write name,value rows to this path",
-         }),
-    )
-    for name, summary, func, schema, helps in commands:
+    for name, (summary, func, schema) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        _add_flags(p, schema, helps)
+        _add_flags(p, schema)
         p.set_defaults(func=func)
     return parser
 
@@ -450,8 +421,7 @@ def main(argv: Optional[list] = None) -> int:
             print("error: a subcommand is required", file=sys.stderr)
             return 1
         return args.func(args)
-    except (ConfigError, UnknownProblem, DegenerateParameter,
-            OSError) as exc:
+    except (ConfigError, UnknownProblem, DegenerateParameter, OSError) as exc:
         # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
