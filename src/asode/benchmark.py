@@ -79,17 +79,16 @@ def run_method(method: str, problem: SplitProblem, tol: Tolerances,
                stats: RunStatistics, collect_trace: bool = False) -> tuple:
     """Solve problem with the named method; returns (t, y, stats, trace).
 
-    An explicit comparator counts its work into the given stats as it
-    goes, so the attempts of a failed run stay readable there; the
-    additive integrator returns its own statistics and leaves stats
-    untouched.  trace is None unless collect_trace is set.
+    Every method counts its work into the given stats as it goes, so the
+    attempts of a failed run stay readable there.  trace is None unless
+    collect_trace is set.
     """
     if method in ("asode3", "asode3-nocontrol"):
         scheme = derive_scheme()
         emb = derive_embedded(scheme)
         cfg = ControllerConfig(stability_control=(method == "asode3"))
         res = integrate(problem, scheme, emb, tol, cfg,
-                        collect_trace=collect_trace)
+                        collect_trace=collect_trace, stats=stats)
         return res.t, res.y, res.stats, res.trace
     if method in TABLEAUS:
         out = rk_integrate(TABLEAUS[method], problem.full, tuple(problem.y0),
@@ -102,9 +101,8 @@ def run_method(method: str, problem: SplitProblem, tol: Tolerances,
 def run_cell(spec: CellSpec) -> CellResult:
     """Run one cell; solver failures are captured in the result, not raised.
 
-    A failed additive run reports zero counters (the work done before the
-    failure is not observable from outside the integrator); a failed
-    explicit run reports the attempts it made before giving up.
+    A failed run reports the work of the attempts it made before giving
+    up.
     """
     p = builtin(spec.problem)
     tol = Tolerances.uniform(spec.tol, p.n)

@@ -277,26 +277,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _BENCH_SCHEMA)
+    try:
+        benchmark._worker_cap(1)  # reads ASODE_THREADS before any output
+    except ValueError as exc:     # bad ASODE_THREADS is a config problem
+        raise ConfigError(str(exc)) from None
     _claim_output(cfg["csv"])
     slopes = benchmark.verify_comparator_orders()
     print("comparator fixed-step order check: "
           + ", ".join(f"{name} slope {slope:.3f}"
                       for name, slope in sorted(slopes.items())))
-    try:
-        results = benchmark.run_matrix()
-    except ValueError as exc:     # bad ASODE_THREADS is a config problem
-        raise ConfigError(str(exc)) from None
+    results = benchmark.run_matrix()
     print(benchmark.format_table(results))
     if cfg["csv"] is not None:
         benchmark.write_csv(results, cfg["csv"])
         print(f"wrote {cfg['csv']}")
     failed = [r for r in results if not r.ok]
-    if failed:
-        for r in failed:
-            print(f"FAIL {r.problem}/{r.tol:g}/{r.method}: {r.error}",
-                  file=sys.stderr)
-        return 2
-    return 0
+    for r in failed:
+        print(f"FAIL {r.problem}/{r.tol:g}/{r.method}: {r.error}",
+              file=sys.stderr)
+    return 2 if failed else 0
 
 
 def cmd_order_study(args: argparse.Namespace) -> int:

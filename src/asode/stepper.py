@@ -527,7 +527,8 @@ def _drift_update(drift, h: float, b_diag: np.ndarray, y: np.ndarray,
 def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
               embedded: EmbeddedCoefficients, tol: Tolerances,
               cfg: Optional[ControllerConfig] = None,
-              collect_trace: bool = False) -> IntegrationResult:
+              collect_trace: bool = False,
+              stats: Optional[RunStatistics] = None) -> IntegrationResult:
     """Integrate from t0 to t_end with adaptive stepsize.
 
     The problem is autonomous, so t runs from 0 to the span t_end - t0
@@ -541,7 +542,10 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     folds every accepted step's main-vs-embedded difference into a
     running sum whose components decay at their own linearized rates;
     once the sum's scaled norm exceeds DRIFT_BUDGET, subsequent stepsize
-    proposals are divided by the overshoot factor.  Raises ValueError
+    proposals are divided by the overshoot factor.  The work is counted
+    into stats, a fresh RunStatistics unless one is given, and the
+    result carries it; a run that raises has still added the work of its
+    attempts to a given stats, as rk_integrate does.  Raises ValueError
     when the tolerances do not have one entry per state component,
     StepsizeUnderflow when a rejection pushes h below H_MIN and
     MaxRejectsExceeded when one step keeps failing.
@@ -556,7 +560,7 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     y = problem.y0
     h = max(problem.h0, H_MIN)
 
-    stats = RunStatistics()
+    stats = stats if stats is not None else RunStatistics()
     trace: Optional[list] = [] if collect_trace else None
     drift = [0.0] * problem.n
     pressure = 1.0
@@ -635,9 +639,13 @@ def embedded_difference(problem: SplitProblem, h: float,
                         embedded: EmbeddedCoefficients) -> float:
     """Max-norm gap between main and embedded solutions after one step.
 
-    h must be finite and positive, as for integrate_fixed.
+    h must be finite and positive, and a step whose main or embedded
+    solution is not finite raises NonFiniteState, as for integrate_fixed.
     """
     _check_stepsize(h)
     y_next, y_emb = _stages(problem, problem.y0, h, scheme, embedded,
                             RunStatistics())
+    if not (_all_finite(y_next) and _all_finite(y_emb)):
+        raise NonFiniteState(
+            f"state became non-finite at t={problem.t0:.6g}")
     return float(np.max(np.abs(_as_array(y_next) - _as_array(y_emb))))

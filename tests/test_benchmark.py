@@ -85,6 +85,16 @@ class TestMatrix:
         assert math.isnan(r.t_final)
         assert r.y_final == ()
 
+    def test_run_cell_failed_additive_run_reports_its_work(self):
+        # example1 at 1e-20 underflows after 19 attempts; the cell used to
+        # report zero counters for them, as if no work had been done
+        r = run_cell(CellSpec("example1", 1e-20, "asode3"))
+        assert not r.ok
+        assert r.error.startswith("StepsizeUnderflow: ")
+        assert r.stats.as_dict() == {
+            "phi_evals": 57, "g_evals": 38, "factorizations": 19,
+            "solves": 95, "steps_acc": 8, "steps_rej": 11}
+
     def test_run_matrix_preserves_spec_order(self, monkeypatch):
         specs = [CellSpec("example4", 1e-2, m)
                  for m in ("merson", "asode3", "rkf45")]

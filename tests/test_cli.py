@@ -269,10 +269,16 @@ class TestBench:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_bench_bad_thread_env_exits_one(self, small_matrix,
-                                            monkeypatch, capsys):
+                                            monkeypatch, tmp_path, capsys):
+        # a bad ASODE_THREADS used to be found only after the order check
+        # had printed and the CSV path had been created
         monkeypatch.setenv("ASODE_THREADS", "abc")
-        assert main(["bench"]) == 1
-        assert "ASODE_THREADS" in capsys.readouterr().err
+        path = tmp_path / "bench.csv"
+        assert main(["bench", "--csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ASODE_THREADS" in captured.err
+        assert not path.exists()
 
     def test_bench_parallel_env(self, small_matrix, tmp_path, capsys):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"

@@ -13,6 +13,7 @@ from asode.coefficients import derive_embedded, derive_scheme
 from asode.exceptions import (
     DimensionMismatch,
     MaxRejectsExceeded,
+    NonFiniteState,
     StepsizeUnderflow,
     ZeroToleranceDenominator,
 )
@@ -692,6 +693,18 @@ class TestFixedStepOrder:
         for run in (integrate_fixed, embedded_difference):
             with pytest.raises(ValueError, match="finite and positive"):
                 run(builtin("smooth"), h, SCHEME, EMBEDDED)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_step_raises(self):
+        # y' = 1e300*y^3 from 1e10 with B = 0 overflows in its first step;
+        # the one-step gap came back as nan while integrate_fixed raised
+        zero = DiagonalMatrix(np.zeros(1))
+        prob = split_problem("blowup", lambda y: 1e300 * np.asarray(y) ** 3,
+                             lambda y: zero, [1e10], 0.1)
+        for run in (integrate_fixed, embedded_difference):
+            with pytest.raises(NonFiniteState,
+                               match="state became non-finite at t=0$"):
+                run(prob, 0.1, SCHEME, EMBEDDED)
 
     def test_step_count_bound(self):
         # h = 1e-300 used to step without end; the first h here ran
