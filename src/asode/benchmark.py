@@ -76,25 +76,25 @@ def default_matrix() -> list:
 
 
 def run_method(method: str, problem: SplitProblem, tol: Tolerances,
-               stats: RunStatistics, collect_trace: bool = False) -> tuple:
-    """Solve problem with the named method; returns (t, y, stats, trace).
+               stats: RunStatistics, trace: Optional[list] = None) -> tuple:
+    """Solve problem with the named method; returns (t, y).
 
-    Every method counts its work into the given stats as it goes, so the
-    attempts of a failed run stay readable there.  trace is None unless
-    collect_trace is set.
+    Every method counts its work into the given stats and, given a list
+    trace, appends each accepted step's row (t, h, err, v, y) there as it
+    goes, so the attempts and accepted steps of a failed run stay
+    readable in both.
     """
     if method in ("asode3", "asode3-nocontrol"):
         scheme = derive_scheme()
         emb = derive_embedded(scheme)
         cfg = ControllerConfig(stability_control=(method == "asode3"))
-        res = integrate(problem, scheme, emb, tol, cfg,
-                        collect_trace=collect_trace, stats=stats)
-        return res.t, res.y, res.stats, res.trace
+        res = integrate(problem, scheme, emb, tol, cfg, trace=trace,
+                        stats=stats)
+        return res.t, res.y
     if method in TABLEAUS:
-        out = rk_integrate(TABLEAUS[method], problem.full, tuple(problem.y0),
-                           (problem.t0, problem.t_end), tol, problem.h0,
-                           stats=stats, collect_trace=collect_trace)
-        return out if collect_trace else out + (None,)
+        return rk_integrate(TABLEAUS[method], problem.full, tuple(problem.y0),
+                            (problem.t0, problem.t_end), tol, problem.h0,
+                            stats=stats, trace=trace)[:2]
     raise ValueError(f"unknown benchmark method {method!r}")
 
 
@@ -110,7 +110,7 @@ def run_cell(spec: CellSpec) -> CellResult:
     ok, err_msg, t, y = True, "", math.nan, ()
     start = time.perf_counter()
     try:
-        t, y, stats, _ = run_method(spec.method, p, tol, stats)
+        t, y = run_method(spec.method, p, tol, stats)
     except SolverError as exc:
         ok = False
         err_msg = f"{type(exc).__name__}: {exc}"
@@ -291,7 +291,7 @@ def order_study(problem_name: str = "powerlaw", h0: float = 0.02,
 
     explicit = []
     for n, h in zip(counts, hs):
-        y = tuple(p.y0)
+        y = tuple(p.y0.tolist())
         for _ in range(n):
             y, _ = rk_step(MERSON, p.full, y, h)
         if not all(math.isfinite(v) for v in y):

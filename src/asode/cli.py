@@ -245,18 +245,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     _claim_output(cfg["trace"])
 
+    stats = RunStatistics()
+    trace = [] if cfg["trace"] is not None else None
     start = time.perf_counter()
-    t, y, stats, trace = benchmark.run_method(
-        cfg["method"], problem, tol, RunStatistics(),
-        collect_trace=cfg["trace"] is not None)
-    wall = time.perf_counter() - start
-
-    if trace is not None:
-        _write_csv(cfg["trace"], ["t", "h", "err", "v"]
-                   + [f"y{i}" for i in range(1, problem.n + 1)],
-                   ([_g17(t), _g17(h), _g17(err),
-                     "" if v is None else _g17(v)] + [_g17(c) for c in y]
-                    for t, h, err, v, y in trace))
+    try:
+        t, y = benchmark.run_method(cfg["method"], problem, tol, stats, trace)
+        wall = time.perf_counter() - start
+    finally:
+        # a failed run's trace holds the steps it accepted
+        if trace is not None:
+            _write_csv(cfg["trace"], ["t", "h", "err", "v"]
+                       + [f"y{i}" for i in range(1, problem.n + 1)],
+                       ([_g17(t), _g17(h), _g17(err),
+                         "" if v is None else _g17(v)] + [_g17(c) for c in y]
+                        for t, h, err, v, y in trace))
     summary = [("problem", cfg["problem"]), ("method", cfg["method"]),
                ("tol", f"{cfg['tol']:g}" if cfg["tol_file"] is None
                 else f"per-component from {cfg['tol_file']}"),

@@ -468,7 +468,7 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
                  y0: Sequence[float], span: Tuple[float, float],
                  tol: Tolerances, h0: float,
                  stats: Optional[RunStatistics] = None,
-                 collect_trace: bool = False) -> tuple:
+                 trace: Optional[list] = None) -> tuple:
     """Adaptive integration with accuracy and stability stepsize control.
 
     The error norm, which the step computes (_scaled_error), matches the
@@ -494,9 +494,10 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     h0 pass check_start, as a SplitProblem's do, and tol for_state
     (ValueError); time counts from t0 and the run ends as integrate's.
     Returns (t, y, RunStatistics) with every right-hand-side evaluation
-    counted in phi_evals; with collect_trace a list of per-step rows
-    (t, h_used, err, v, y) is returned as a fourth element.  A run that
-    raises has still added the work of its completed steps to stats.
+    counted in phi_evals.  Given a list trace, each accepted step
+    appends its row (t, h_used, err, v, y) there as it goes.  A run that
+    raises has still added the work of its completed steps to stats and
+    their rows to trace.
     """
     t0, t_end = float(span[0]), float(span[1])
     y = tuple(check_start(y0, t0, t_end, h0).tolist())
@@ -511,7 +512,6 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     stretch = END_STRETCH
     t = 0.0
     just_rejected = False
-    trace = [] if collect_trace else None
     inf = math.inf
     # the counters run as locals and reach stats however the run ends
     phi_evals = accepted = rejected = 0
@@ -550,7 +550,4 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
         stats.phi_evals += phi_evals
         stats.steps_accepted += accepted
         stats.steps_rejected += rejected
-
-    if trace is not None:
-        return t0 + t, y, stats, trace
     return t0 + t, y, stats

@@ -168,16 +168,6 @@ class IntegrationResult:
     t: float
     y: np.ndarray
     stats: RunStatistics
-    trace: Optional[list] = field(default=None)
-
-
-def _all_finite(x) -> bool:
-    if type(x) is list:
-        try:
-            return all(map(math.isfinite, x))
-        except TypeError:
-            raise _not_numbers() from None
-    return bool(np.all(np.isfinite(x)))
 
 
 def _as_array(y) -> np.ndarray:
@@ -273,18 +263,19 @@ def _rhs(full, u: np.ndarray) -> np.ndarray:
 
 def _stages(problem: SplitProblem, y, h: float,
             scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
-            stats: RunStatistics, tol: Optional[Tolerances] = None,
-            control: bool = False, drift=None):
-    """Evaluate all stages of one attempt and, given tol, measure it.
+            stats: RunStatistics, tol: Tolerances, control: bool, drift):
+    """Evaluate all stages of one attempt and measure it.
 
-    Without tol, returns (y_next, y_emb), the main and embedded
-    solutions.  With tol and the drift guard's sum drift, returns None
-    when either solution is not finite, and otherwise
-    (y_next, err, v, drift, g_norm): err is error_norm of the two; on an
+    Returns None when the main or the embedded solution is not finite,
+    and otherwise (y_next, err, v, drift, g_norm): y_next is the main
+    solution and err the error_norm of it against the embedded one; on an
     accepted attempt (err <= 1), v is the stability estimate when
-    control is set, else None, and drift is folded forward by
-    _drift_update, with g_norm its scaled norm; a rejected attempt
-    gives None for all three.  The estimate reads
+    control is set, else None, and drift, the drift guard's sum, is
+    folded forward by _drift_update, with g_norm its scaled norm; a
+    rejected attempt gives None for all three.  Under unit absolute
+    tolerances (atol 1, rtol 0) every denominator is exactly 1.0, so err
+    is the max-norm gap between the two solutions, as integrate_fixed
+    and embedded_difference read it.  The estimate reads
     k1 = h*phi(y) and k6 = h*phi(u6), the first and last evaluations of
     the step-local non-stiff part phi(u) = f(u) - B*u with B held at its
     start-of-step value, and u6, the last stage's argument.
@@ -312,7 +303,7 @@ def _stages(problem: SplitProblem, y, h: float,
     if fact.dim != n:
         raise DimensionMismatch(f"stage matrix size {fact.dim} != state "
                                 f"length {n}")
-    atol, rtol = tol.for_state(n) if tol is not None else (None, None)
+    atol, rtol = tol.for_state(n)
     stats.phi_evals += 3
     stats.g_evals += 2
     stats.linear_solves += 5
@@ -346,9 +337,7 @@ def _stages(problem: SplitProblem, y, h: float,
 
     y_next = y + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6
     y_emb = y + r1 * k1 + r2 * k2 + r3 * k3 + r4 * k4 + r5 * k5_emb
-    if tol is None:
-        return y_next, y_emb
-    if not (_all_finite(y_next) and _all_finite(y_emb)):
+    if not (np.all(np.isfinite(y_next)) and np.all(np.isfinite(y_emb))):
         return None
     err = error_norm(y_next, y_emb, tol)
     if not err <= 1.0:
@@ -374,15 +363,16 @@ def _float_stages_source(n: int, name: str) -> str:
     unpacked into locals (_emit_rhs_call); the stage solves go through
     solve as lists.
 
-    Given the tolerances as lists (atol, rtol), the function goes on as
-    the numpy path's error_norm, stability_estimate and _drift_update do,
-    line for line on the locals: the same denominators, floors and
-    maxima, with NaN winning each maximum as in np.max.  The drift decay
-    is one np.exp call on the tuple of x_m = h*b_m clipped to x_m < 0.0,
-    else 0.0: the arguments of the numpy path's
-    np.exp(np.minimum(0.0, h*b_diag)) but for the sign of a zero, as b
-    is finite here (a non-finite b_m makes k1_m, and so the new state,
-    not finite) and exp(-0.0) = exp(0.0) = 1.0.
+    From the stages the function goes on, with the tolerances as tuples
+    of floats (atol, rtol), as the numpy path's error_norm,
+    stability_estimate and _drift_update do, line for line on the
+    locals: the same denominators, floors and maxima, with NaN winning
+    each maximum as in np.max.  The drift decay is one np.exp call on
+    the tuple of x_m = h*b_m clipped to x_m < 0.0, else 0.0: the
+    arguments of the numpy path's np.exp(np.minimum(0.0, h*b_diag)) but
+    for the sign of a zero, as b is finite here (a non-finite b_m makes
+    k1_m, and so the new state, not finite) and
+    exp(-0.0) = exp(0.0) = 1.0.
     """
     comps = range(n)
     lines = [f"def {name}(full, solve, b, y, h, w, r, atol, rtol, control, "
@@ -416,9 +406,7 @@ def _float_stages_source(n: int, name: str) -> str:
               " + p4 * k4_{m} + p5 * k5_{m} + p6 * k6_{m})", n)
     emit_each(emit, "ye_{m} = (y_{m} + r1 * k1_{m} + r2 * k2_{m} + r3 * k3_{m}"
               " + r4 * k4_{m} + r5 * e5_{m})", n)
-    emit("    if atol is None:")
-    emit(f"        return [{each('yn_{m}', n)}], [{each('ye_{m}', n)}]")
-    # _all_finite on y_next, then on y_emb
+    # the finiteness of y_next, then of y_emb
     emit_finite(emit, [f"yn_{m}" for m in comps] + [f"ye_{m}" for m in comps],
                 "raise _not_numbers() from None")
     emit("    if not finite:")
@@ -527,7 +515,7 @@ def _drift_update(drift, h: float, b_diag: np.ndarray, y: np.ndarray,
 def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
               embedded: EmbeddedCoefficients, tol: Tolerances,
               cfg: Optional[ControllerConfig] = None,
-              collect_trace: bool = False,
+              trace: Optional[list] = None,
               stats: Optional[RunStatistics] = None) -> IntegrationResult:
     """Integrate from t0 to t_end with adaptive stepsize.
 
@@ -536,17 +524,18 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     cannot swallow a step.  The run ends within END_SHARE of the span
     from its end.  Every attempt, accepted or rejected, costs one
     factorization, five solves, three non-stiff and two stiff
-    evaluations, with or without stability control.  The trace, when
-    requested, records (t, h, err, v, y) per accepted step, y as an
-    array and v None when stability control is off.  The drift guard
-    folds every accepted step's main-vs-embedded difference into a
-    running sum whose components decay at their own linearized rates;
-    once the sum's scaled norm exceeds DRIFT_BUDGET, subsequent stepsize
-    proposals are divided by the overshoot factor.  The work is counted
-    into stats, a fresh RunStatistics unless one is given, and the
-    result carries it; a run that raises has still added the work of its
-    attempts to a given stats, as rk_integrate does.  Raises ValueError
-    when the tolerances do not have one entry per state component,
+    evaluations, with or without stability control.  Given a list trace,
+    each accepted step appends its row (t, h, err, v, y) there as it
+    goes, y as an array and v None when stability control is off.  The
+    drift guard folds every accepted step's main-vs-embedded difference
+    into a running sum whose components decay at their own linearized
+    rates; once the sum's scaled norm exceeds DRIFT_BUDGET, subsequent
+    stepsize proposals are divided by the overshoot factor.  The work is
+    counted into stats, a fresh RunStatistics unless one is given, and
+    the result carries it.  A run that raises has still added the work
+    of its attempts to a given stats and the rows of its accepted steps
+    to a given trace, as rk_integrate does.  Raises ValueError when the
+    tolerances do not have one entry per state component,
     StepsizeUnderflow when a rejection pushes h below H_MIN and
     MaxRejectsExceeded when one step keeps failing.
     """
@@ -561,7 +550,6 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     h = max(problem.h0, H_MIN)
 
     stats = stats if stats is not None else RunStatistics()
-    trace: Optional[list] = [] if collect_trace else None
     drift = [0.0] * problem.n
     pressure = 1.0
 
@@ -594,7 +582,7 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
                     f"(h={h:.3g}, err={report.err:.3g})")
             h = report.h_next
 
-    return IntegrationResult(t0 + t, _as_array(y), stats, trace)
+    return IntegrationResult(t0 + t, _as_array(y), stats)
 
 
 def _check_stepsize(h: float) -> None:
@@ -610,8 +598,10 @@ def integrate_fixed(problem: SplitProblem, h: float,
     The span is covered by round(span/h) equal steps (h is honored
     exactly when it divides the span).  h must be finite and positive,
     and an h that would take more than ORDER_STUDY_MAX_STEPS steps raises
-    ValueError before the first.  Non-finite states abort with
-    NonFiniteState; order studies use this entry point.
+    ValueError before the first.  Each step is a measured attempt under
+    unit absolute tolerances, whose main solution is taken whatever its
+    error; a step whose main or embedded solution is not finite aborts
+    with NonFiniteState.  Order studies use this entry point.
     """
     _check_stepsize(h)
     t = problem.t0
@@ -625,10 +615,14 @@ def integrate_fixed(problem: SplitProblem, h: float,
     n_steps = max(1, round(span / h))
     h_eff = span / n_steps
     stats = RunStatistics()
+    unit = Tolerances(np.ones(problem.n), np.zeros(problem.n))
+    drift = [0.0] * problem.n
     for i in range(n_steps):
-        y, _ = _stages(problem, y, h_eff, scheme, embedded, stats)
-        if not _all_finite(y):
+        out = _stages(problem, y, h_eff, scheme, embedded, stats, unit,
+                      False, drift)
+        if out is None:
             raise NonFiniteState(f"state became non-finite at t={t:.6g}")
+        y = out[0]
         t = problem.t0 + (i + 1) * h_eff
         stats.steps_accepted += 1
     return IntegrationResult(t=t, y=_as_array(y), stats=stats)
@@ -639,13 +633,16 @@ def embedded_difference(problem: SplitProblem, h: float,
                         embedded: EmbeddedCoefficients) -> float:
     """Max-norm gap between main and embedded solutions after one step.
 
-    h must be finite and positive, and a step whose main or embedded
-    solution is not finite raises NonFiniteState, as for integrate_fixed.
+    The gap is the attempt's error norm under unit absolute tolerances
+    (atol 1, rtol 0).  h must be finite and positive, and a step whose
+    main or embedded solution is not finite raises NonFiniteState, as
+    for integrate_fixed.
     """
     _check_stepsize(h)
-    y_next, y_emb = _stages(problem, problem.y0, h, scheme, embedded,
-                            RunStatistics())
-    if not (_all_finite(y_next) and _all_finite(y_emb)):
+    n = problem.n
+    out = _stages(problem, problem.y0, h, scheme, embedded, RunStatistics(),
+                  Tolerances(np.ones(n), np.zeros(n)), False, [0.0] * n)
+    if out is None:
         raise NonFiniteState(
             f"state became non-finite at t={problem.t0:.6g}")
-    return float(np.max(np.abs(_as_array(y_next) - _as_array(y_emb))))
+    return out[1]

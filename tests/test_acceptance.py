@@ -198,11 +198,11 @@ def test_criterion_6_controller_contract():
                  "work counters", 60.0):
         # every accepted step satisfied the error test
         prob = builtin("example1")
+        rows = []
         res = integrate(prob, SCHEME, EMBEDDED,
-                        Tolerances.uniform(1e-2, prob.n),
-                        collect_trace=True)
-        assert len(res.trace) == res.stats.steps_accepted
-        assert all(row[2] <= 1.0 for row in res.trace)
+                        Tolerances.uniform(1e-2, prob.n), trace=rows)
+        assert len(rows) == res.stats.steps_accepted
+        assert all(row[2] <= 1.0 for row in rows)
 
         # a split that leaks all stiffness into the explicit part: after
         # startup the stability cap pins the scaled estimate at or below 2.2
@@ -211,9 +211,10 @@ def test_criterion_6_controller_contract():
         full = lambda y: rates * y
         leak = split_problem("leak", full, lambda y: none, [1.0, 1.0], 1e-4,
                              t_end=0.4)
-        res = integrate(leak, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 2),
-                        collect_trace=True)
-        post = res.trace[10:]
+        rows = []
+        integrate(leak, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 2),
+                  trace=rows)
+        post = rows[10:]
         assert len(post) >= 5
         assert max(row[3] for row in post) <= 2.2
 

@@ -136,9 +136,10 @@ def test_traced_float_path_counts_every_call(control):
     # right-hand-side call per attempt, as the counters do
     problem = asode.builtin("example4")
     assert problem.n <= asode.linalg.SMALL_N
-    y_next, _ = asode.stepper._stages(
+    y_next = asode.stepper._stages(
         problem, problem.y0, problem.h0, SCHEME, EMBEDDED,
-        asode.RunStatistics())
+        asode.RunStatistics(), asode.Tolerances.uniform(1e-2, problem.n),
+        False, [0.0] * problem.n)[0]
     assert type(y_next) is list
     _, calls = traced_example4(control)
     # the generated float function estimates v itself: stepper.probe,
@@ -152,9 +153,10 @@ def test_traced_numpy_path_counts_every_probe(control, monkeypatch):
     # control calls stability_estimate once
     monkeypatch.setattr(asode.linalg, "SMALL_N", 0)
     problem = asode.builtin("example4")
-    y_next, _ = asode.stepper._stages(
+    y_next = asode.stepper._stages(
         problem, problem.y0, problem.h0, SCHEME, EMBEDDED,
-        asode.RunStatistics())
+        asode.RunStatistics(), asode.Tolerances.uniform(1e-2, problem.n),
+        False, [0.0] * problem.n)[0]
     assert isinstance(y_next, np.ndarray)
     stats, calls = traced_example4(control)
     assert calls["stepper.probe"] == (stats.steps_accepted if control else 0)

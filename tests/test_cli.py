@@ -108,6 +108,24 @@ class TestSolve:
         assert times == sorted(times)
         assert times[-1] == pytest.approx(20.0)
 
+    def test_failed_run_replaces_an_earlier_trace(self, tmp_path, capsys):
+        # a tolerance of 1e-20 underflows example1 after 8 accepted steps;
+        # the file used to keep the earlier run's rows
+        path = tmp_path / "trace.csv"
+        args = ["solve", "--problem", "example1", "--trace", str(path)]
+        assert main(args + ["--tol", "1e-2"]) == 0
+        assert main(args + ["--tol", "1e-20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: retry stepsize fell below")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "h", "err", "v", "y1", "y2", "y3"]
+        body = rows[1:]
+        assert len(body) == 8
+        times = [float(r[0]) for r in body]
+        assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+        assert max(float(r[2]) for r in body) <= 1.0
+
     def test_unwritable_trace_fails_before_the_solve(self, monkeypatch,
                                                      tmp_path, capsys):
         def never(*args, **kwargs):

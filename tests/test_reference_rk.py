@@ -492,8 +492,9 @@ class TestRkIntegrate:
     def test_trace_rows_follow_accepted_steps(self):
         tol = Tolerances.uniform(1e-5, 2)
         f = lambda y: (-40.0 * y[0], -y[1])
-        t, y, stats, trace = rk_integrate(MERSON, f, (1.0, 1.0), (0.0, 1.0),
-                                          tol, 1e-4, collect_trace=True)
+        trace = []
+        t, y, stats = rk_integrate(MERSON, f, (1.0, 1.0), (0.0, 1.0), tol,
+                                   1e-4, trace=trace)
         assert len(trace) == stats.steps_accepted
         times = [row[0] for row in trace]
         assert times == sorted(times)
@@ -503,6 +504,23 @@ class TestRkIntegrate:
             assert 0.0 <= row[2] <= 1.0  # accepted err
             assert row[3] >= 0.0         # v
             assert len(row[4]) == 2
+
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=["merson", "rkf45"])
+    def test_failed_run_keeps_its_trace_rows(self, tab):
+        # the right-hand side is NaN below y = 0.5, a wall the run reaches
+        # near t = ln 2 and cannot step past; the rows of the steps it
+        # accepted stay in the caller's list, as their work stays in stats
+        def f(y):
+            return (-y[0],) if y[0] >= 0.5 else (math.nan,)
+
+        stats, rows = RunStatistics(), []
+        with pytest.raises(StepsizeUnderflow):
+            rk_integrate(tab, f, (1.0,), (0.0, 2.0),
+                         Tolerances.uniform(1e-6, 1), 1e-2, stats=stats,
+                         trace=rows)
+        assert len(rows) == stats.steps_accepted == 28
+        assert rows[-1][0] == pytest.approx(math.log(2.0), abs=1e-5)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_unresolvable_step_underflows(self):

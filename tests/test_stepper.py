@@ -354,13 +354,14 @@ class TestIntegrate:
 
     def test_trace_contents(self):
         prob = builtin("smooth")
+        rows = []
         res = integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-3, 2),
-                        collect_trace=True)
-        assert len(res.trace) == res.stats.steps_accepted
-        times = [row[0] for row in res.trace]
+                        trace=rows)
+        assert len(rows) == res.stats.steps_accepted
+        times = [row[0] for row in rows]
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
         assert times[-1] == pytest.approx(prob.t_end, abs=1e-12)
-        for t, h, err, v, y in res.trace:
+        for t, h, err, v, y in rows:
             assert err <= 1.0
             assert h > 0.0
             assert v is not None and v >= 0.0
@@ -378,9 +379,10 @@ class TestIntegrate:
 
         prob = split_problem("leak", full, lambda y: B, [1.0, 1.0], 1e-4,
                              t_end=0.4)
-        res = integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 2),
-                        collect_trace=True)
-        post = res.trace[10:]
+        rows = []
+        integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 2),
+                  trace=rows)
+        post = rows[10:]
         assert len(post) >= 5
         vs = [row[3] for row in post]
         assert max(vs) <= 2.2
@@ -396,6 +398,20 @@ class TestIntegrate:
         with pytest.raises(StepsizeUnderflow):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 1),
                       cfg=cfg)
+
+    def test_failed_run_keeps_its_trace_rows(self):
+        # a tolerance of 1e-20 underflows example1 after 8 accepted steps;
+        # their rows stay in the caller's list, as the work stays in stats
+        prob = builtin("example1")
+        stats, rows = RunStatistics(), []
+        with pytest.raises(StepsizeUnderflow):
+            integrate(prob, SCHEME, EMBEDDED,
+                      Tolerances.uniform(1e-20, prob.n), trace=rows,
+                      stats=stats)
+        assert len(rows) == stats.steps_accepted == 8
+        times = [row[0] for row in rows]
+        assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+        assert all(row[2] <= 1.0 for row in rows)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_halved_retry_underflow_raises(self, monkeypatch):
@@ -645,14 +661,15 @@ class TestDriftGuard:
         # tightening acceptance itself
         prob = builtin("example1")
         tol = Tolerances.uniform(1e-4, 3)
-        guarded = integrate(prob, SCHEME, EMBEDDED, tol, collect_trace=True)
+        rows = []
+        guarded = integrate(prob, SCHEME, EMBEDDED, tol, trace=rows)
         # an infinite budget keeps the pressure at 1: the guard never acts
         monkeypatch.setattr(stepper, "DRIFT_BUDGET", math.inf)
         free = integrate(prob, SCHEME, EMBEDDED, tol)
         err_guarded = error_norm(self.EX1_REFERENCE, guarded.y, tol)
         err_free = error_norm(self.EX1_REFERENCE, free.y, tol)
         assert err_guarded < 0.5 * err_free
-        assert all(row[2] <= 1.0 for row in guarded.trace)
+        assert all(row[2] <= 1.0 for row in rows)
         assert guarded.stats.steps_accepted < 4 * free.stats.steps_accepted
 
     def test_guard_inert_when_errors_self_damp(self, monkeypatch):

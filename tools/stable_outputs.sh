@@ -9,14 +9,16 @@
 # per-step trace CSVs with each run's summary of example1-4 x
 # asode3/asode3-nocontrol and of example1/3/4 x merson/rkf45, each at tol
 # 1e-2 and 1e-4, two runs of example1 x asode3/asode3-nocontrol at a
-# tolerance of 1e-20 that end in a stepsize underflow, the coeffs,
-# order-study and stability-region outputs, every help text, the
-# messages of invalid input (bad flag and config values, bad tolerance
-# files, unwritable output paths, a bad ASODE_THREADS), each command's
-# stderr (NAME.err), and exit_codes.txt with one line per command.  Wall
-# times are left out.  Run it on two trees and compare with
-# `diff -r OUT_A OUT_B`.  The serial benchmark alone takes about a minute
-# and a half.
+# tolerance of 1e-20 that end in a stepsize underflow (their traces hold
+# the steps they accepted), a successful example1 trace and the failed
+# 1e-20 run's trace written over it (stale_trace*), the coeffs,
+# order-study (powerlaw, and example1, whose Merson ladder diverges) and
+# stability-region outputs, every help text, the messages of invalid
+# input (bad flag and config values, bad tolerance files, unwritable
+# output paths, a bad ASODE_THREADS), each command's stderr (NAME.err),
+# and exit_codes.txt with one line per command.  Wall times are left out.
+# Run it on two trees and compare with `diff -r OUT_A OUT_B`.  The serial
+# benchmark alone takes about a minute and a half.
 set -eu
 
 if [ "$#" -ne 1 ]; then
@@ -78,8 +80,17 @@ done
 for problem in example1 example3 example4; do
     solve_cells "$problem" "merson rkf45"
 done
+# a failed solve replaces an earlier run's trace with its own rows
+run stale_trace_ok solve --problem example1 --tol 1e-2 \
+    --trace stale_trace.csv
+sed -i '/^wall_seconds:/d' stale_trace_ok.txt
+cp stale_trace.csv stale_trace_ok.csv
+run stale_trace_fail solve --problem example1 --tol-file tol_1e-20.txt \
+    --trace stale_trace.csv
 run coeffs coeffs --csv coeffs.csv
 run order_study order-study
+# exit 2: the Merson ladder diverges at h0 = 0.02
+run order_study_example1 order-study --problem example1
 run region_main stability-region --which main --out region_main.csv
 run region_embedded stability-region --which embedded \
     --out region_embedded.csv
