@@ -1,8 +1,11 @@
-"""Emitters and errors shared by the generated straight-line functions:
-the additive float-path stages (stepper._float_stages_source) and the
-comparator steps (reference_rk._step_source).  An emitter writes lines
-into a generator's emit (a list's append).  Generated code looks its
-names up in the globals of its module, which imports the errors below.
+"""Emitters and errors shared by the generated functions: the additive
+attempt's two renderings of stepper._STAGE_TABLE (the float path's
+straight-line function from stepper._float_stages_source, and the numpy
+path's stepper._numpy_stages, compiled from the table's lines as they
+stand) and the comparator steps (reference_rk._step_source).  An emitter
+writes lines into a generator's emit (a list's append).  Generated code
+looks its names up in the globals of its module, which imports the
+errors below.
 """
 
 from __future__ import annotations

@@ -33,37 +33,44 @@ stepsize proposals are pressed down until the per-step bias is small
 enough to respect the budget over the whole run.  Acceptance still means
 err <= 1; the guard only makes the controller aim lower.
 
-An attempt runs on one of two paths, chosen by linalg.factor when _stages
-factors the attempt's stage matrix.  A factorization made on Python
-floats (a small diagonal B) carries B's diagonal as floats and sends the
-attempt down the float path, since on a handful of components numpy's
-cost per call dwarfs the arithmetic.  The float path is a straight-line
-function generated on first use for each state dimension, with every
-component a local.  It computes the stages, and from them, on the same
-locals, what the controller reads: the finiteness check, the error norm,
-the stability estimate on an accepted attempt and the drift guard's new
-sum and its scaled norm.  The scheme weights are its arguments, taken
-as Python floats once per coefficient object, so one function serves
-every scheme.  Every other B takes the numpy path, which computes the
-same quantities with error_norm, stability_estimate and _drift_update on
-arrays; it is the reference the tests hold the float path to.  The two
-give bit-identical results: each sum keeps numpy's association and order
-(zero weights included), the maxima let NaN win as np.max does, and the
-drift decay calls np.exp once on a tuple of the clipped h*b_i, the
-values the numpy path's array holds, since numpy's exp may differ from
-math.exp in the last bit.  The user's
-right-hand side full takes a sequence of n floats and returns a sequence
-of n numbers: it receives a tuple of floats on the float path, as in the
-comparators, and an array on the numpy path.  The Jacobian provider
-receives an array on both paths.  The controller (attempt_step,
-propose_next_h, the drift guard's pressure rule and integrate) is one
-copy that both paths share.
+The stages and both solutions are written once, in _STAGE_TABLE: fifteen
+assignments in array notation over F (the right-hand side), B (the
+product with B) and S (the solve with D).  An attempt runs one of two
+renderings of that table, chosen by linalg.factor when _stages factors
+the attempt's stage matrix.  A factorization made on Python floats (a
+small diagonal B) carries B's diagonal as floats and sends the attempt
+down the float path, since on a handful of components numpy's cost per
+call dwarfs the arithmetic.  The float path is a straight-line function
+generated on first use for each state dimension, with every component a
+local: each table line becomes one line per component.  From the stages
+it computes, on the same locals, what the controller reads: the
+finiteness check, the error norm, the stability estimate on an accepted
+attempt and the drift guard's new sum and its scaled norm.  The scheme
+weights are its arguments, taken as Python floats once per coefficient
+object, so one function serves every scheme.  Every other B takes the
+numpy path, which runs the table's lines as they stand, compiled once at
+import as _numpy_stages, and measures the attempt with error_norm,
+stability_estimate and _drift_update on arrays; it is the reference the
+tests hold the float path to.  That measurement is the one part written
+twice.  The two paths give bit-identical results: the table's
+expressions keep numpy's association and order (zero weights included)
+on both, the maxima let NaN win as np.max does, and the drift decay
+calls np.exp once on a tuple of the clipped h*b_i, the values the numpy
+path's array holds, since numpy's exp may differ from math.exp in the
+last bit.  The user's right-hand side full takes a sequence of n floats
+and returns a sequence of n numbers: it receives a tuple of floats on
+the float path, as in the comparators, and an array on the numpy path.
+The Jacobian provider receives an array on both paths.  The controller
+(attempt_step, propose_next_h, the drift guard's pressure rule and
+integrate) is one copy that both paths share.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -261,6 +268,42 @@ def _rhs(full, u: np.ndarray) -> np.ndarray:
     return f
 
 
+# The stages and both solutions of an attempt, written once in array
+# notation: F is the right-hand side, B applies B and S solves with
+# D = E - a*h*B; yn is the third-order solution and ye its embedded
+# companion, whose fifth stage e5 solves with k4 alone.  _numpy_stages
+# runs the lines as they stand, on arrays, and _float_stages_source
+# renders them for each component.
+_STAGE_TABLE = (
+    "f = F(y)",
+    "k1 = h * (f - B(y))",
+    # the non-stiff and stiff parts are both taken at y, so their sum
+    # collapses to the full right-hand side
+    "k2 = S(h * f)",
+    "k3 = S(k2)",
+    # first-stage weights of the combination rows are structurally zero
+    "u = y + b42 * k2 + b43 * k3",
+    "w = y + a42 * k2 + a43 * k3",
+    # h*phi(u) + h*(B*w) regrouped around one right-hand-side evaluation
+    "f = F(u)",
+    "k4 = S(h * f + h * B(w - u))",
+    "k5 = S(k4 + gamma * k3)",
+    "u6 = y + b63 * k3 + b64 * k4 + b65 * k5",
+    "f = F(u6)",
+    "k6 = h * (f - B(u6))",
+    "e5 = S(k4)",
+    "yn = y + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6",
+    "ye = y + r1 * k1 + r2 * k2 + r3 * k3 + r4 * k4 + r5 * e5")
+# weights = (SchemeCoefficients.stage_weights(),
+#            EmbeddedCoefficients.stage_weights())
+_UNPACK_WEIGHTS = ("(_, a42, a43, b42, b43, gamma, b63, b64, b65, p1, p2, "
+                   "p3, p4, p5, p6), (r1, r2, r3, r4, r5) = weights")
+_numpy_stages = _compile_generated("\n    ".join(
+    ("def _numpy_stages(F, B, S, y, h, weights):", _UNPACK_WEIGHTS)
+    + _STAGE_TABLE + ("return yn, ye, k1, k6, u6\n",)),
+    "_numpy_stages", "<stepper stages>", globals())
+
+
 def _stages(problem: SplitProblem, y, h: float,
             scheme: SchemeCoefficients, embedded: EmbeddedCoefficients,
             stats: RunStatistics, tol: Tolerances, control: bool, drift):
@@ -287,8 +330,9 @@ def _stages(problem: SplitProblem, y, h: float,
     factored from.  factor picks the path: a factorization that carries
     B's diagonal as floats sends the attempt to the generated float
     function for its dimension, and y_next and drift are then lists; any
-    other runs it on arrays.  y and drift may be either.  Raises
-    SingularMatrix when the stage matrix cannot be factored,
+    other runs _numpy_stages on arrays, with F = _rhs(full, .),
+    B = fact.b_matvec and S = fact.solve.  y and drift may be either.
+    Raises SingularMatrix when the stage matrix cannot be factored,
     ZeroToleranceDenominator as error_norm does, ValueError (for_state)
     when tol's size differs from the state's, and DimensionMismatch when
     B's does, the right-hand side returns anything but a sequence of n
@@ -308,41 +352,20 @@ def _stages(problem: SplitProblem, y, h: float,
     stats.g_evals += 2
     stats.linear_solves += 5
     full = problem.full
+    weights = scheme.stage_weights(), embedded.stage_weights()
     if fact.b_floats is not None:
         return _float_stages(n)(
             full, fact.solve, fact.b_floats,
-            y if type(y) is list else y_arr.tolist(), h,
-            scheme.stage_weights(), embedded.stage_weights(), atol, rtol,
+            y if type(y) is list else y_arr.tolist(), h, weights, atol, rtol,
             control, drift)
-    y = y_arr
-    (_, a42, a43, b42, b43, gamma, b63, b64, b65,
-     p1, p2, p3, p4, p5, p6) = scheme.stage_weights()
-    r1, r2, r3, r4, r5 = embedded.stage_weights()
-    f0 = _rhs(full, y)
-    # the non-stiff and stiff parts are both taken at y, so their sum
-    # collapses to the full right-hand side
-    k1 = h * (f0 - fact.b_matvec(y))
-    k2 = fact.solve(h * f0)
-    k3 = fact.solve(k2)
-    # first-stage weights of the combination rows are structurally zero
-    u = y + b42 * k2 + b43 * k3
-    w = y + a42 * k2 + a43 * k3
-    # h*phi(u) + h*(B*w) regrouped around one right-hand-side evaluation
-    rhs4 = h * _rhs(full, u) + h * fact.b_matvec(w - u)
-    k4 = fact.solve(rhs4)
-    k5 = fact.solve(k4 + gamma * k3)
-    u6 = y + b63 * k3 + b64 * k4 + b65 * k5
-    k6 = h * (_rhs(full, u6) - fact.b_matvec(u6))
-    k5_emb = fact.solve(k4)
-
-    y_next = y + p1 * k1 + p2 * k2 + p3 * k3 + p4 * k4 + p5 * k5 + p6 * k6
-    y_emb = y + r1 * k1 + r2 * k2 + r3 * k3 + r4 * k4 + r5 * k5_emb
+    y_next, y_emb, k1, k6, u6 = _numpy_stages(
+        partial(_rhs, full), fact.b_matvec, fact.solve, y_arr, h, weights)
     if not (np.all(np.isfinite(y_next)) and np.all(np.isfinite(y_emb))):
         return None
     err = error_norm(y_next, y_emb, tol)
     if not err <= 1.0:
         return y_next, err, None, None, None
-    v = stability_estimate(y, u6, k1, k6) if control else None
+    v = stability_estimate(y_arr, u6, k1, k6) if control else None
     return (y_next, err, v) + _drift_update(drift, h, fact.b_diag, y_next,
                                             y_emb, tol)
 
@@ -350,18 +373,20 @@ def _stages(problem: SplitProblem, y, h: float,
 def _float_stages_source(n: int, name: str) -> str:
     """Source of _stages' float path unrolled for n components.
 
-    Every component is a local (y_m, the B diagonal b_m, the right-hand
-    side f_m, the stages k<i>_m and the stage arguments u_m, w_m, u6_m),
-    and each line is _stages' numpy expression for one component, in
-    numpy's association and order.  Zero weights are multiplied as numpy
-    multiplies them, so signed zeros and NaN come out the same.  The
-    weights arrive as arguments (w from SchemeCoefficients.stage_weights,
-    r from EmbeddedCoefficients.stage_weights), so one function serves
-    every scheme, and so do the factorization's solve and B's diagonal
-    as floats (b): _stages has factored D and counted the work.  full is
-    called on a tuple of the stage argument's components, and its return
-    unpacked into locals (_emit_rhs_call); the stage solves go through
-    solve as lists.
+    Every component is a local (y_m, the B diagonal b_m, and for every
+    vector the table assigns, x_m), and each line of _STAGE_TABLE is
+    rendered once per component: every vector name x becomes x_m and
+    B(x) the product (b_m * x_m), with x_m in parentheses when x is
+    compound, so each expression keeps the numpy path's association and
+    order.  Zero weights are multiplied as numpy multiplies them, so
+    signed zeros and NaN come out the same.  F(x) calls full on a tuple
+    of x's components and unpacks its return into locals
+    (_emit_rhs_call); S(x) calls solve on the list of x's components, or
+    on the list a stage's solve returned when x names it, and binds the
+    result both as that list and as locals.  The weights arrive as one
+    argument (weights, unpacked by _UNPACK_WEIGHTS), so one function
+    serves every scheme, and so do the factorization's solve and B's
+    diagonal as floats (b): _stages has factored D and counted the work.
 
     From the stages the function goes on, with the tolerances as tuples
     of floats (atol, rtol), as the numpy path's error_norm,
@@ -375,37 +400,36 @@ def _float_stages_source(n: int, name: str) -> str:
     exp(-0.0) = exp(0.0) = 1.0.
     """
     comps = range(n)
-    lines = [f"def {name}(full, solve, b, y, h, w, r, atol, rtol, control, "
-             "drift):",
-             "    (_, a42, a43, b42, b43, gamma, b63, b64, b65,",
-             "     p1, p2, p3, p4, p5, p6) = w",
-             "    r1, r2, r3, r4, r5 = r",
+    lines = [f"def {name}(full, solve, b, y, h, weights, atol, rtol, "
+             "control, drift):",
+             f"    {_UNPACK_WEIGHTS}",
              f"    {each('y_{m}', n)}= y",
              f"    {each('b_{m}', n)}= b"]
     emit = lines.append
-    _emit_rhs_call(emit, f"full(({each('y_{m}', n)}))", "f", n)
-    emit_each(emit, "k1_{m} = h * (f_{m} - b_{m} * y_{m})", n)
-    emit(f"    k2 = solve([{each('h * f_{m}', n)}])")
-    emit(f"    {each('k2_{m}', n)}= k2")
-    emit(f"    {each('k3_{m}', n)}= solve(k2)")
-    emit_each(emit, "u_{m} = y_{m} + b42 * k2_{m} + b43 * k3_{m}", n)
-    emit_each(emit, "w_{m} = y_{m} + a42 * k2_{m} + a43 * k3_{m}", n)
-    _emit_rhs_call(emit, f"full(({each('u_{m}', n)}))", "f", n)
-    emit("    k4 = solve([")
-    emit_each(emit, "    h * f_{m} + h * (b_{m} * (w_{m} - u_{m})),", n)
-    emit("    ])")
-    emit(f"    {each('k4_{m}', n)}= k4")
-    rhs5 = each("k4_{m} + gamma * k3_{m}", n)
-    emit(f"    {each('k5_{m}', n)}= solve([{rhs5}])")
-    emit_each(emit, "u6_{m} = y_{m} + b63 * k3_{m} + b64 * k4_{m}"
-              " + b65 * k5_{m}", n)
-    _emit_rhs_call(emit, f"full(({each('u6_{m}', n)}))", "f", n)
-    emit_each(emit, "k6_{m} = h * (f_{m} - b_{m} * u6_{m})", n)
-    emit(f"    {each('e5_{m}', n)}= solve(k4)")
-    emit_each(emit, "yn_{m} = (y_{m} + p1 * k1_{m} + p2 * k2_{m} + p3 * k3_{m}"
-              " + p4 * k4_{m} + p5 * k5_{m} + p6 * k6_{m})", n)
-    emit_each(emit, "ye_{m} = (y_{m} + r1 * k1_{m} + r2 * k2_{m} + r3 * k3_{m}"
-              " + r4 * k4_{m} + r5 * e5_{m})", n)
+    vectors = "|".join(line.split(" = ")[0] for line in _STAGE_TABLE)
+
+    def component(expr: str) -> str:
+        # B(x) as (b * x), x parenthesised when compound, then each
+        # vector name x (a table target, y or b) as x_{m}
+        expr = re.sub(r"B\((\w+)\)", r"(b * \1)", expr)
+        expr = re.sub(r"B\((.+?)\)", r"(b * (\1))", expr)
+        return re.sub(rf"\b({vectors}|y|b)\b", r"\1_{m}", expr)
+
+    for line in _STAGE_TABLE:
+        # F( or S( opens a call that spans the whole right side
+        target, expr = line.split(" = ")
+        x = expr[2:-1]
+        if expr.startswith("F("):
+            _emit_rhs_call(emit, f"full(({each(component(x), n)}))",
+                           target, n)
+        elif expr.startswith("S("):
+            # a bare name goes in as the list it names: a stage solved
+            # before (bound below to the list solve returned), y or b
+            x = x if x.isidentifier() else f"[{each(component(x), n)}]"
+            emit(f"    {target} = solve({x})")
+            emit(f"    {each(target + '_{m}', n)}= {target}")
+        else:
+            emit_each(emit, f"{target}_{{m}} = {component(expr)}", n)
     # the finiteness of y_next, then of y_emb
     emit_finite(emit, [f"yn_{m}" for m in comps] + [f"ye_{m}" for m in comps],
                 "raise _not_numbers() from None")
@@ -590,6 +614,29 @@ def _check_stepsize(h: float) -> None:
         raise ValueError(f"h must be finite and positive, got {h!r}")
 
 
+def _fixed_attempt(problem: SplitProblem, y, t: float, h: float,
+                   scheme: SchemeCoefficients,
+                   embedded: EmbeddedCoefficients, stats: RunStatistics,
+                   unit: Tolerances) -> tuple:
+    """_stages' result for a step of size h from y at t under the unit
+    absolute tolerances unit, for the fixed-step entry points.
+
+    A main or embedded solution that is not finite raises
+    NonFiniteState, and a stage matrix that cannot be factored
+    SingularMatrix; both name t, and the second also h.
+    """
+    try:
+        out = _stages(problem, y, h, scheme, embedded, stats, unit, False,
+                      [0.0] * problem.n)
+    except SingularMatrix as exc:
+        raise SingularMatrix(f"stage matrix singular at t={t:.6g}, h={h:g} "
+                             f"({exc}); pick a smaller h0 for this "
+                             f"problem") from exc
+    if out is None:
+        raise NonFiniteState(f"state became non-finite at t={t:.6g}")
+    return out
+
+
 def integrate_fixed(problem: SplitProblem, h: float,
                     scheme: SchemeCoefficients,
                     embedded: EmbeddedCoefficients) -> IntegrationResult:
@@ -601,7 +648,9 @@ def integrate_fixed(problem: SplitProblem, h: float,
     ValueError before the first.  Each step is a measured attempt under
     unit absolute tolerances, whose main solution is taken whatever its
     error; a step whose main or embedded solution is not finite aborts
-    with NonFiniteState.  Order studies use this entry point.
+    with NonFiniteState, and one whose stage matrix cannot be factored
+    with SingularMatrix, both naming the step's start t (the second also
+    its h).  Order studies use this entry point.
     """
     _check_stepsize(h)
     t = problem.t0
@@ -616,13 +665,9 @@ def integrate_fixed(problem: SplitProblem, h: float,
     h_eff = span / n_steps
     stats = RunStatistics()
     unit = Tolerances(np.ones(problem.n), np.zeros(problem.n))
-    drift = [0.0] * problem.n
     for i in range(n_steps):
-        out = _stages(problem, y, h_eff, scheme, embedded, stats, unit,
-                      False, drift)
-        if out is None:
-            raise NonFiniteState(f"state became non-finite at t={t:.6g}")
-        y = out[0]
+        y = _fixed_attempt(problem, y, t, h_eff, scheme, embedded, stats,
+                           unit)[0]
         t = problem.t0 + (i + 1) * h_eff
         stats.steps_accepted += 1
     return IntegrationResult(t=t, y=_as_array(y), stats=stats)
@@ -635,14 +680,12 @@ def embedded_difference(problem: SplitProblem, h: float,
 
     The gap is the attempt's error norm under unit absolute tolerances
     (atol 1, rtol 0).  h must be finite and positive, and a step whose
-    main or embedded solution is not finite raises NonFiniteState, as
-    for integrate_fixed.
+    main or embedded solution is not finite raises NonFiniteState, and
+    one whose stage matrix cannot be factored SingularMatrix, as for
+    integrate_fixed.
     """
     _check_stepsize(h)
     n = problem.n
-    out = _stages(problem, problem.y0, h, scheme, embedded, RunStatistics(),
-                  Tolerances(np.ones(n), np.zeros(n)), False, [0.0] * n)
-    if out is None:
-        raise NonFiniteState(
-            f"state became non-finite at t={problem.t0:.6g}")
-    return out[1]
+    return _fixed_attempt(problem, problem.y0, problem.t0, h, scheme,
+                          embedded, RunStatistics(),
+                          Tolerances(np.ones(n), np.zeros(n)))[1]

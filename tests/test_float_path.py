@@ -172,7 +172,8 @@ def kernel_both(monkeypatch, y, fs, ks, tol, b=None, h=1.0, control=True,
     those given.  The float path measures the attempt in its generated
     function, the numpy path with error_norm, stability_estimate and
     _drift_update on arrays; the two must agree bit for bit
-    (assert_same_attempt).  Returns the float path's outcome.
+    (assert_same_attempt).  Returns the outcomes, the float path's
+    first.
     """
     n = len(y)
     b = [0.0] * n if b is None else b
@@ -192,7 +193,7 @@ def kernel_both(monkeypatch, y, fs, ks, tol, b=None, h=1.0, control=True,
                                embedded, RunStatistics(), tol, control,
                                drift))
     assert_same_attempt(*out)
-    return out[0]
+    return out
 
 
 def probe(monkeypatch, y, k1, k3, k6, k4=None):
@@ -207,7 +208,7 @@ def probe(monkeypatch, y, k1, k3, k6, k4=None):
     zeros = [0.0] * len(y)
     out = kernel_both(monkeypatch, y, [k1, zeros, k6],
                       [zeros, k3, k4 or zeros, zeros, zeros],
-                      Tolerances.uniform(1e-3, len(y)), b63=1.0, b64=1.0)
+                      Tolerances.uniform(1e-3, len(y)), b63=1.0, b64=1.0)[0]
     if out is None:
         return None
     _, err, v, _, _ = out
@@ -350,7 +351,7 @@ def error_attempt(monkeypatch, y, k1, k2, tol, k3=None):
     zeros = [0.0] * len(y)
     return kernel_both(monkeypatch, y, [k1, zeros, zeros],
                        [k2, k3 or zeros, zeros, zeros, zeros], tol,
-                       p1=1.0, r2=1.0, r3=1.0)
+                       p1=1.0, r2=1.0, r3=1.0)[0]
 
 
 class TestErrorNormKernel:
@@ -435,7 +436,7 @@ def drift_attempt(monkeypatch, drift, y, dy, b, h, tol):
     zeros = [0.0] * len(y)
     return kernel_both(monkeypatch, y, [zeros] * 3,
                        [dy, zeros, zeros, zeros, zeros], tol, b=b, h=h,
-                       control=False, drift=drift, p2=1.0)
+                       control=False, drift=drift, p2=1.0)[0]
 
 
 class TestDriftKernel:
@@ -613,17 +614,20 @@ class TestStagesKernel:
                             float(10.0 ** rng.uniform(-4, -1)), monkeypatch)
 
     def test_zero_weight_is_multiplied(self, monkeypatch):
-        # r1 = 0, and numpy still multiplies it: here y_emb is
-        # -0.0 + 0.0 * k1 + (-0.0 terms) = +0.0, where leaving r1 out would
-        # give -0.0 (b = 100 makes the pivot 1 - a*h*b negative, which
-        # sets the signs of the other zero stages).  y_emb reaches the
-        # results only through y_next - y_emb, and y_next is +0.0 here, so
-        # that sign is not seen; the two paths must still agree
+        # the default embedded r1 is 0, and numpy still multiplies it.
+        # With k1 = +0.0, r1*k1 turns y_emb's -0.0 into +0.0: y, the
+        # drift sum and every other stage are -0.0 (b = -0.0 keeps k1 =
+        # h*(f - b*y) at +0.0 and k6 = h*(f - b*u6) at -0.0), and p1 = -1
+        # keeps y_next at -0.0.  So the new drift sum,
+        # -0.0*1 + (y_next - y_emb), is -0.0 exactly when r1*k1 is
+        # multiplied; a path that left it out would give +0.0
         assert EMBEDDED.r[0] == 0.0
-        problem = dataclasses.replace(
-            diagonal_problem([0.0], [100.0], [1.0]),
-            full=lambda u: np.zeros(len(u)))
-        stages_both(problem, [-0.0], 0.1, monkeypatch)
+        outs = kernel_both(monkeypatch, [-0.0], [[0.0], [-0.0], [-0.0]],
+                           [[-0.0]] * 5, Tolerances.uniform(1e-3, 1),
+                           b=[-0.0], control=False, drift=[-0.0], p1=-1.0)
+        for y_next, err, _, drift, _ in outs:
+            assert math.copysign(1.0, y_next[0]) == -1.0 and err == 0.0
+            assert math.copysign(1.0, drift[0]) == -1.0
 
     def test_schemes_alternate_in_one_process(self, monkeypatch):
         # one generated function per dimension serves every scheme: the
@@ -679,32 +683,39 @@ class TestStagesKernel:
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[4]"
 
-    def test_generated_source_is_visible(self):
+    def test_generated_source_is_visible(self, monkeypatch):
+        # the stage table's second right-hand-side call shows in a
+        # traceback, through linecache, as each path renders it
         problem = diagonal_problem([-1.0, -2.0, -3.0], [-1.0, -2.0, -3.0],
                                    [1.0, 1.0, 1.0])
         _stages(problem, problem.y0, 0.01, SCHEME, EMBEDDED, RunStatistics(),
                 Tolerances.uniform(1e-3, 3), False, [0.0] * 3)
-        code = stepper._FLOAT_STAGES[3].__code__
-        assert linecache.getline(code.co_filename, code.co_firstlineno) \
-            .startswith("def ")
+        for path, line in (("floats", "k = full((u_0, u_1, u_2, ))"),
+                           ("numpy", "f = F(u)")):
+            if path == "numpy":
+                force_numpy_path(monkeypatch)
+            code = (stepper._FLOAT_STAGES[3] if path == "floats"
+                    else stepper._numpy_stages).__code__
+            assert linecache.getline(code.co_filename, code.co_firstlineno) \
+                .startswith("def ")
 
-        calls = []
+            calls = []
 
-        def full(y):
-            calls.append(y)
-            if len(calls) == 2:
-                raise RuntimeError("right-hand side failed")
-            return tuple(-x for x in y)
+            def full(y):
+                calls.append(y)
+                if len(calls) == 2:
+                    raise RuntimeError("right-hand side failed")
+                return tuple(-x for x in y)
 
-        problem = dataclasses.replace(problem, full=full)
-        with pytest.raises(RuntimeError) as info:
-            attempt_step(problem, problem.y0, 0.01, SCHEME, EMBEDDED,
-                         Tolerances.uniform(1e-3, 3), ControllerConfig(),
-                         RunStatistics())
-        generated = [frame for frame in traceback.extract_tb(info.tb)
-                     if frame.filename == code.co_filename]
-        assert len(generated) == 1
-        assert generated[0].line == "k = full((u_0, u_1, u_2, ))"
+            with pytest.raises(RuntimeError) as info:
+                attempt_step(dataclasses.replace(problem, full=full),
+                             problem.y0, 0.01, SCHEME, EMBEDDED,
+                             Tolerances.uniform(1e-3, 3), ControllerConfig(),
+                             RunStatistics())
+            generated = [frame for frame in traceback.extract_tb(info.tb)
+                         if frame.filename == code.co_filename]
+            assert len(generated) == 1
+            assert generated[0].line == line
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_stages(self, monkeypatch):

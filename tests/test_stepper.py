@@ -14,6 +14,7 @@ from asode.exceptions import (
     DimensionMismatch,
     MaxRejectsExceeded,
     NonFiniteState,
+    SingularMatrix,
     StepsizeUnderflow,
     ZeroToleranceDenominator,
 )
@@ -722,6 +723,23 @@ class TestFixedStepOrder:
             with pytest.raises(NonFiniteState,
                                match="state became non-finite at t=0$"):
                 run(prob, 0.1, SCHEME, EMBEDDED)
+
+    def test_singular_step_names_t_and_h(self):
+        # example3 at h = 0.02 meets a singular stage matrix in its third
+        # step, and a stage matrix of 1/(a*h) on the diagonal is singular
+        # in the first; the error named neither t nor h
+        with pytest.raises(SingularMatrix, match=r"^stage matrix singular "
+                           r"at t=0\.04, h=0\.02 \(diagonal pivot .*\); "
+                           r"pick a smaller h0 for this problem$"):
+            integrate_fixed(builtin("example3"), 0.02, SCHEME, EMBEDDED)
+        h = 0.1
+        pole = DiagonalMatrix(np.array([1.0 / (SCHEME.a * h)]))
+        prob = split_problem("pole", lambda y: -np.asarray(y),
+                             lambda y: pole, [1.0], h, t0=2.0, t_end=3.0)
+        for run in (integrate_fixed, embedded_difference):
+            with pytest.raises(SingularMatrix,
+                               match=r"singular at t=2, h=0\.1 .*h0"):
+                run(prob, h, SCHEME, EMBEDDED)
 
     def test_step_count_bound(self):
         # h = 1e-300 used to step without end; the first h here ran

@@ -12,11 +12,15 @@
 # tolerance of 1e-20 that end in a stepsize underflow (their traces hold
 # the steps they accepted), a successful example1 trace and the failed
 # 1e-20 run's trace written over it (stale_trace*), the coeffs,
-# order-study (powerlaw, and example1, whose Merson ladder diverges) and
+# order-study (powerlaw; example1, whose Merson ladder diverges; and
+# example3, whose fixed-step ladder meets a singular stage matrix) and
 # stability-region outputs, every help text, the messages of invalid
 # input (bad flag and config values, bad tolerance files, unwritable
 # output paths, a bad ASODE_THREADS), each command's stderr (NAME.err),
 # and exit_codes.txt with one line per command.  Wall times are left out.
+# OUT_DIR/sources receives the generated code: the numpy path's stage
+# function, and for n = 1..16 the float path's stage function and the
+# Merson and RKF45 comparator steps.
 # Run it on two trees and compare with `diff -r OUT_A OUT_B`.  The serial
 # benchmark alone takes about a minute and a half.
 set -eu
@@ -91,6 +95,8 @@ run coeffs coeffs --csv coeffs.csv
 run order_study order-study
 # exit 2: the Merson ladder diverges at h0 = 0.02
 run order_study_example1 order-study --problem example1
+# exit 2: the additive ladder's stage matrix is singular at h0 = 0.02
+run order_study_example3 order-study --problem example3
 run region_main stability-region --which main --out region_main.csv
 run region_embedded stability-region --which embedded \
     --out region_embedded.csv
@@ -143,3 +149,22 @@ run bad_coeffs_csv coeffs --csv missing/coeffs.csv
 run bad_bench_csv bench --csv missing/bench.csv
 # prints nothing and leaves no bench_bad_threads.csv behind
 ASODE_THREADS=x run bench_bad_threads bench --csv bench_bad_threads.csv
+
+# the generated sources
+mkdir -p sources
+python3 - <<'EOF'
+import linecache
+
+from asode import reference_rk, stepper
+
+code = stepper._numpy_stages.__code__
+with open("sources/numpy_stages.py", "w") as out:
+    out.write("".join(linecache.getlines(code.co_filename)))
+for n in range(1, 17):
+    with open(f"sources/float_stages_{n}.py", "w") as out:
+        out.write(stepper._float_stages_source(n, f"_float_stages_{n}"))
+    for name, tableau in reference_rk.TABLEAUS.items():
+        with open(f"sources/{name}_step_{n}.py", "w") as out:
+            out.write(reference_rk._step_source(tableau, n,
+                                                f"_step_{name}_{n}"))
+EOF
