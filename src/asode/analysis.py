@@ -17,6 +17,7 @@ companion factor has a manageable closed form, implemented directly in
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Optional
 
@@ -107,7 +108,10 @@ def eval_R2(x: complex, z: complex,
 
     Numerator polynomial in (x, z) over (1 - a*z)^4, written out in terms
     of the scheme parameter a, the stage-4 combination weight sum b4, and
-    the companion weights r2..r5.
+    the companion weights r2..r5.  Each term has degree four in (x, z, 1),
+    so where a power in that form leaves the float range, the numerator
+    at (x/d, z/d, 1/d), d = 1 - a*z, gives the same quotient; where that
+    overflows too, |R2| itself does and OverflowError is raised.
     """
     c, e = _with_embedded(coeffs)
     x = complex(x)
@@ -116,24 +120,32 @@ def eval_R2(x: complex, z: complex,
     b4 = float(c.aux[3])
     r2, r3, r4, r5 = (float(v) for v in e.r[1:])
     d = _stage_denominator(a, z)
-    num = (
-        a**3 * (a - r2) * z**4
-        - a**3 * (r2 - r4) * x * z**3
-        - a * (4.0 * a**2 - a * (3.0 * r2 + r3 + 2.0 * r4) + r4) * z**3
-        + a**3 * r4 * x**2 * z**2
-        + a * (a * (3.0 * r2 + r3 + r4 - r5)
-               - r4 * (b4 + 1.0)) * x * z**2
-        + (6.0 * a**2 - a * (3.0 * r2 + 2.0 * r3 + 3.0 * r4 + 2.0 * r5)
-           + r4 + r5) * z**2
-        - a * (a * (r4 + r5) + r4 * b4) * x**2 * z
-        + (-a * (3.0 * r2 + 2.0 * r3 + 3.0 * r4 + 2.0 * r5)
-           + (r4 + r5) * (b4 + 1.0)) * x * z
-        + (-4.0 * a + r2 + r3 + r4 + r5) * z
-        + b4 * (r4 + r5) * x**2
-        + (r2 + r3 + r4 + r5) * x
-        + 1.0
-    )
-    return num / d**4
+
+    def numerator(x, z, one):
+        return (
+            a**3 * (a - r2) * z**4
+            - a**3 * (r2 - r4) * x * z**3
+            - a * (4.0 * a**2 - a * (3.0 * r2 + r3 + 2.0 * r4) + r4)
+            * z**3 * one
+            + a**3 * r4 * x**2 * z**2
+            + a * (a * (3.0 * r2 + r3 + r4 - r5)
+                   - r4 * (b4 + 1.0)) * x * z**2 * one
+            + (6.0 * a**2 - a * (3.0 * r2 + 2.0 * r3 + 3.0 * r4 + 2.0 * r5)
+               + r4 + r5) * z**2 * one**2
+            - a * (a * (r4 + r5) + r4 * b4) * x**2 * z * one
+            + (-a * (3.0 * r2 + 2.0 * r3 + 3.0 * r4 + 2.0 * r5)
+               + (r4 + r5) * (b4 + 1.0)) * x * z * one**2
+            + (-4.0 * a + r2 + r3 + r4 + r5) * z * one**3
+            + b4 * (r4 + r5) * x**2 * one**2
+            + (r2 + r3 + r4 + r5) * x * one**3
+            + one**4
+        )
+
+    try:
+        value = numerator(x, z, 1.0) / d**4
+    except OverflowError:
+        value = math.nan
+    return value if cmath.isfinite(value) else numerator(x / d, z / d, 1.0 / d)
 
 
 def stability_region_scan(x_grid, z_grid, which: str = "main") -> np.ndarray:
@@ -141,8 +153,9 @@ def stability_region_scan(x_grid, z_grid, which: str = "main") -> np.ndarray:
 
     `which` selects the default scheme's propagated ("main") or companion
     ("embedded") factor.  Grid points must be finite; a point too close to
-    the stage pole contributes inf rather than aborting the scan, so
-    region plots that straddle z = 1/a stay usable.
+    the stage pole, or whose factor overflows, contributes inf rather
+    than aborting the scan, so region plots that straddle z = 1/a stay
+    usable.
     """
     if which not in ("main", "embedded"):
         raise ValueError(f"unknown stability function {which!r}; "
@@ -159,6 +172,6 @@ def stability_region_scan(x_grid, z_grid, which: str = "main") -> np.ndarray:
         for j, x in enumerate(xs):
             try:
                 out[i, j] = abs(factor(x, z))
-            except PoleProximity:
+            except (PoleProximity, OverflowError):
                 out[i, j] = math.inf
     return out

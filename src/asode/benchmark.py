@@ -10,7 +10,6 @@ assembled in matrix order, which keeps repeated runs byte-identical.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import time
@@ -27,6 +26,7 @@ from .reference_rk import FEHLBERG45, MERSON, TABLEAUS, rk_integrate, rk_step
 from .stepper import (
     ORDER_STUDY_MAX_STEPS,
     ControllerConfig,
+    IntegrationResult,
     RunStatistics,
     embedded_difference,
     integrate,
@@ -76,8 +76,9 @@ def default_matrix() -> list:
 
 
 def run_method(method: str, problem: SplitProblem, tol: Tolerances,
-               stats: RunStatistics, trace: Optional[list] = None) -> tuple:
-    """Solve problem with the named method; returns (t, y).
+               stats: RunStatistics,
+               trace: Optional[list] = None) -> IntegrationResult:
+    """Solve problem with the named method; returns its IntegrationResult.
 
     Every method counts its work into the given stats and, given a list
     trace, appends each accepted step's row (t, h, err, v, y) there as it
@@ -86,15 +87,13 @@ def run_method(method: str, problem: SplitProblem, tol: Tolerances,
     """
     if method in ("asode3", "asode3-nocontrol"):
         scheme = derive_scheme()
-        emb = derive_embedded(scheme)
         cfg = ControllerConfig(stability_control=(method == "asode3"))
-        res = integrate(problem, scheme, emb, tol, cfg, trace=trace,
-                        stats=stats)
-        return res.t, res.y
+        return integrate(problem, scheme, derive_embedded(scheme), tol, cfg,
+                         trace=trace, stats=stats)
     if method in TABLEAUS:
         return rk_integrate(TABLEAUS[method], problem.full, tuple(problem.y0),
                             (problem.t0, problem.t_end), tol, problem.h0,
-                            stats=stats, trace=trace)[:2]
+                            stats=stats, trace=trace)
     raise ValueError(f"unknown benchmark method {method!r}")
 
 
@@ -110,7 +109,7 @@ def run_cell(spec: CellSpec) -> CellResult:
     ok, err_msg, t, y = True, "", math.nan, ()
     start = time.perf_counter()
     try:
-        t, y = run_method(spec.method, p, tol, stats)
+        t, y, _ = run_method(spec.method, p, tol, stats)
     except SolverError as exc:
         ok = False
         err_msg = f"{type(exc).__name__}: {exc}"
@@ -179,14 +178,10 @@ def format_table(results: Sequence[CellResult]) -> str:
     return "\n".join([fmt(headers)] + [fmt(row) for row in rows])
 
 
-def write_csv(results: Sequence[CellResult], path: str) -> None:
-    """Benchmark CSV with the work counters; no wall-clock columns."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for r in results:
-            w.writerow([r.problem, f"{r.tol:.17g}", r.method,
-                        *r.stats.as_dict().values()])
+def csv_rows(results: Sequence[CellResult]) -> list:
+    """Bench CSV rows under CSV_COLUMNS: the counters, no wall clock."""
+    return [[r.problem, f"{r.tol:.17g}", r.method,
+             *r.stats.as_dict().values()] for r in results]
 
 
 def verify_comparator_orders() -> dict:

@@ -20,7 +20,7 @@ import dataclasses
 import math
 import sys
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -219,7 +219,7 @@ def _claim_output(path: Optional[str]) -> None:
         open(path, "a").close()
 
 
-def _write_csv(path: Optional[str], header: list, rows) -> None:
+def _write_csv(path: Optional[str], header: Sequence, rows) -> None:
     """header, then each of rows, as CSV to path (None: stdout)."""
     with (open(path, "w", newline="") if path is not None
           else contextlib.nullcontext(sys.stdout)) as fh:
@@ -228,8 +228,7 @@ def _write_csv(path: Optional[str], header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _SOLVE_SCHEMA)
+def cmd_solve(cfg: dict) -> int:
     if cfg["problem"] is None:
         raise ConfigError("--problem is required (flag or config file)")
     overrides = {key: cfg[key] for key in ("t_end", "h0")
@@ -245,11 +244,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from None
     _claim_output(cfg["trace"])
 
-    stats = RunStatistics()
     trace = [] if cfg["trace"] is not None else None
     start = time.perf_counter()
     try:
-        t, y = benchmark.run_method(cfg["method"], problem, tol, stats, trace)
+        t, y, stats = benchmark.run_method(cfg["method"], problem, tol,
+                                           RunStatistics(), trace)
         wall = time.perf_counter() - start
     finally:
         # a failed run's trace holds the steps it accepted
@@ -277,8 +276,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _BENCH_SCHEMA)
+def cmd_bench(cfg: dict) -> int:
     try:
         benchmark._worker_cap(1)  # reads ASODE_THREADS before any output
     except ValueError as exc:     # bad ASODE_THREADS is a config problem
@@ -291,7 +289,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     results = benchmark.run_matrix()
     print(benchmark.format_table(results))
     if cfg["csv"] is not None:
-        benchmark.write_csv(results, cfg["csv"])
+        _write_csv(cfg["csv"], benchmark.CSV_COLUMNS,
+                   benchmark.csv_rows(results))
         print(f"wrote {cfg['csv']}")
     failed = [r for r in results if not r.ok]
     for r in failed:
@@ -300,8 +299,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 2 if failed else 0
 
 
-def cmd_order_study(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _ORDER_SCHEMA)
+def cmd_order_study(cfg: dict) -> int:
     try:
         study = benchmark.order_study(cfg["problem"], cfg["h0"],
                                       cfg["ref_tol"])
@@ -319,12 +317,15 @@ def cmd_order_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stability_region(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _REGION_SCHEMA)
-    if not cfg["x_min"] <= cfg["x_max"]:
-        raise ConfigError("x_min must not exceed x_max")
-    if not cfg["z_min"] <= cfg["z_max"]:
-        raise ConfigError("z_min must not exceed z_max")
+def cmd_stability_region(cfg: dict) -> int:
+    for axis in "xz":
+        low, high = cfg[f"{axis}_min"], cfg[f"{axis}_max"]
+        if not low <= high:
+            raise ConfigError(f"{axis}_min must not exceed {axis}_max")
+        # finite ends this far apart would make inf grid points
+        if high - low == math.inf:
+            raise ConfigError(f"{axis}_max - {axis}_min overflows the "
+                              f"float range")
     points = cfg["x_points"] * cfg["z_points"]
     if points > REGION_MAX_POINTS:
         raise ConfigError(f"x_points * z_points = {points} exceeds the "
@@ -344,8 +345,7 @@ def cmd_stability_region(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _COEFFS_SCHEMA)
+def cmd_coeffs(cfg: dict) -> int:
     scheme = derive_scheme(cfg["a"])
     embedded = derive_embedded(scheme)
     _claim_output(cfg["csv"])
@@ -406,10 +406,8 @@ def build_parser() -> _Parser:
                                  "split systems, with benchmark and "
                                  "analysis commands.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, (summary, func, schema) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        _add_flags(p, schema)
-        p.set_defaults(func=func)
+    for name, (summary, _, schema) in _COMMANDS.items():
+        _add_flags(sub.add_parser(name, help=summary), schema)
     return parser
 
 
@@ -417,11 +415,12 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
+        if args.command is None:
             parser.print_usage(sys.stderr)
             print("error: a subcommand is required", file=sys.stderr)
             return 1
-        return args.func(args)
+        _, command, schema = _COMMANDS[args.command]
+        return command(_resolve(args, schema))
     except (ConfigError, UnknownProblem, DegenerateParameter, OSError) as exc:
         # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)

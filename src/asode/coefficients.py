@@ -134,36 +134,40 @@ def _guarded_div(num: float, den: float, label: str) -> float:
 def derive_scheme(a: float = DEFAULT_A) -> SchemeCoefficients:
     """Derive every scheme weight from the free parameter `a`.
 
-    Raises DegenerateParameter when `a` is not finite or makes any
+    Raises DegenerateParameter when `a` is not finite, makes any
     closed-form denominator smaller than 1e-14 in magnitude (this includes
-    a = 0 and a = 1).
+    a = 0 and a = 1) or overflows a weight.
     """
     if not math.isfinite(a):
         raise DegenerateParameter(f"parameter a = {a} must be finite")
     if abs(a) < _DENOM_FLOOR or abs(a - 1.0) < _DENOM_FLOOR:
         raise DegenerateParameter(f"parameter a = {a} must differ from 0 and 1")
 
-    gamma = _guarded_div(2.0 * a * (a + 1.0),
-                         6.0 * a**3 - 18.0 * a**2 + 9.0 * a - 1.0,
-                         "6a^3-18a^2+9a-1")
-    p2 = a
-    p3 = _guarded_div(a**2 - 4.0 * a / 3.0 + 1.0, 1.0 - a, "1-a")
-    p4 = _guarded_div(6.0 * a**3 - 20.0 * a**2 + 11.0 * a - 1.0,
-                      6.0 * a - 6.0 * a**2, "6a-6a^2")
-    p5 = _guarded_div(6.0 * a**3 - 18.0 * a**2 + 9.0 * a - 1.0,
-                      6.0 * a**2 - 6.0 * a, "6a^2-6a")
-    b4 = _guarded_div(a - 1.0, 6.0 * a**3 - 16.0 * a**2 + 7.0 * a - 1.0,
-                      "6a^3-16a^2+7a-1")
-    beta43 = b4 - a
-    b2 = _guarded_div(1.0 - b4**2, 1.5 - b4, "1.5-beta_4")
-    p6 = _guarded_div(0.5 - b4 / 3.0, b2, "beta_2")
-    p1 = -p6
-    b1 = _guarded_div(1.0, 6.0 * b4 * p6, "6*beta_4*p6")
-    b3 = _guarded_div(1.0 / 6.0 - a * (2.0 * b4 - a) / 3.0, p6, "p6")
-    beta65 = _guarded_div(a * (b1 - 2.0 * b2) + b3 - b1, a * gamma + a,
-                          "a*(gamma+1)")
-    beta63 = b2 - b1 - gamma * beta65
-    beta64 = b1 - beta65
+    try:
+        gamma = _guarded_div(2.0 * a * (a + 1.0),
+                             6.0 * a**3 - 18.0 * a**2 + 9.0 * a - 1.0,
+                             "6a^3-18a^2+9a-1")
+        p2 = a
+        p3 = _guarded_div(a**2 - 4.0 * a / 3.0 + 1.0, 1.0 - a, "1-a")
+        p4 = _guarded_div(6.0 * a**3 - 20.0 * a**2 + 11.0 * a - 1.0,
+                          6.0 * a - 6.0 * a**2, "6a-6a^2")
+        p5 = _guarded_div(6.0 * a**3 - 18.0 * a**2 + 9.0 * a - 1.0,
+                          6.0 * a**2 - 6.0 * a, "6a^2-6a")
+        b4 = _guarded_div(a - 1.0, 6.0 * a**3 - 16.0 * a**2 + 7.0 * a - 1.0,
+                          "6a^3-16a^2+7a-1")
+        beta43 = b4 - a
+        b2 = _guarded_div(1.0 - b4**2, 1.5 - b4, "1.5-beta_4")
+        p6 = _guarded_div(0.5 - b4 / 3.0, b2, "beta_2")
+        p1 = -p6
+        b1 = _guarded_div(1.0, 6.0 * b4 * p6, "6*beta_4*p6")
+        b3 = _guarded_div(1.0 / 6.0 - a * (2.0 * b4 - a) / 3.0, p6, "p6")
+        beta65 = _guarded_div(a * (b1 - 2.0 * b2) + b3 - b1, a * gamma + a,
+                              "a*(gamma+1)")
+        beta63 = b2 - b1 - gamma * beta65
+        beta64 = b1 - beta65
+    except OverflowError:  # a**3 leaves the float range above about 5e102
+        raise DegenerateParameter(
+            f"parameter a = {a} overflows a closed-form weight") from None
 
     return SchemeCoefficients(
         a=a,

@@ -49,7 +49,7 @@ from .exceptions import StepsizeUnderflow
 from .linalg import SMALL_N
 from .problems import Tolerances, check_start
 from .stepper import (END_SHARE, END_STRETCH, PROBE_FLOOR, PROBE_SHARE_FLOOR,
-                      RunStatistics)
+                      IntegrationResult, RunStatistics)
 
 # rooted-tree order conditions up to order five: (order, weight, 1/density)
 # with the elementary weight written in terms of A, b, c
@@ -468,7 +468,7 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
                  y0: Sequence[float], span: Tuple[float, float],
                  tol: Tolerances, h0: float,
                  stats: Optional[RunStatistics] = None,
-                 trace: Optional[list] = None) -> tuple:
+                 trace: Optional[list] = None) -> IntegrationResult:
     """Adaptive integration with accuracy and stability stepsize control.
 
     The error norm, which the step computes (_scaled_error), matches the
@@ -493,11 +493,11 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     is raised only when h/2 itself falls below RK_H_MIN.  y0, span and
     h0 pass check_start, as a SplitProblem's do, and tol for_state
     (ValueError); time counts from t0 and the run ends as integrate's.
-    Returns (t, y, RunStatistics) with every right-hand-side evaluation
-    counted in phi_evals.  Given a list trace, each accepted step
-    appends its row (t, h_used, err, v, y) there as it goes.  A run that
-    raises has still added the work of its completed steps to stats and
-    their rows to trace.
+    Returns integrate's IntegrationResult(t, y, stats), y a float array,
+    with every right-hand-side evaluation counted in phi_evals.  Given a
+    list trace, each accepted step appends its row (t, h_used, err, v, y)
+    there as it goes.  A run that raises has still added the work of its
+    completed steps to stats and their rows to trace.
     """
     t0, t_end = float(span[0]), float(span[1])
     y = tuple(check_start(y0, t0, t_end, h0).tolist())
@@ -550,4 +550,4 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
         stats.phi_evals += phi_evals
         stats.steps_accepted += accepted
         stats.steps_rejected += rejected
-    return t0 + t, y, stats
+    return IntegrationResult(t0 + t, np.array(y), stats)

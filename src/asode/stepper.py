@@ -71,7 +71,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -170,8 +170,9 @@ class StepReport:
     next_pressure: float = 1.0
 
 
-@dataclass
-class IntegrationResult:
+class IntegrationResult(NamedTuple):
+    """Every solve's result, read by name or unpacked as (t, y, stats)."""
+
     t: float
     y: np.ndarray
     stats: RunStatistics
@@ -554,14 +555,14 @@ def integrate(problem: SplitProblem, scheme: SchemeCoefficients,
     drift guard folds every accepted step's main-vs-embedded difference
     into a running sum whose components decay at their own linearized
     rates; once the sum's scaled norm exceeds DRIFT_BUDGET, subsequent
-    stepsize proposals are divided by the overshoot factor.  The work is
-    counted into stats, a fresh RunStatistics unless one is given, and
-    the result carries it.  A run that raises has still added the work
-    of its attempts to a given stats and the rows of its accepted steps
-    to a given trace, as rk_integrate does.  Raises ValueError when the
-    tolerances do not have one entry per state component,
-    StepsizeUnderflow when a rejection pushes h below H_MIN and
-    MaxRejectsExceeded when one step keeps failing.
+    stepsize proposals are divided by the overshoot factor.  Returns an
+    IntegrationResult(t, y, stats), y a float array and stats the work,
+    counted into a fresh RunStatistics unless one is given.  A run that
+    raises has still added the work of its attempts to a given stats and
+    the rows of its accepted steps to a given trace, as rk_integrate
+    does.  Raises ValueError when the tolerances do not have one entry
+    per state component, StepsizeUnderflow when a rejection pushes h
+    below H_MIN and MaxRejectsExceeded when one step keeps failing.
     """
     tol.for_state(problem.n)  # raises on a length mismatch
     cfg = cfg if cfg is not None else ControllerConfig()
@@ -670,7 +671,7 @@ def integrate_fixed(problem: SplitProblem, h: float,
                            unit)[0]
         t = problem.t0 + (i + 1) * h_eff
         stats.steps_accepted += 1
-    return IntegrationResult(t=t, y=_as_array(y), stats=stats)
+    return IntegrationResult(t, _as_array(y), stats)
 
 
 def embedded_difference(problem: SplitProblem, h: float,

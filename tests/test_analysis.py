@@ -1,6 +1,7 @@
 """Scalar amplification factors: dual-route checks and region scans."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,6 +118,27 @@ class TestCompanionFactor:
         with pytest.raises(PoleProximity):
             eval_R2(0.0, 1.0 / DEFAULT_A)
 
+    @pytest.mark.parametrize("z", [-1e78, -1e200])
+    def test_far_stiff_axis_matches_exact_closed_form(self, z):
+        # z**4 overflowed (OverflowError: complex exponentiation); the
+        # closed form on the x = 0 axis, evaluated in rational arithmetic
+        # from the same float weights, is the reference
+        c = derive_scheme()
+        a, b4 = Fraction(c.a), Fraction(float(c.aux[3]))
+        r2, r3, r4, r5 = map(Fraction, derive_embedded(c).r[1:].tolist())
+        zq = Fraction(z)
+        num = (a**3 * (a - r2) * zq**4
+               - a * (4 * a**2 - a * (3 * r2 + r3 + 2 * r4) + r4) * zq**3
+               + (6 * a**2 - a * (3 * r2 + 2 * r3 + 3 * r4 + 2 * r5)
+                  + r4 + r5) * zq**2
+               + (-4 * a + r2 + r3 + r4 + r5) * zq + 1)
+        exact = float(num / (1 - a * zq) ** 4)
+        value = eval_R2(0.0, z)
+        assert value.imag == 0.0
+        assert value.real == pytest.approx(exact, rel=1e-12, abs=0.0)
+        if z == -1e78:
+            assert exact == 2.2213979405289813e-78
+
 
 class TestRegionScan:
     def test_origin_point(self):
@@ -145,6 +167,16 @@ class TestRegionScan:
         out = stability_region_scan([0.0], zs, "main")
         assert math.isinf(out[1, 0])
         assert np.isfinite(out[[0, 2], 0]).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_factor_beyond_the_float_range_does_not_raise(self):
+        # x**2 overflows in both evaluations of the companion's closed
+        # form, and the scan let the OverflowError out; it reads inf there
+        # now, while the propagated factor reads NaN
+        out = stability_region_scan([1e200], [0.0, -1e78], "embedded")
+        assert out[0, 0] == math.inf
+        assert np.isfinite(out[1, 0])
+        assert np.isnan(stability_region_scan([1e200], [0.0], "main")[0, 0])
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="unknown stability function"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from asode import benchmark, builtin, problems
+from asode.cli import _write_csv
 from asode.linalg import DiagonalMatrix
 from asode.benchmark import (
     BENCH_PROBLEMS,
@@ -18,13 +19,13 @@ from asode.benchmark import (
     METHODS,
     CellResult,
     CellSpec,
+    csv_rows,
     default_matrix,
     format_table,
     order_study,
     run_cell,
     run_matrix,
     verify_comparator_orders,
-    write_csv,
 )
 from asode.exceptions import (
     NonFiniteState,
@@ -32,7 +33,7 @@ from asode.exceptions import (
     StepsizeUnderflow,
 )
 from asode.problems import Tolerances
-from asode.stepper import RunStatistics
+from asode.stepper import IntegrationResult, RunStatistics
 
 
 class TestMatrix:
@@ -73,6 +74,19 @@ class TestMatrix:
     def test_run_cell_unknown_method(self):
         with pytest.raises(ValueError, match="unknown benchmark method"):
             run_cell(CellSpec("example4", 1e-2, "euler"))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_method_returns_the_solvers_result(self, method):
+        # one result for both solver families, counted into the given stats
+        p = builtin("example4")
+        stats = RunStatistics()
+        res = benchmark.run_method(method, p, Tolerances.uniform(1e-2, p.n),
+                                   stats)
+        assert isinstance(res, IntegrationResult)
+        assert res.stats is stats and stats.steps_accepted > 0
+        assert res.t == pytest.approx(p.t_end, abs=1e-9)
+        assert type(res.y) is np.ndarray and res.y.dtype == np.float64
+        assert res.y.shape == (p.n,)
 
     def test_run_cell_records_failure_instead_of_raising(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -168,10 +182,10 @@ def guarded(problem, seconds=20.0):
 def run_example1(method, t0, span):
     """run_method on example1 over [t0, t0 + span] at tol 1e-4."""
     p = dataclasses.replace(builtin("example1"), t0=t0, t_end=t0 + span)
-    stats = RunStatistics()
-    t, y = benchmark.run_method(method, guarded(p),
-                                Tolerances.uniform(1e-4, p.n), stats)
-    return t, [float(c) for c in y], stats
+    t, y, stats = benchmark.run_method(method, guarded(p),
+                                       Tolerances.uniform(1e-4, p.n),
+                                       RunStatistics())
+    return t, y.tolist(), stats
 
 
 class TestTimeFromStart:
@@ -210,7 +224,7 @@ class TestReporting:
 
     def test_write_csv_columns_and_values(self, tmp_path):
         path = tmp_path / "bench.csv"
-        write_csv(_sample_results(), str(path))
+        _write_csv(str(path), CSV_COLUMNS, csv_rows(_sample_results()))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == CSV_COLUMNS
@@ -228,8 +242,8 @@ class TestReporting:
                  CellSpec("example4", 1e-2, "merson")]
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         monkeypatch.setenv("ASODE_THREADS", "1")
-        write_csv(run_matrix(specs), str(first))
-        write_csv(run_matrix(specs), str(second))
+        for path in (first, second):
+            _write_csv(str(path), CSV_COLUMNS, csv_rows(run_matrix(specs)))
         assert first.read_bytes() == second.read_bytes()
 
 

@@ -437,6 +437,29 @@ class TestStabilityRegionCommand:
             f"error: x_points * z_points = {int(x_points) * int(z_points)} "
             f"exceeds the grid bound {cli.REGION_MAX_POINTS}"]
 
+    @pytest.mark.parametrize("axis", ["x", "z"])
+    def test_range_too_wide_exits_one_before_any_output(self, axis, tmp_path,
+                                                        capsys):
+        # finite ends whose difference overflows made inf grid points, and
+        # the scan's ValueError ended in a traceback
+        out = tmp_path / "region.csv"
+        assert main(["stability-region", f"--{axis}-min=-1e308",
+                     f"--{axis}-max=1e308", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {axis}_max - {axis}_min overflows the float range"]
+        assert not out.exists()
+
+    def test_far_stiff_embedded_point(self, capsys):
+        # eval_R2 raised OverflowError at z = -1e78
+        assert main(["stability-region", "--which", "embedded",
+                     "--z-min=-1e78", "--z-max=-1e78", "--x-points", "1",
+                     "--z-points", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split(",")[0] == "-1e+78"
+        assert 0.0 < float(rows[1].split(",")[1]) < 1e-76
+
     @pytest.mark.parametrize("key", ["x_min", "x_max", "z_min", "z_max"])
     def test_non_finite_bound_exits_one(self, key, tmp_path, capsys):
         flag = "--" + key.replace("_", "-")
@@ -475,6 +498,14 @@ class TestCoeffsCommand:
     def test_degenerate_parameter_exits_one(self, capsys):
         assert main(["coeffs", "--a", "1.0"]) == 1
         assert "must differ" in capsys.readouterr().err
+
+    def test_overflowing_parameter_exits_one_with_one_line(self, capsys):
+        # a traceback (OverflowError) before; 1e102 gave one line already
+        assert main(["coeffs", "--a", "1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: parameter a = 1e+200 overflows a closed-form weight"]
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_parameter_exits_one_with_one_line(self, value,

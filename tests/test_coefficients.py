@@ -153,6 +153,11 @@ def test_degenerate_parameters_raise():
     for a in (math.nan, math.inf, -math.inf):
         with pytest.raises(DegenerateParameter, match="must be finite"):
             derive_scheme(a)
+    # a**3 in gamma's denominator raised a bare OverflowError
+    for a in (1e200, -1e200, 1e103):
+        with pytest.raises(DegenerateParameter,
+                           match="overflows a closed-form weight"):
+            derive_scheme(a)
     # polish a root of the gamma denominator, then expect rejection
     den = [6.0, -18.0, 9.0, -1.0]
     root = min((r.real for r in np.roots(den) if abs(r.imag) < 1e-12),

@@ -14,7 +14,7 @@ from asode.exceptions import (
     ZeroToleranceDenominator,
 )
 from asode.problems import Tolerances, builtin
-from asode.stepper import RunStatistics
+from asode.stepper import IntegrationResult, RunStatistics
 from asode.reference_rk import (
     FEHLBERG45,
     MERSON,
@@ -460,6 +460,22 @@ class TestGeneratedStep:
 
 
 class TestRkIntegrate:
+    def test_result_unpacks_and_reads_by_name(self):
+        # integrate's result type: unpacked as three values or read by
+        # name, its final state a float array
+        stats = RunStatistics()
+        res = rk_integrate(MERSON, lambda s: (-s[0], -2.0 * s[1]),
+                           (1.0, 1.0), (0.0, 1.0),
+                           Tolerances.uniform(1e-4, 2), 1e-3, stats=stats)
+        t, y, counted = res
+        assert isinstance(res, IntegrationResult)
+        assert res.t is t and res.y is y and res.stats is counted is stats
+        assert type(y) is np.ndarray and y.dtype == np.float64
+        assert y.shape == (2,)
+        assert res.stats.phi_evals == 5 * (stats.steps_accepted
+                                           + stats.steps_rejected) > 0
+        assert res.y[0] == pytest.approx(math.exp(-1.0), abs=5e-4)
+
     def test_linear_decay_lands_within_five_tol(self):
         tol = Tolerances.uniform(1e-4, 1)
         t, y, stats = rk_integrate(MERSON, lambda s: (-s[0],), (1.0,),

@@ -24,6 +24,7 @@ from asode.problems import Tolerances, builtin
 from asode.stepper import (
     ORDER_STUDY_MAX_STEPS,
     ControllerConfig,
+    IntegrationResult,
     RunStatistics,
     _stages,
     attempt_step,
@@ -319,6 +320,24 @@ class TestIntegrate:
         # from t0 could not end
         with pytest.raises(ValueError, match="t_end must exceed t0"):
             dataclasses.replace(builtin("smooth"), t0=-1e308, t_end=1e308)
+
+    @pytest.mark.parametrize("path", ["float", "numpy"])
+    def test_both_entry_points_return_one_result(self, path, monkeypatch):
+        # a named tuple: read by name or unpacked, y a float array from
+        # either path
+        if path == "numpy":
+            monkeypatch.setattr(linalg, "SMALL_N", 0)
+        prob = builtin("example1")
+        for res in (integrate(prob, SCHEME, EMBEDDED,
+                              Tolerances.uniform(1e-2, prob.n)),
+                    integrate_fixed(prob, (prob.t_end - prob.t0) / 4,
+                                    SCHEME, EMBEDDED)):
+            assert isinstance(res, IntegrationResult)
+            t, y, stats = res
+            assert (t, y, stats) == (res.t, res.y, res.stats)
+            assert type(y) is np.ndarray and y.dtype == np.float64
+            assert y.shape == (prob.n,)
+            assert stats.steps_accepted > 0
 
     def test_result_does_not_alias_initial_state(self):
         prob = builtin("smooth")

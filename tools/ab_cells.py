@@ -101,15 +101,17 @@ class Tree:
         start = time.process_time()
         if method in METHODS:
             res = pkg.integrate(problem, self.scheme, self.embedded, tol, cfg)
-            t, y, stats = res.t, res.y.tolist(), res.stats
+            t, y, stats = res.t, res.y, res.stats
         else:
             stats = pkg.RunStatistics()
             t, y, _ = pkg.rk_integrate(
                 pkg.TABLEAUS[method], problem.full, tuple(problem.y0),
                 (problem.t0, problem.t_end), tol, problem.h0, stats=stats)
         elapsed = time.process_time() - start
-        # repr tells -0.0 from 0.0 and matches NaN with NaN
-        return elapsed, (repr(t), repr(list(y)), stats.as_dict())
+        # repr tells -0.0 from 0.0 and matches NaN with NaN; float() gives
+        # one repr whether a tree returns floats or numpy scalars
+        return elapsed, (repr(t), repr([float(v) for v in y]),
+                         stats.as_dict())
 
 
 def spread(values) -> str:

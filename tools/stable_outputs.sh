@@ -14,7 +14,8 @@
 # 1e-20 run's trace written over it (stale_trace*), the coeffs,
 # order-study (powerlaw; example1, whose Merson ladder diverges; and
 # example3, whose fixed-step ladder meets a singular stage matrix) and
-# stability-region outputs, every help text, the messages of invalid
+# stability-region outputs (both default grids and one embedded point at
+# z = -1e78), every help text, the messages of invalid
 # input (bad flag and config values, bad tolerance files, unwritable
 # output paths, a bad ASODE_THREADS), each command's stderr (NAME.err),
 # and exit_codes.txt with one line per command.  Wall times are left out.
@@ -100,6 +101,9 @@ run order_study_example3 order-study --problem example3
 run region_main stability-region --which main --out region_main.csv
 run region_embedded stability-region --which embedded \
     --out region_embedded.csv
+# one point far out on the stiff axis, where z**4 leaves the float range
+run region_embedded_far stability-region --which embedded \
+    --z-min=-1e78 --z-max=-1e78 --x-points 1 --z-points 1
 
 # help texts
 run help --help
@@ -137,9 +141,12 @@ run bad_order_ref_tol order-study --ref-tol inf
 run bad_region_x_points stability-region --x-points 0
 run bad_region_x_min stability-region --x-min inf
 run bad_region_inverted stability-region --x-min 1 --x-max 0
+# finite ends whose difference overflows
+run bad_region_wide stability-region --x-min=-1e308 --x-max=1e308
 run bad_region_which stability-region --which both
 run bad_region_grid stability-region --x-points 2000 --z-points 1000
-for a in 0 nan; do
+# 1e200: a**3 overflows
+for a in 0 nan 1e200; do
     run "bad_coeffs_a_$a" coeffs --a "$a"
 done
 # an output path under a missing directory
