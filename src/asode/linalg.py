@@ -65,7 +65,9 @@ PIVOT_FLOOR = 1e-14
 # With getrf/getrs called directly the dense LU ties or beats the band LU
 # at n = 64 at every ratio; from n = 128 on the band wins at ratio 4 and up.
 # The ratio stays 4: the benchmark's Brusselator Jacobians (n/(kl+ku) = 32
-# and 128) take the band path under any ratio in the table.
+# and 128) take the band path under any ratio in the table.  Both columns
+# include the same band search on the same matrix, so the search's cost
+# cannot move the crossover.
 BAND_RATIO = 4
 # a DiagonalMatrix with at most this many entries is factored on Python
 # floats; the additive stepper runs its whole attempt on floats for the
@@ -219,15 +221,57 @@ def bandwidths(values: np.ndarray) -> tuple[int, int]:
     """Lower and upper bandwidths (kl, ku) of a square matrix.
 
     As scipy.linalg.bandwidth counts them: NaN and inf are nonzero, -0.0 is
-    zero.  One pass marks the nonzero entries in an (n + 1) x 2n array of
-    zeros, each row of the matrix followed by n zeros.  Read in rows of
-    2n + 1, that array holds diagonal d >= 0 in column d and diagonal d < 0
-    in column 2n + 1 + d, so one reduction over its rows finds every
-    diagonal that holds a nonzero, whatever the width.
+    zero.  B is read once, into a C-ordered mask of its nonzero entries,
+    whose count the search then accounts for.  Diagonals are counted in
+    pairs, +d and -d, outward from the main one until every nonzero is
+    found, so a band matrix is done after max(kl, ku) steps.  The walk
+    stops after _walk_limit(n) steps, and a mask with more nonzeros than
+    the band of that half-width can hold is not walked at all; both go
+    to _skew_widths, which reduces the whole mask in one pass.
     """
     n = values.shape[0]
+    nonzero = np.not_equal(values, 0, order="C")
+    flat = nonzero.reshape(-1)
+    count = np.count_nonzero
+    left = count(flat)
+    limit = _walk_limit(n)
+    if left > n * (2 * limit + 1):
+        return _skew_widths(nonzero)
+    left -= count(flat[::n + 1])
+    kl = ku = d = 0
+    while left:
+        d += 1
+        if d > limit:
+            return _skew_widths(nonzero)
+        # diagonal -d starts at row d, diagonal +d at column d
+        lower = count(flat[d * n::n + 1])
+        upper = count(flat[d:(n - d) * n:n + 1])
+        if lower:
+            kl = d
+        if upper:
+            ku = d
+        left -= lower + upper
+    return kl, ku
+
+
+def _walk_limit(n: int) -> int:
+    """How far bandwidths walks: to the widest band that takes the band
+    path, and at most n // 16 steps.  A step costs about 1-2 us at
+    n = 64-512, and _skew_widths about as much as n // 16 steps, so a
+    diagonal plus one far corner costs at most about twice the one
+    reduction."""
+    return min((n - 1) // BAND_RATIO, n // 16)
+
+
+def _skew_widths(nonzero: np.ndarray) -> tuple[int, int]:
+    """bandwidths of a mask by one reduction.  The mask goes into an
+    (n + 1) x 2n array of zeros, each row followed by n zeros.  Read in
+    rows of 2n + 1, that array holds diagonal d >= 0 in column d and
+    diagonal d < 0 in column 2n + 1 + d, so one reduction over its rows
+    finds every diagonal that holds a nonzero, whatever the width."""
+    n = nonzero.shape[0]
     marks = np.zeros((n + 1, 2 * n), dtype=bool)
-    np.not_equal(values, 0, out=marks[:n, :n])
+    marks[:n, :n] = nonzero
     skewed = marks.reshape(-1)[:n * (2 * n + 1)].reshape(n, 2 * n + 1)
     hit = np.flatnonzero(skewed.any(axis=0))
     upper = hit[hit < n]

@@ -253,7 +253,10 @@ def _powerlaw_f(y):
 
 
 def _powerlaw_jac(y):
-    return DiagonalMatrix(np.array([-3.0 * y[0] ** 2, -2.0 * y[0] ** 2]))
+    # y[0] is a numpy scalar: a state that overflows gives inf here,
+    # without a warning
+    with np.errstate(over="ignore"):
+        return DiagonalMatrix(np.array([-3.0 * y[0] ** 2, -2.0 * y[0] ** 2]))
 
 
 def _powerlaw_exact(t):

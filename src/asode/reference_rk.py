@@ -6,13 +6,13 @@ six-stage fifth-order pair propagating the higher-order solution.  Both
 tableaus are re-verified against the rooted-tree order conditions when
 constructed rather than trusted as literals.
 
-The step and driver work on plain tuples of floats.  Explicit methods on
-stiff benchmark problems take millions of steps, so the hot path avoids
-array-object overhead entirely.  For states of up to SMALL_N (16)
-components, the same bound up to which the additive stepper runs a
-diagonal-B attempt on Python floats, the step is a straight-line function
-generated on first use for each (tableau, dimension) and kept on the
-tableau: every component is a local, zero coefficients are left out, and
+For small states the step and rk_integrate work on plain tuples of floats.
+Explicit methods on stiff benchmark problems take millions of steps, so
+the hot path avoids array-object overhead entirely.  For states of up
+to SMALL_N (16) components, the same bound up to which the additive
+stepper runs a diagonal-B attempt on Python floats, the step is a
+straight-line function generated on first use for each (tableau,
+dimension) and kept on the tableau: every component is a local, zero coefficients are left out, and
 each sum runs in the loop's order from the loop's start value, so the
 results are bit-identical to the loop's.  It is written with the
 emitters of asode._codegen, which the additive stepper's generated
@@ -30,8 +30,15 @@ the step cuts its cost to between a quarter and a third.  The generated
 source grows with the dimension: at 64 components (the benchmark's
 BRUSS N = 32) generating the steps of both tableaus took about 90 ms and
 raised peak memory by about 9.5 MB, against 1.5 MB at 16.  So larger
-states run the generic loop over the tableau, which the tests also use
-as the reference.
+states take the array step (_rk_step_array): the state, every stage
+argument and stage value, the new state and the error estimate are
+float64 arrays, the right-hand side is called on the stage-argument
+array, and each combination is one array operation per nonzero
+coefficient in the loop's order, so the results are again the loop's
+bit for bit.  At 64 components (the benchmark's bruss32 cell) it costs
+about 0.6 of the loop per step.  No run takes the generic loop over
+the tableau (_rk_step_loop); it is the reference that the tests hold
+both fast paths to.
 """
 
 from __future__ import annotations
@@ -281,12 +288,13 @@ def _rk_step_full(tableau: ExplicitTableau, f: Callable, y: tuple,
 
     States of at most SMALL_N components take the tableau's
     generated straight-line step for their dimension, larger ones the
-    loop; both do the same arithmetic.  A right-hand side that returns
+    array step, which returns y_next and the estimate as float64 arrays;
+    both do the loop's arithmetic.  A right-hand side that returns
     anything but a sequence of n numbers raises DimensionMismatch.
     """
     n = len(y)
     if n > SMALL_N:
-        return _rk_step_loop(tableau, f, y, h, atol, rtol)
+        return _rk_step_array(tableau, f, y, h, atol, rtol)
     step = tableau._steps.get(n)
     if step is None:
         step = tableau._steps[n] = _generate_step(tableau, n)
@@ -298,8 +306,8 @@ def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
                   rtol: Sequence[float]) -> tuple:
     """_rk_step_full as a loop over the tableau, for any state dimension.
 
-    This is the path for large states and the reference the generated
-    steps are tested against.
+    This is the reference that the generated and array steps are tested
+    against.
     """
     n = len(y)
     ks = [_n_items(f(y), n)]
@@ -352,6 +360,95 @@ def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
                 if q > v:
                     v = q
     return tuple(y_next), tuple(est), v, err
+
+
+def _stage_value(f: Callable, u: np.ndarray, n: int) -> np.ndarray:
+    """f(u) as a float64 array of n items: _n_items' rule and messages
+    first, then anything but n numbers raises _not_numbers()."""
+    k = _n_items(f(u), n)
+    try:
+        k = np.asarray(k, dtype=float)
+    except (TypeError, ValueError):
+        raise _not_numbers() from None
+    if k.shape != (n,):
+        raise _not_numbers()
+    return k
+
+
+def _combine(start: np.ndarray, h: float, coeffs, ks: list) -> np.ndarray:
+    """A copy of start plus (h*c_j)*k_j over the nonzero c_j, left to
+    right: the loop's sum in every component."""
+    out = start.copy()
+    for c, k in zip(coeffs, ks):
+        if c != 0.0:
+            out += (h * c) * k
+    return out
+
+
+def _rk_step_array(tableau: ExplicitTableau, f: Callable, y, h: float,
+                   atol, rtol) -> tuple:
+    """_rk_step_full on float64 arrays, for states above SMALL_N.
+
+    Every stage argument, stage value, y_next and the estimate is an
+    array, and f is called on the stage-argument array.  Each
+    combination is _combine's, and the error norm and the probe keep the
+    loop's rules, so the results are the loop's bit for bit.  The step's
+    own arithmetic runs with numpy's floating-point warnings off, as the
+    loop's Python floats overflow to inf and NaN silently; f runs
+    outside that.
+    """
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    ks = [_stage_value(f, y, n)]
+    probe_args = [y]
+    for i, row in enumerate(tableau.a[1:], start=1):
+        with np.errstate(all="ignore"):
+            u = _combine(y, h, row, ks)
+        if i <= 2:
+            probe_args.append(u)
+        ks.append(_stage_value(f, u, n))
+    with np.errstate(all="ignore"):
+        y_next = _combine(y, h, tableau.b, ks)
+        est = _combine(np.zeros(n), h, tableau.d, ks)
+        den = atol + rtol * np.abs(y_next)
+        finite = np.isfinite(y_next)
+        if finite.all():
+            if (den == 0.0).any():
+                raise _zero_denominator()
+            # _scaled_error's `q > err` from 0.0: a NaN quotient never
+            # wins, and nothing positive leaves 0.0
+            err = np.fmax.reduce(np.abs(est) / den)
+            err = float(err) if err > 0.0 else 0.0
+        else:
+            # inf from the first component that is not finite, unless a
+            # zero denominator comes before it
+            if (den[:int(np.argmin(finite))] == 0.0).any():
+                raise _zero_denominator()
+            err = math.inf
+        g0, g1, g2 = probe_args
+        da, db = g1 - g0, g2 - g1
+        ka, kb = ks[1] - ks[0], ks[2] - ks[1]
+        rho = (tableau.c[2] - tableau.c[1]) / tableau.c[1]
+        floor = PROBE_FLOOR * (1.0 + np.abs(g1))
+        v = 0.0
+        for dens, nums in ((np.abs(da), np.abs(ka)), (np.abs(db), np.abs(kb)),
+                           (np.abs(db - rho * da), np.abs(kb - rho * ka))):
+            # the builtin max(dens): a NaN first item poisons it, and
+            # later NaNs are skipped
+            if dens[0] != dens[0]:
+                continue
+            dmax = np.fmax.reduce(dens)
+            if not 0.0 < dmax < math.inf:
+                continue
+            # max(share, fl_m), the builtin's, reads a NaN fl_m as share;
+            # nums < inf skips the non-finite numerators
+            keep = (~(dens < np.fmax(floor, PROBE_SHARE_FLOOR * dmax))
+                    & (nums < math.inf))
+            q = h * nums[keep] / dens[keep]
+            q = q[q > v]
+            if q.size:
+                v = float(q.max())
+    return y_next, est, v, err
 
 
 def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
@@ -461,7 +558,11 @@ def rk_step(tableau: ExplicitTableau, f: Callable, y: tuple,
     """One explicit step; returns (y_next, error_estimate) as tuples."""
     n = len(y)
     # unit absolute tolerances: the step's error norm is not read here
-    return _rk_step_full(tableau, f, y, h, (1.0,) * n, (0.0,) * n)[:2]
+    y_next, est, _, _ = _rk_step_full(tableau, f, y, h, (1.0,) * n,
+                                      (0.0,) * n)
+    if n > SMALL_N:
+        return tuple(y_next.tolist()), tuple(est.tolist())
+    return y_next, est
 
 
 def rk_integrate(tableau: ExplicitTableau, f: Callable,
@@ -493,6 +594,9 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     is raised only when h/2 itself falls below RK_H_MIN.  y0, span and
     h0 pass check_start, as a SplitProblem's do, and tol for_state
     (ValueError); time counts from t0 and the run ends as integrate's.
+    Up to SMALL_N components f receives tuples of floats; above it, the
+    array step's float64 arrays, and the run carries the state as an
+    array and the tolerances as tol's arrays from step to step.
     Returns integrate's IntegrationResult(t, y, stats), y a float array,
     with every right-hand-side evaluation counted in phi_evals.  Given a
     list trace, each accepted step appends its row (t, h_used, err, v, y)
@@ -500,8 +604,13 @@ def rk_integrate(tableau: ExplicitTableau, f: Callable,
     completed steps to stats and their rows to trace.
     """
     t0, t_end = float(span[0]), float(span[1])
-    y = tuple(check_start(y0, t0, t_end, h0).tolist())
+    y = check_start(y0, t0, t_end, h0)
     atol, rtol = tol.for_state(len(y))
+    if len(y) > SMALL_N:
+        # the array step's state and tolerances
+        atol, rtol = tol.atol, tol.rtol
+    else:
+        y = tuple(y.tolist())
     stats = stats if stats is not None else RunStatistics()
     h = max(float(h0), RK_H_MIN)
     s = tableau.stages

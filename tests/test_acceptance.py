@@ -7,13 +7,17 @@ is a hard bound, so a slow or drifting build fails loudly.
 """
 
 import contextlib
+import csv
+import pathlib
 import time
 
 import numpy as np
 import pytest
 
 from asode.analysis import embedded_step_factor, eval_R, eval_R2
-from asode.benchmark import CellSpec, default_matrix, run_matrix
+from asode.benchmark import (CSV_COLUMNS, CellSpec, csv_rows, default_matrix,
+                             run_matrix)
+from asode.cli import _write_csv
 from asode.coefficients import (
     DEFAULT_A,
     derive_embedded,
@@ -152,12 +156,40 @@ def test_criterion_4_order_robust_to_linear_part_choice():
             assert 2.7 <= slope <= 3.3, (prob.name, slope, errors)
 
 
-def test_criterion_5_benchmark_matrix():
+BENCH_GOLDEN = pathlib.Path(__file__).parent / "golden" / "bench.csv"
+
+
+def _golden_mismatch(path, golden) -> str:
+    """Each cell and counter in which the CSV at path differs from the
+    golden, and how to regenerate the golden."""
+    def cells(p):
+        with open(p, newline="") as fh:
+            return {(row["problem"], row["tol"], row["method"]): row
+                    for row in csv.DictReader(fh)}
+
+    got, want = cells(path), cells(golden)
+    lines = [f"{'/'.join(key)}: {'missing' if key not in got else 'extra'}"
+             for key in sorted(set(got) ^ set(want))]
+    for key in sorted(set(got) & set(want)):
+        lines += [f"{'/'.join(key)} {column}: {want[key][column]} -> "
+                  f"{got[key][column]}"
+                  for column in CSV_COLUMNS[3:]
+                  if got[key][column] != want[key][column]]
+    if not lines:
+        lines = ["same values, different bytes (order or format)"]
+    return ("the bench CSV differs from tests/golden/bench.csv "
+            f"(numpy {np.__version__}):\n  " + "\n  ".join(lines)
+            + "\nA change that means to move a counter regenerates it with "
+            "`ASODE_THREADS=1 asode bench --csv tests/golden/bench.csv` "
+            "and states the difference.")
+
+
+def test_criterion_5_benchmark_matrix(tmp_path):
     with checked("benchmark matrix: completion, cost ratios, and "
                  "cross-method agreement", 300.0):
         specs = default_matrix()
-        results = {CellSpec(r.problem, r.tol, r.method): r
-                   for r in run_matrix(specs)}
+        matrix = run_matrix(specs)
+        results = {CellSpec(r.problem, r.tol, r.method): r for r in matrix}
         assert len(results) == len(specs) == 32
 
         for spec, r in results.items():
@@ -191,6 +223,12 @@ def test_criterion_5_benchmark_matrix():
                                           tols) <= 100.0
                         assert error_norm(finals[j], finals[i],
                                           tols) <= 100.0
+
+        # every counter of every cell, as `asode bench --csv` writes them
+        path = tmp_path / "bench.csv"
+        _write_csv(str(path), CSV_COLUMNS, csv_rows(matrix))
+        assert path.read_bytes() == BENCH_GOLDEN.read_bytes(), \
+            _golden_mismatch(path, BENCH_GOLDEN)
 
 
 def test_criterion_6_controller_contract():

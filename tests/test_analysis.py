@@ -1,6 +1,7 @@
 """Scalar amplification factors: dual-route checks and region scans."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -171,12 +172,24 @@ class TestRegionScan:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_factor_beyond_the_float_range_does_not_raise(self):
         # x**2 overflows in both evaluations of the companion's closed
-        # form, and the scan let the OverflowError out; it reads inf there
-        # now, while the propagated factor reads NaN
+        # form, and the scan let the OverflowError out; it reads inf there,
+        # and so does the propagated factor, whose stages overflow
         out = stability_region_scan([1e200], [0.0, -1e78], "embedded")
         assert out[0, 0] == math.inf
         assert np.isfinite(out[1, 0])
-        assert np.isnan(stability_region_scan([1e200], [0.0], "main")[0, 0])
+        assert stability_region_scan([1e200], [0.0], "main")[0, 0] == math.inf
+
+    @pytest.mark.parametrize("x, z", [(1e200, 0.0), (-1e200, 0.0),
+                                      (1e300, 1e-300)])
+    def test_overflowing_step_raises_without_a_warning(self, x, z):
+        # the stages ran on numpy scalars, which printed overflow and
+        # invalid-value warnings and returned NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for factor in (eval_R, embedded_step_factor):
+                with pytest.raises(OverflowError, match="float range"):
+                    factor(x, z)
+            assert stability_region_scan([x], [z], "main")[0, 0] == math.inf
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError, match="unknown stability function"):

@@ -5,6 +5,7 @@ asserted without spawning an interpreter.
 """
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,16 @@ class TestSolve:
         monkeypatch.setattr(benchmark, "integrate", boom)
         assert main(["solve", "--problem", "example4"]) == 2
         assert "stepsize collapsed" in capsys.readouterr().err
+
+    def test_overflowing_powerlaw_run_fails_without_a_warning(self, capsys):
+        # _powerlaw_jac squared a numpy scalar, which printed an overflow
+        # warning before the run's one-line failure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--problem", "powerlaw", "--tol", "1e300",
+                         "--t-end", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step at t=") and err.count("\n") == 1
 
     def test_trace_csv(self, tmp_path, capsys):
         path = tmp_path / "trace.csv"
@@ -459,6 +470,16 @@ class TestStabilityRegionCommand:
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].split(",")[0] == "-1e+78"
         assert 0.0 < float(rows[1].split(",")[1]) < 1e-76
+
+    def test_overflowing_main_factor_reads_inf(self, capsys):
+        # eval_R printed five numpy warnings here and wrote NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stability-region", "--x-min", "1e200", "--x-max",
+                         "1e200", "--x-points", "1", "--z-points", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == "-5,inf"
+        assert captured.err == ""
 
     @pytest.mark.parametrize("key", ["x_min", "x_max", "z_min", "z_max"])
     def test_non_finite_bound_exits_one(self, key, tmp_path, capsys):

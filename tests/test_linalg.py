@@ -217,6 +217,58 @@ def test_bandwidths_match_scipy():
     assert linalg.bandwidths(np.array([[np.nan]])) == (0, 0)
 
 
+def layouts(A):
+    """A in C order, in Fortran order and as a strided view."""
+    big = np.zeros((2 * A.shape[0], 3 * A.shape[1]))
+    big[::2, ::3] = A
+    return A, np.asfortranarray(A), big[::2, ::3]
+
+
+@pytest.mark.parametrize("n", [16, 64, 200])
+def test_band_search_matches_scipy(n, monkeypatch):
+    # a narrow band is found by the walk; a diagonal with one far corner,
+    # NaN or inf far off the band, and a dense matrix by the skew reduction
+    skews = []
+    skew = linalg._skew_widths
+
+    def counted(nonzero):
+        skews.append(nonzero.shape)
+        return skew(nonzero)
+
+    monkeypatch.setattr(linalg, "_skew_widths", counted)
+    rng = np.random.default_rng(n)
+    limit = linalg._walk_limit(n)
+    assert limit >= 1
+    walked = []
+    for kl, ku in ((0, 0), (1, 0), (0, 1), (limit, 1), (1, limit),
+                   (limit, limit)):
+        A = random_banded(rng, n, kl, ku).values.copy()
+        A[rng.random((n, n)) < 0.1] = 0.0
+        A[kl, 0] = np.nan if kl else A[kl, 0]
+        A[0, ku] = np.inf if ku else A[0, ku]
+        A[n - 1, 0] = A[0, n - 1] = -0.0
+        walked.append(A)
+    for A in walked:
+        for M in layouts(A):
+            assert linalg.bandwidths(M) == scipy.linalg.bandwidth(M)
+    assert skews == []
+    far = []
+    corner = np.eye(n)
+    corner[n - 1, 0] = 1.0
+    far.append(corner)
+    far.append(corner.T.copy())
+    for special in (np.nan, np.inf, -np.inf):
+        A = random_banded(rng, n, 1, 1).values.copy()
+        A[n - 2, 1] = special
+        far.append(A)
+        far.append(A.T.copy())
+    far.append(rng.standard_normal((n, n)))
+    for A in far:
+        for M in layouts(A):
+            assert linalg.bandwidths(M) == scipy.linalg.bandwidth(M)
+    assert len(skews) == 3 * len(far)
+
+
 def test_factor_reads_the_band_on_every_call():
     rng = np.random.default_rng(8)
     B = random_banded(rng, 40, 2, 1)

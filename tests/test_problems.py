@@ -7,6 +7,7 @@ up to round-off).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,3 +265,13 @@ def test_empty_state_rejected():
         SplitProblem(name="empty", n=0, phi=phi, g=g, jac=zero,
                      full=lambda y: y, y0=np.zeros(0), t0=0.0, t_end=1.0,
                      h0=0.1)
+
+
+def test_powerlaw_jacobian_overflows_to_inf_without_a_warning():
+    jac = builtin("powerlaw").jac
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert jac(np.array([1e200, 1.0])).values.tolist() == [-math.inf,
+                                                               -math.inf]
+    y = np.array([1.7, 0.3])
+    assert jac(y).values.tolist() == [-3.0 * y[0] ** 2, -2.0 * y[0] ** 2]

@@ -20,6 +20,7 @@ from asode.reference_rk import (
     MERSON,
     SMALL_N,
     TABLEAUS,
+    _rk_step_array,
     _rk_step_full,
     _rk_step_loop,
     linear_growth_factor,
@@ -390,14 +391,14 @@ class TestGeneratedStep:
                 if h == 6.0 and j > 0:
                     assert ref[2] > 0.0
 
-    def test_large_state_takes_the_loop(self, monkeypatch):
+    def test_large_state_takes_the_array_step(self, monkeypatch):
         taken = []
 
-        def loop(tab, f, y, h, atol, rtol):
+        def array_step(tab, f, y, h, atol, rtol):
             taken.append(len(y))
-            return _rk_step_loop(tab, f, y, h, atol, rtol)
+            return _rk_step_array(tab, f, y, h, atol, rtol)
 
-        monkeypatch.setattr(reference_rk, "_rk_step_loop", loop)
+        monkeypatch.setattr(reference_rk, "_rk_step_array", array_step)
         f = lambda y: tuple(-v for v in y)
         tab = dataclasses.replace(MERSON)
         for n in (SMALL_N, SMALL_N + 1):
@@ -414,6 +415,7 @@ class TestGeneratedStep:
         assert linecache.getline(code.co_filename, code.co_firstlineno) \
             .startswith("def ")
 
+    # in these ids "loop" is the large-state path, n > SMALL_N
     @pytest.mark.parametrize("n", [3, SMALL_N + 1],
                              ids=["generated", "loop"])
     @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
@@ -457,6 +459,231 @@ class TestGeneratedStep:
                          Tolerances.uniform(1e-3, n), 1e-2)
         with pytest.raises(DimensionMismatch, match="not numbers"):
             rk_step(tab, column, (1.0,) * n, 1e-2)
+
+
+def _same_value(a, b):
+    # equal as floats, sign bit included, and NaN matches NaN: the loop
+    # can hand back np.float64 items where the array step has arrays
+    a, b = float(a), float(b)
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _same_values(out, ref):
+    """_same_outcome with every number compared by _same_value."""
+    if isinstance(out, type) or isinstance(ref, type):
+        return out is ref
+    (y_a, e_a, v_a, err_a), (y_b, e_b, v_b, err_b) = out, ref
+    return (len(y_a) == len(y_b) == len(e_a) == len(e_b)
+            and all(map(_same_value, y_a, y_b))
+            and all(map(_same_value, e_a, e_b))
+            and _same_value(v_a, v_b) and _same_value(err_a, err_b))
+
+
+ARRAY_NS = (SMALL_N + 1, 33, 64)
+
+
+def _chain_field(n, rate=100.0):
+    """A stiff diffusion chain with a quadratic loss term, on arrays and
+    sequences alike."""
+    def f(y):
+        y = np.asarray(y, dtype=float)
+        lap = -2.0 * y
+        lap[1:] += y[:-1]
+        lap[:-1] += y[1:]
+        return rate * lap - y * y
+    return f
+
+
+class TestArrayStep:
+    """The array step of states above SMALL_N against the loop."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("n", ARRAY_NS)
+    def test_bit_identical_to_loop(self, tab, n):
+        rng = np.random.default_rng(1000 * n + tab.stages)
+        smooth = [
+            lambda y: tuple(-(10.0 ** (m % 4)) * v + 0.5 * v * v
+                            for m, v in enumerate(y)),
+            lambda y: tuple(0.0 if m % 2 else -3.0 * v
+                            for m, v in enumerate(y)),
+        ]
+        for trial in range(12):
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+            y[rng.random(n) < 0.2] = 0.0
+            y = tuple(y.tolist())
+            h = 10.0 ** rng.uniform(-8, 1)
+            atol, rtol = _draw_tolerances(rng, n)
+            for kind in ("tuple", "list", "float64", "array"):
+                for specials in (False, True):
+                    seed = int(rng.integers(2**31))
+                    f, calls = _scripted_field(n, seed, kind, specials)
+                    g, ref_calls = _scripted_field(n, seed, kind, specials)
+                    out = _outcome(_rk_step_full, tab, f, y, h, atol, rtol)
+                    ref = _outcome(_rk_step_loop, tab, g, y, h, atol, rtol)
+                    assert _same_values(out, ref), (kind, specials, h)
+                    assert all(type(c) is np.ndarray and c.dtype == float
+                               for c in calls)
+                    assert len(calls) == len(ref_calls) == tab.stages
+                    for c, rc in zip(calls, ref_calls):
+                        assert all(map(_same_value, c, rc))
+            for f in smooth:
+                for tols in ((atol, rtol), unit_tol(n)):
+                    out = _outcome(_rk_step_full, tab, f, y, h, *tols)
+                    ref = _outcome(_rk_step_loop, tab, f, y, h, *tols)
+                    assert _same_values(out, ref)
+            out = _rk_step_full(tab, _signed_zero_field(tab, n), y, h,
+                                *unit_tol(n))
+            ref = _rk_step_loop(tab, _signed_zero_field(tab, n), y, h,
+                                *unit_tol(n))
+            assert _same_values(out, ref)
+            assert type(out[0]) is type(out[1]) is np.ndarray
+            assert type(out[2]) is type(out[3]) is float
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
+    @pytest.mark.parametrize("at_end", [False, True],
+                             ids=["first", "last"])
+    def test_err_matches_loop(self, tab, at_end):
+        # TestGeneratedStep's crafted error-norm cases on 17 components,
+        # their two components first or last and the rest a decaying
+        # field: a zero denominator before and after a component that is
+        # not finite, NaN in y_next, and a NaN estimate on a finite state
+        zero = lambda y: (0.0, 0.0)
+        cases = [
+            (zero, (0.0, 1.0), (0.0, 1e-3), (1e-3, 1e-3)),
+            (lambda y: (math.inf, 0.0), (1.0, 0.0), (0.0, 0.0),
+             (1e-3, 1e-3)),
+            (lambda y: (0.0, math.inf), (0.0, 1.0), (0.0, 0.0),
+             (1e-3, 1e-3)),
+            (lambda y: (math.nan, 1.0), (1.0, 1.0), (1e-3, 1e-3),
+             (1e-3, 1e-3)),
+            (lambda y: (1e300, -1.0), (1e300, 1.0), (1e-3, 1e-3),
+             (1e-3, 1e-3)),
+            (lambda y: (-0.0, -y[1]), (-0.0, 2.0), (1e-6, 0.0), (0.0, 1e-3)),
+        ]
+        pad = SMALL_N - 1
+
+        def place(pair, rest):
+            return rest + tuple(pair) if at_end else tuple(pair) + rest
+
+        for two, y, atol, rtol in cases:
+            def f(u):
+                u = tuple(u)
+                pair = two(u[pad:] if at_end else u[:2])
+                rest = tuple(-v for v in (u[:pad] if at_end else u[2:]))
+                return place(pair, rest)
+
+            args = (f, place(y, (1.0,) * pad), 0.1,
+                    place(atol, (1e-3,) * pad), place(rtol, (1e-3,) * pad))
+            out = _outcome(_rk_step_full, tab, *args)
+            ref = _outcome(_rk_step_loop, tab, *args)
+            assert _same_values(out, ref), (y, atol, rtol, out, ref)
+
+        # a field that ignores its argument and is NaN in one component of
+        # its third value only: Merson's y_next leaves that value out
+        # (b_2 = 0) and its estimate does not, so the norm's NaN quotient
+        # must not win
+        j = SMALL_N if at_end else 0
+
+        def third_nan(calls):
+            def f(u):
+                calls.append(u)
+                k = [-1.0] * len(u)
+                if len(calls) == 3:
+                    k[j] = math.nan
+                return tuple(k)
+            return f
+
+        n = SMALL_N + 1
+        out = _outcome(_rk_step_full, tab, third_nan([]), (1.0,) * n, 0.1,
+                       *unit_tol(n))
+        ref = _outcome(_rk_step_loop, tab, third_nan([]), (1.0,) * n, 0.1,
+                       *unit_tol(n))
+        assert _same_values(out, ref)
+        if tab is MERSON:
+            assert math.isnan(ref[1][j]) and ref[3] > 0.0
+        rng = np.random.default_rng(98 + at_end)
+        for _ in range(60):
+            n = int(rng.choice(ARRAY_NS))
+            seed = int(rng.integers(2**31))
+            y = tuple(rng.normal(size=n).tolist())
+            tols = _draw_tolerances(rng, n)
+            specials = bool(rng.random() < 0.5)
+            f, _ = _scripted_field(n, seed, "tuple", specials)
+            g, _ = _scripted_field(n, seed, "tuple", specials)
+            h = 10.0 ** rng.uniform(-8, -1)
+            out = _outcome(_rk_step_full, tab, f, y, h, *tols)
+            ref = _outcome(_rk_step_loop, tab, g, y, h, *tols)
+            assert _same_values(out, ref)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_merson_non_finite_first_differences(self):
+        # TestGeneratedStep's cases for Merson's third direction: one
+        # first difference is not finite in component j
+        n = SMALL_N + 1
+        y = (1.0,) * n
+        cases = [(6.0, 1e308, 0.0), (1e-3, -1e308, 1e308),
+                 (1e-3, math.inf, 0.0), (1e-3, 0.0, math.nan)]
+        for j in (0, n // 2, n - 1):
+            for h, k0_j, k1_j in cases:
+                def field(calls):
+                    def f(u):
+                        calls.append(u)
+                        k = [-(10.0 ** (m % 3)) * v for m, v in enumerate(u)]
+                        if len(calls) <= 2:
+                            k[j] = (k0_j, k1_j)[len(calls) - 1]
+                        return tuple(k)
+                    return f
+
+                out = _outcome(_rk_step_full, MERSON, field([]), y, h,
+                               *unit_tol(n))
+                ref = _outcome(_rk_step_loop, MERSON, field([]), y, h,
+                               *unit_tol(n))
+                assert _same_values(out, ref), (j, h, k0_j, k1_j)
+                if h == 6.0 and j > 0:
+                    assert ref[2] > 0.0
+
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
+    def test_whole_run_matches_the_loop(self, tab, monkeypatch):
+        # one rk_integrate run on 64 components through the array step,
+        # and through the loop: the same t, y, counters and trace rows
+        n = 64
+        f = _chain_field(n)
+        y0 = tuple(np.linspace(0.5, 1.5, n).tolist())
+        tol = Tolerances.uniform(1e-4, n)
+        runs = []
+        for step in (_rk_step_loop, _rk_step_full):
+            monkeypatch.setattr(reference_rk, "_rk_step_full", step)
+            rows = []
+            runs.append((rk_integrate(tab, f, y0, (0.0, 0.5), tol, 1e-3,
+                                      trace=rows), rows))
+        (ref, ref_rows), (res, rows) = runs
+        assert res.t == ref.t
+        assert all(map(_same_value, res.y, ref.y))
+        assert res.stats == ref.stats
+        assert ref.stats.steps_accepted > 50 and ref.stats.steps_rejected
+        assert len(rows) == len(ref_rows) == ref.stats.steps_accepted
+        for row, ref_row in zip(rows, ref_rows):
+            assert all(map(_same_value, row[:4], ref_row[:4]))
+            assert all(map(_same_value, row[4], ref_row[4]))
+
+    def test_rk_step_returns_tuples_of_floats(self):
+        n = SMALL_N + 1
+        y = tuple(np.linspace(0.5, 1.5, n).tolist())
+        f = _chain_field(n)
+        for tab in (MERSON, FEHLBERG45):
+            out = rk_step(tab, f, y, 1e-3)
+            ref = _rk_step_loop(tab, f, y, 1e-3, *unit_tol(n))
+            for got, want in zip(out, ref[:2]):
+                assert type(got) is tuple
+                assert all(type(v) is float for v in got)
+                assert all(map(_same_value, got, want))
 
 
 class TestRkIntegrate:

@@ -16,14 +16,19 @@ form a family of their own: on the full span, example2 under the
 comparators dominates the serial `asode bench` and the benchmark-matrix
 test, and the kinetics workload leaves it out.  Each round runs every cell
 once per tree, the two trees back to back, and swaps which goes first
-from round to round.  Time is process CPU time (time.process_time).  A
+from round to round.  A fourth family runs the cells of the benchmark's
+bruss-dense workload on the 1-D Brusselator at its unperturbed initial
+profile, built by each tree's own perfbench/workloads.py: merson and
+rkf45 on bruss32 (64 components) at 1e-3, and the additive solver on
+bruss64 and bruss256 (128 and 512 components, with a dense B that is
+banded) at 1e-3 and 1e-5.  Time is process CPU time (time.process_time).  A
 warm-up round, untimed, runs first, so code generated on first use is
 not timed.
 
 Every run of a cell must end at the same t and state, bit for bit, with
 the same work counters, in both trees; a difference stops the tool with
 exit 1.  It prints, per cell, per family (additive, comparator,
-example2 comparator) and for the sum of the 20 kinetics cells, the
+example2 comparator, bruss) and for the sum of the 20 kinetics cells, the
 median over the rounds of time(B) / time(A) and its range.  Passing the
 same tree twice (an A/A run) shows the noise of the host.
 
@@ -56,9 +61,13 @@ COMPARATOR = [(p, 1e-4, m) for p in ("example1", "example3", "example4")
 EXAMPLE2_T_END = 10.0
 EXAMPLE2 = [("example2", 1e-4, m) for m in ("merson", "rkf45")]
 KINETICS = ADDITIVE + COMPARATOR
-CELLS = KINETICS + EXAMPLE2
+# the bruss-dense workload's cells
+BRUSS = ([("bruss32", 1e-3, m) for m in ("merson", "rkf45")]
+         + [(f"bruss{n}", tol, "asode3") for n in (64, 256)
+            for tol in (1e-3, 1e-5)])
+CELLS = KINETICS + EXAMPLE2 + BRUSS
 FAMILIES = (("additive", ADDITIVE), ("comparator", COMPARATOR),
-            ("example2 comparator", EXAMPLE2))
+            ("example2 comparator", EXAMPLE2), ("bruss", BRUSS))
 
 
 def load(tree: str, name: str):
@@ -75,10 +84,28 @@ def load(tree: str, name: str):
     return module
 
 
+def load_workloads(tree: str, pkg, name: str):
+    """tree/perfbench/workloads.py, imported as the module name while
+    `asode` names pkg, so that it builds its problems from that tree."""
+    path = os.path.join(os.path.abspath(tree), "perfbench", "workloads.py")
+    saved = sys.modules.get("asode")
+    sys.modules["asode"] = pkg
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if saved is None:
+            del sys.modules["asode"]
+        else:
+            sys.modules["asode"] = saved
+    return module
+
+
 class Tree:
     """One package and the inputs of every cell, built once."""
 
-    def __init__(self, pkg):
+    def __init__(self, pkg, workloads):
         self.pkg = pkg
         scheme = pkg.derive_scheme()
         self.scheme = scheme
@@ -86,7 +113,10 @@ class Tree:
         self.inputs = {}
         for cell in CELLS:
             problem, tol, method = cell
-            p = pkg.builtin(problem)
+            if cell in BRUSS:
+                p = workloads.bruss_problem(int(problem[len("bruss"):]))
+            else:
+                p = pkg.builtin(problem)
             if cell in EXAMPLE2:
                 p = dataclasses.replace(p, t_end=EXAMPLE2_T_END)
             self.inputs[problem, tol, method] = (
@@ -127,8 +157,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    trees = (Tree(load(args.tree_a, "asode_a")),
-             Tree(load(args.tree_b, "asode_b")))
+    trees = []
+    for tree, suffix in ((args.tree_a, "a"), (args.tree_b, "b")):
+        pkg = load(tree, f"asode_{suffix}")
+        trees.append(Tree(pkg, load_workloads(tree, pkg,
+                                               f"workloads_{suffix}")))
 
     for cell in CELLS:
         for tree in trees:

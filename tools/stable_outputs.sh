@@ -15,7 +15,8 @@
 # order-study (powerlaw; example1, whose Merson ladder diverges; and
 # example3, whose fixed-step ladder meets a singular stage matrix) and
 # stability-region outputs (both default grids and one embedded point at
-# z = -1e78), every help text, the messages of invalid
+# z = -1e78, and one main point at x = 1e200), a powerlaw solve whose
+# state overflows, every help text, the messages of invalid
 # input (bad flag and config values, bad tolerance files, unwritable
 # output paths, a bad ASODE_THREADS), each command's stderr (NAME.err),
 # and exit_codes.txt with one line per command.  Wall times are left out.
@@ -104,6 +105,12 @@ run region_embedded stability-region --which embedded \
 # one point far out on the stiff axis, where z**4 leaves the float range
 run region_embedded_far stability-region --which embedded \
     --z-min=-1e78 --z-max=-1e78 --x-points 1 --z-points 1
+# one point where the main factor's stages overflow: |R| reads inf
+run region_main_far stability-region --x-min 1e200 --x-max 1e200 \
+    --x-points 1 --z-points 1
+# a powerlaw run whose state overflows, which exits 2
+run solve_powerlaw_overflow solve --problem powerlaw --tol 1e300 \
+    --t-end 1e300
 
 # help texts
 run help --help
