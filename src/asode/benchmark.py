@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -142,8 +141,9 @@ def run_matrix(specs: Optional[Sequence[CellSpec]] = None) -> list:
     Results come back in spec order regardless of completion order.  The
     worker count is the CPU count, capped by ASODE_THREADS when it is set
     and by the number of cells; when it comes to one, or when the
-    platform cannot spawn worker processes, the cells run serially in
-    this process.
+    platform cannot spawn worker processes or has no process pool, the
+    cells run serially in this process.  The pool's module is imported
+    only here, when more than one worker is asked for.
     """
     specs = list(specs) if specs is not None else default_matrix()
     if not specs:
@@ -151,9 +151,10 @@ def run_matrix(specs: Optional[Sequence[CellSpec]] = None) -> list:
     workers = _worker_cap(len(specs))
     if workers > 1:
         try:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(run_cell, specs))
-        except (OSError, PermissionError):
+        except (ImportError, OSError, PermissionError):
             pass
     return [run_cell(s) for s in specs]
 

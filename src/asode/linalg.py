@@ -10,7 +10,10 @@ through them applies the B its solves invert.
 
 A dense B whose nonzero entries lie in a narrow band is factored in LAPACK
 band storage (gbtrf/gbtrs) instead of as a full matrix (getrf/getrs); both
-paths call LAPACK directly.  Each factor(B, ...) finds B's lower and upper
+paths call scipy's LAPACK wrappers directly.  Those and BLAS gbmv are
+imported on the first DenseMatrix factorization in a process, so a run
+on a diagonal B never loads scipy.linalg, which is most of the package's
+import time and memory.  Each factor(B, ...) finds B's lower and upper
 bandwidths kl, ku with bandwidths() (NaN and inf count as nonzero) and
 takes the band path when BAND_RATIO * (kl + ku) < n.  The band path copies
 B's band, (kl + ku + 1) x n in LAPACK band layout, fills gbtrf's array from
@@ -43,10 +46,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 from .exceptions import DimensionMismatch, SingularMatrix
+
+# scipy's BLAS/LAPACK wrappers, bound by _bind_lapack on the first
+# DenseMatrix factorization; until then scipy.linalg is not imported
+dgbmv = dgbtrf = dgbtrs = dgetrf = dgetrs = None
 
 # A pivot below PIVOT_FLOOR times the matrix scale is treated as singular.
 PIVOT_FLOOR = 1e-14
@@ -209,6 +214,14 @@ class _BandedFactorization(Factorization):
                      self._checked(v))
 
 
+def _bind_lapack() -> None:
+    """Import the five scipy routines that the dense and band paths call
+    into this module's globals, where solve and b_matvec look them up."""
+    global dgbmv, dgbtrf, dgbtrs, dgetrf, dgetrs
+    from scipy.linalg.blas import dgbmv
+    from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+
+
 def _scale(entries: np.ndarray) -> float:
     """max(1, max|entry|); a non-finite entry makes D singular."""
     peak = float(np.max(np.abs(entries)))
@@ -350,6 +363,8 @@ def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
                 f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
         return _DiagonalFactorization(1.0 / d, B)
     if isinstance(B, DenseMatrix):
+        if dgetrf is None:
+            _bind_lapack()
         kl, ku = bandwidths(B.values)
         if BAND_RATIO * (kl + ku) < B.dim:
             return _factor_banded(B.values, kl, ku, a_times_h)

@@ -2,13 +2,18 @@
 
 import csv
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+import asode
 from asode import benchmark, builtin, problems
 from asode.cli import _write_csv
 from asode.linalg import DiagonalMatrix
@@ -129,6 +134,33 @@ class TestMatrix:
             assert a.stats.phi_evals == b.stats.phi_evals
             assert a.stats.steps_accepted == b.stats.steps_accepted
             assert a.y_final == b.y_final
+
+    def test_run_matrix_without_a_process_pool_runs_serially(self):
+        # a fresh interpreter whose platform has no process pool: two
+        # workers are asked for, and both cells run in this process
+        code = (
+            "import json, sys\n"
+            "sys.modules['concurrent.futures.process'] = None\n"
+            "from asode import benchmark\n"
+            "calls = []\n"
+            "run_cell = benchmark.run_cell\n"
+            "benchmark.run_cell = lambda s: calls.append(s) or run_cell(s)\n"
+            "specs = [benchmark.CellSpec('example4', 1e-2, m)\n"
+            "         for m in ('asode3', 'merson')]\n"
+            "results = benchmark.run_matrix(specs)\n"
+            "print(json.dumps([len(calls)] + [[r.y_final, r.stats.as_dict()]\n"
+            "                                 for r in results]))\n")
+        src = os.path.dirname(os.path.dirname(asode.__file__))
+        env = dict(os.environ, PYTHONPATH=src, ASODE_THREADS="2")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        calls, *results = json.loads(out.stdout)
+        assert calls == 2
+        serial = [run_cell(CellSpec("example4", 1e-2, m))
+                  for m in ("asode3", "merson")]
+        assert results == [[list(r.y_final), r.stats.as_dict()]
+                           for r in serial]
 
     def test_run_matrix_empty(self):
         assert run_matrix([]) == []

@@ -1,12 +1,17 @@
 """Factorization tests with an independent full-pivot elimination oracle."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import asode
 from asode import linalg
 from asode.exceptions import DimensionMismatch, SingularMatrix
 from asode.linalg import DenseMatrix, DiagonalMatrix, factor
@@ -492,3 +497,62 @@ def test_band_matvec_propagates_non_finite_entries(kl, ku):
     v = np.zeros(40)
     v[3] = np.inf
     assert np.isnan(zero.b_matvec(v)[3])
+
+
+# a fresh interpreter: the package, its bench module and its CLI, a
+# diagonal-B solve and a Merson run load neither scipy.linalg nor the
+# process pool; the first DenseMatrix factorization loads scipy.linalg
+_COLD_START = """
+import json, sys
+import numpy as np
+import asode, asode.benchmark, asode.cli
+from asode import MERSON, builtin, derive_embedded, derive_scheme
+from asode import integrate, rk_integrate
+from asode.linalg import DenseMatrix, factor
+from asode.problems import Tolerances
+
+p = builtin("example4")
+tol = Tolerances.uniform(1e-2, p.n)
+scheme = derive_scheme()
+integrate(p, scheme, derive_embedded(scheme), tol)
+rk_integrate(MERSON, p.full, tuple(p.y0), (p.t0, p.t_end), tol, p.h0)
+out = {"loaded": [m for m in ("scipy.linalg", "concurrent.futures.process")
+                  if m in sys.modules], "kinds": [], "after": []}
+for name in ("dense", "band"):
+    B, rhs, v = (np.load(f"{sys.argv[1]}/{name}_{x}.npy")
+                 for x in ("B", "rhs", "v"))
+    fact = factor(DenseMatrix(B), 0.3)
+    out["kinds"].append(type(fact).__name__)
+    out["after"].append("scipy.linalg" in sys.modules)
+    np.save(f"{sys.argv[1]}/{name}_x.npy", fact.solve(rhs))
+    np.save(f"{sys.argv[1]}/{name}_Bv.npy", fact.b_matvec(v))
+print(json.dumps(out))
+"""
+
+
+def test_cold_start_binds_lapack_on_the_first_dense_factor(tmp_path):
+    rng = np.random.default_rng(27)
+    cases = {"dense": (DenseMatrix(rng.standard_normal((8, 8))),
+                       linalg._DenseFactorization),
+             "band": (random_banded(rng, 64, 2, 1),
+                      linalg._BandedFactorization)}
+    for name, (B, _) in cases.items():
+        for x, a in (("B", B.values), ("rhs", rng.standard_normal(B.dim)),
+                     ("v", rng.standard_normal(B.dim))):
+            np.save(tmp_path / f"{name}_{x}.npy", a)
+    src = os.path.dirname(os.path.dirname(asode.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got["loaded"] == []
+    assert got["kinds"] == [cls.__name__ for _, cls in cases.values()]
+    assert got["after"] == [True, True]
+    for name, (B, cls) in cases.items():
+        fact = factor(B, 0.3)
+        assert type(fact) is cls
+        rhs, v = (np.load(tmp_path / f"{name}_{x}.npy") for x in ("rhs", "v"))
+        for x, here in (("x", fact.solve(rhs)), ("Bv", fact.b_matvec(v))):
+            assert np.load(tmp_path / f"{name}_{x}.npy").tobytes() \
+                == here.tobytes()

@@ -92,6 +92,28 @@ class TestTableauConstruction:
         r = linear_growth_factor(MERSON.a, MERSON.b, -1.0)
         assert abs(r - 53.0 / 144.0) < 1e-14
 
+    def test_stacked_growth_factors_match_the_scalar(self):
+        # construction checks the span with one stacked solve; every value
+        # is one solve of (I - z*A) k = 1 and 1 + z * b.k, bit for bit
+        rng = np.random.default_rng(5)
+        for tab in (MERSON, FEHLBERG45):
+            s = tab.stages
+            A = np.zeros((s, s))
+            for i, row in enumerate(tab.a):
+                A[i, :i] = row
+            zs = np.concatenate([
+                np.linspace(0.0, -tab.stability_span, 257),
+                [-1.02 * tab.stability_span, -0.0, 1.5],
+                rng.uniform(-40.0, 2.0, 200)])
+            want = [1.0 + z * float(np.asarray(tab.b)
+                                    @ np.linalg.solve(np.eye(s) - z * A,
+                                                      np.ones(s)))
+                    for z in zs.tolist()]
+            got = reference_rk._growth_factors(tab.a, tab.b, zs)
+            assert got.tobytes() == np.array(want).tobytes()
+            assert [linear_growth_factor(tab.a, tab.b, z)
+                    for z in zs.tolist()] == want
+
     def test_growth_factor_is_one_at_declared_boundary(self):
         for tab in (MERSON, FEHLBERG45):
             r = linear_growth_factor(tab.a, tab.b, -tab.stability_span)

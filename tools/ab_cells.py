@@ -25,12 +25,17 @@ banded) at 1e-3 and 1e-5.  Time is process CPU time (time.process_time).  A
 warm-up round, untimed, runs first, so code generated on first use is
 not timed.
 
-Every run of a cell must end at the same t and state, bit for bit, with
-the same work counters, in both trees; a difference stops the tool with
-exit 1.  It prints, per cell, per family (additive, comparator,
-example2 comparator, bruss) and for the sum of the 20 kinetics cells, the
-median over the rounds of time(B) / time(A) and its range.  Passing the
-same tree twice (an A/A run) shows the noise of the host.
+The tree imported second in a process can read a few per cent faster or
+slower than it would first, so every comparison runs in both load
+orders: this process imports TREE_A first, and then a second process,
+started afresh, runs the same rounds with TREE_B imported first.  Every
+run of a cell must end at the same t and state, bit for bit, with the
+same work counters, in both trees and in both orders; a difference stops
+the tool with exit 1.  It prints, per cell, per family (additive,
+comparator, example2 comparator, bruss) and for the sum of the 20
+kinetics cells, the median over the rounds of time(B) / time(A) in each
+load order with its range, and the geometric mean of the two medians.
+Passing the same tree twice (an A/A run) shows the noise of the host.
 
 This is a quick paired check of the solvers' own time.  It does not
 replace the benchmark under perfbench/, which times whole passes in
@@ -42,10 +47,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.util
+import math
+import multiprocessing
 import os
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 PROBLEMS = ("example1", "example2", "example3", "example4")
 TOLS = (1e-2, 1e-4)
@@ -144,6 +152,55 @@ class Tree:
                          stats.as_dict())
 
 
+class ResultsDiffer(Exception):
+    """A cell ended differently in the two trees."""
+
+
+def measure(tree_a: str, tree_b: str, rounds: int) -> dict:
+    """CPU seconds per cell, ([tree_a's], [tree_b's]) over the rounds,
+    with tree_a imported first.  Raises ResultsDiffer when a cell's t,
+    state or counters differ between the trees."""
+    trees = []
+    for tree, suffix in ((tree_a, "a"), (tree_b, "b")):
+        pkg = load(tree, f"asode_{suffix}")
+        trees.append(Tree(pkg, load_workloads(tree, pkg,
+                                               f"workloads_{suffix}")))
+
+    for cell in CELLS:
+        for tree in trees:
+            tree.run(cell)
+    times = {cell: ([], []) for cell in CELLS}
+    for r in range(rounds):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        for cell in CELLS:
+            results = {}
+            for i in order:
+                elapsed, results[i] = trees[i].run(cell)
+                times[cell][i].append(elapsed)
+            if results[0] != results[1]:
+                raise ResultsDiffer(
+                    f"{cell}: the trees' results differ:\n"
+                    f"  {tree_a} {results[0]}\n  {tree_b} {results[1]}")
+    return times
+
+
+def ratios(times: dict, cells) -> tuple:
+    """Per round, time(B) / time(A) summed over cells; and the medians of
+    the seconds per round of A and of B."""
+    rounds = range(len(times[cells[0]][0]))
+    sum_a = [sum(times[c][0][r] for c in cells) for r in rounds]
+    sum_b = [sum(times[c][1][r] for c in cells) for r in rounds]
+    return ([y / x for x, y in zip(sum_a, sum_b)],
+            statistics.median(sum_a), statistics.median(sum_b))
+
+
+def label(cell) -> str:
+    problem, tol, method = cell
+    if cell in EXAMPLE2:
+        problem = f"{problem}[0-{EXAMPLE2_T_END:g}]"
+    return f"{problem}@{tol:g}/{method}"
+
+
 def spread(values) -> str:
     return (f"{statistics.median(values):.3f} "
             f"({min(values):.3f}-{max(values):.3f})")
@@ -157,44 +214,38 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    trees = []
-    for tree, suffix in ((args.tree_a, "a"), (args.tree_b, "b")):
-        pkg = load(tree, f"asode_{suffix}")
-        trees.append(Tree(pkg, load_workloads(tree, pkg,
-                                               f"workloads_{suffix}")))
+    try:
+        a_first = measure(args.tree_a, args.tree_b, args.rounds)
+        # the second order in a fresh interpreter, one after the other so
+        # that the two never share the CPUs
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            swapped = pool.submit(measure, args.tree_b, args.tree_a,
+                                  args.rounds).result()
+    except ResultsDiffer as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    b_first = {cell: (b, a) for cell, (a, b) in swapped.items()}
 
-    for cell in CELLS:
-        for tree in trees:
-            tree.run(cell)
-    times = {cell: ([], []) for cell in CELLS}
-    for r in range(args.rounds):
-        order = (0, 1) if r % 2 == 0 else (1, 0)
-        for cell in CELLS:
-            results = {}
-            for i in order:
-                elapsed, results[i] = trees[i].run(cell)
-                times[cell][i].append(elapsed)
-            if results[0] != results[1]:
-                print(f"{cell}: the trees' results differ:\n"
-                      f"  A {results[0]}\n  B {results[1]}", file=sys.stderr)
-                return 1
-
-    print(f"{args.rounds} rounds; B/A of CPU time, median (range)")
-    for cell, (a, b) in times.items():
-        problem, tol, method = cell
-        label = f"{problem}@{tol:g}/{method}"
-        if cell in EXAMPLE2:
-            label = f"{problem}[0-{EXAMPLE2_T_END:g}]@{tol:g}/{method}"
-        print(f"{label:<32} {spread([y / x for x, y in zip(a, b)])}")
-    for label, cells in FAMILIES + (("sum", KINETICS),):
-        sum_a = [sum(times[c][0][r] for c in cells)
-                 for r in range(args.rounds)]
-        sum_b = [sum(times[c][1][r] for c in cells)
-                 for r in range(args.rounds)]
-        print(f"{label:<32} {spread([y / x for x, y in zip(sum_a, sum_b)])}"
-              f"   seconds per round: A {statistics.median(sum_a):.3f}, "
-              f"B {statistics.median(sum_b):.3f} (medians)")
-    print("final states and counters identical in every cell and round")
+    print(f"{args.rounds} rounds in each load order; B/A of CPU time, "
+          f"median (range)")
+    print(f"{'':<32} {'A imported first':<21} {'B imported first':<21} "
+          f"geometric mean")
+    rows = [(label(cell), [cell]) for cell in CELLS]
+    for name, cells in rows + list(FAMILIES) + [("sum", KINETICS)]:
+        line = f"{name:<32}"
+        medians = []
+        for times in (a_first, b_first):
+            per_round = ratios(times, cells)[0]
+            medians.append(statistics.median(per_round))
+            line += f" {spread(per_round):<21}"
+        line += f" {math.sqrt(medians[0] * medians[1]):.3f}"
+        if len(cells) > 1:
+            _, sec_a, sec_b = ratios(a_first, cells)
+            line += f"   s/round A {sec_a:.3f}, B {sec_b:.3f}"
+        print(line)
+    print("final states and counters identical in every cell and round, "
+          "in both load orders")
     return 0
 
 
