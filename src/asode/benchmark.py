@@ -152,10 +152,14 @@ def run_matrix(specs: Optional[Sequence[CellSpec]] = None) -> list:
     if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(run_cell, specs))
-        except (ImportError, OSError, PermissionError):
+        except ImportError:
             pass
+        else:
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    return list(pool.map(run_cell, specs))
+            except (OSError, PermissionError):
+                pass
     return [run_cell(s) for s in specs]
 
 

@@ -108,7 +108,7 @@ def linear_growth_factor(a_rows, weights, z: float) -> float:
 
 def _growth_factors(a_rows, weights, zs) -> np.ndarray:
     """linear_growth_factor at every z of zs, by one stacked solve; each
-    value is the scalar one bit for bit (vecdot is b.k's dot per row)."""
+    value is the scalar one bit for bit (b.k is the 1-D dot per row)."""
     s = len(weights)
     A = np.zeros((s, s))
     for i, row in enumerate(a_rows):
@@ -116,7 +116,8 @@ def _growth_factors(a_rows, weights, zs) -> np.ndarray:
     zs = np.asarray(zs, dtype=float)
     k = np.linalg.solve(np.eye(s) - zs[:, None, None] * A,
                         np.ones((zs.size, s, 1)))[..., 0]
-    return 1.0 + zs * np.vecdot(k, np.asarray(weights, dtype=float))
+    w = np.asarray(weights, dtype=float)
+    return 1.0 + zs * np.array([w @ row for row in k])
 
 
 @dataclass(frozen=True)

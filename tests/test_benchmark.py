@@ -162,6 +162,34 @@ class TestMatrix:
         assert results == [[list(r.y_final), r.stats.as_dict()]
                            for r in serial]
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="forks workers")
+    def test_import_error_in_a_worker_is_raised_not_rerun(self):
+        # only a missing pool module falls back to serial cells; an
+        # ImportError from a cell in a worker surfaces, and no cell runs
+        # again in this process
+        code = (
+            "import multiprocessing, os\n"
+            "multiprocessing.set_start_method('fork')\n"
+            "from asode import benchmark\n"
+            "parent, calls = os.getpid(), []\n"
+            "def cell(spec):\n"
+            "    if os.getpid() != parent:\n"
+            "        raise ImportError('from a worker')\n"
+            "    calls.append(spec)\n"
+            "benchmark.run_cell = cell\n"
+            "specs = [benchmark.CellSpec('example4', 1e-2, m)\n"
+            "         for m in ('asode3', 'merson')]\n"
+            "try:\n"
+            "    benchmark.run_matrix(specs)\n"
+            "except ImportError as exc:\n"
+            "    print(exc, len(calls))\n")
+        src = os.path.dirname(os.path.dirname(asode.__file__))
+        env = dict(os.environ, PYTHONPATH=src, ASODE_THREADS="2")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "from a worker 0\n"
+
     def test_run_matrix_empty(self):
         assert run_matrix([]) == []
 
