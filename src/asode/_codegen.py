@@ -5,13 +5,17 @@ path's stepper._numpy_stages, compiled from the table's lines as they
 stand) and the comparator steps (reference_rk._step_source).  An emitter
 writes lines into a generator's emit (a list's append).  Generated code
 looks its names up in the globals of its module, which imports the
-errors below.
+errors below.  The array paths (stepper._numpy_stages and
+reference_rk._rk_step_array) check each right-hand side's return with
+_stage_value, by the same rule and messages.
 """
 
 from __future__ import annotations
 
 import linecache
 from typing import Callable
+
+import numpy as np
 
 from .exceptions import DimensionMismatch, ZeroToleranceDenominator
 
@@ -36,6 +40,31 @@ def _wrong_length(k, n: int) -> DimensionMismatch:
         got = f"a {type(k).__name__}"
     return DimensionMismatch(f"right-hand side returned {got} for a state "
                              f"of {n}")
+
+
+def _n_items(k, n: int):
+    """k when it is a sequence of n items, else _wrong_length's error:
+    the rule the generated functions apply by unpacking."""
+    try:
+        if len(k) == n:
+            return k
+    except TypeError:
+        pass
+    raise _wrong_length(k, n)
+
+
+def _stage_value(f: Callable, u, n: int) -> np.ndarray:
+    """f(u) as a float64 array of n items: _n_items' rule and messages
+    first, then anything but n numbers raises _not_numbers().  The array
+    paths of both solver families check every right-hand side with it."""
+    k = _n_items(f(u), n)
+    try:
+        k = np.asarray(k, dtype=float)
+    except (TypeError, ValueError):
+        raise _not_numbers() from None
+    if k.shape != (n,):
+        raise _not_numbers()
+    return k
 
 
 def each(fmt: str, n: int) -> str:

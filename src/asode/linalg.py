@@ -13,17 +13,18 @@ band storage (gbtrf/gbtrs) instead of as a full matrix (getrf/getrs); both
 paths call scipy's LAPACK wrappers directly.  Those and BLAS gbmv are
 imported on the first DenseMatrix factorization in a process, so a run
 on a diagonal B never loads scipy.linalg, which is most of the package's
-import time and memory.  Each factor(B, ...) finds B's lower and upper
-bandwidths kl, ku with bandwidths() (NaN and inf count as nonzero) and
-takes the band path when BAND_RATIO * (kl + ku) < n.  The band path copies
-B's band, (kl + ku + 1) x n in LAPACK band layout, fills gbtrf's array from
-it and keeps it on the factorization, whose b_matvec (BLAS gbmv, O(n *
-(kl + ku))) and b_diag read B as it was when factored; the other
-factorizations take both from the matrix (B.matvec, B's diagonal).  Both
-paths build the same D and apply the same singularity checks.  The band
-LU pivots as the dense one does but orders its arithmetic differently, so
-its solutions differ from the dense LU's at rounding level, and so do
-b_matvec's sums from values @ v.
+import time and memory.  One rule picks the path: each factor(B, ...)
+takes the band path exactly when B's lower and upper bandwidths kl, ku
+(NaN and inf count as nonzero) satisfy BAND_RATIO * (kl + ku) < n, and
+band_layout() answers with kl and ku then and with None otherwise.  The
+band path copies B's band, (kl + ku + 1) x n in LAPACK band layout, fills
+gbtrf's array from it and keeps it on the factorization, whose b_matvec
+(BLAS gbmv, O(n * (kl + ku))) and b_diag read B as it was when factored;
+the other factorizations take both from the matrix (B.matvec, B's
+diagonal).  Both paths build the same D and apply the same singularity
+checks.  The band LU pivots as the dense one does but orders its
+arithmetic differently, so its solutions differ from the dense LU's at
+rounding level, and so do b_matvec's sums from values @ v.
 
 A DiagonalMatrix of at most SMALL_N entries is checked and inverted on
 Python floats rather than numpy arrays: on a handful of components
@@ -56,8 +57,8 @@ dgbmv = dgbtrf = dgbtrs = dgetrf = dgetrs = None
 # A pivot below PIVOT_FLOOR times the matrix scale is treated as singular.
 PIVOT_FLOOR = 1e-14
 # A dense B with bandwidths kl, ku is factored as banded when
-# BAND_RATIO * (kl + ku) < n.  factor() finds kl and ku with bandwidths()
-# and reads the ratio on every call.  One factor() plus five solves,
+# BAND_RATIO * (kl + ku) < n.  factor() decides with band_layout(), which
+# reads the ratio on every call.  One factor() plus five solves,
 # banded / dense path, in microseconds (one OpenBLAS thread, 2-CPU x86-64
 # VM, numpy 2.4, scipy 1.17; best of 5 timeit repeats, lowest of 3 runs):
 #
@@ -181,7 +182,7 @@ class _DenseFactorization(Factorization):
         self._piv = piv
         self.b_matvec = B.matvec
         # a copy: a view would keep all of B alive with the diagonal
-        self.b_diag = np.diagonal(B.values).copy()
+        self.b_diag = B.values.diagonal().copy()
         self.dim = lu.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -224,38 +225,39 @@ def _bind_lapack() -> None:
 
 def _scale(entries: np.ndarray) -> float:
     """max(1, max|entry|); a non-finite entry makes D singular."""
-    peak = float(np.max(np.abs(entries)))
+    peak = float(np.abs(entries).max())
     if not math.isfinite(peak):
         raise SingularMatrix("non-finite entries in stage matrix")
     return max(1.0, peak)
 
 
-def bandwidths(values: np.ndarray) -> tuple[int, int]:
-    """Lower and upper bandwidths (kl, ku) of a square matrix.
+def band_layout(values: np.ndarray) -> tuple[int, int] | None:
+    """B's lower and upper bandwidths (kl, ku) when B takes the band path,
+    BAND_RATIO * (kl + ku) < n, and otherwise None: B is factored dense.
 
-    As scipy.linalg.bandwidth counts them: NaN and inf are nonzero, -0.0 is
-    zero.  B is read once, into a C-ordered mask of its nonzero entries,
-    whose count the search then accounts for.  Diagonals are counted in
-    pairs, +d and -d, outward from the main one until every nonzero is
-    found, so a band matrix is done after max(kl, ku) steps.  The walk
-    stops after _walk_limit(n) steps, and a mask with more nonzeros than
-    the band of that half-width can hold is not walked at all; both go
-    to _skew_widths, which reduces the whole mask in one pass.
+    The widths are counted as scipy.linalg.bandwidth counts them: NaN and
+    inf are nonzero, -0.0 is zero.  B is read once, into a C-ordered mask
+    of its nonzero entries.  A mask with more nonzeros than the widest
+    band the rule admits can hold, (n - 1) // BAND_RATIO + 1 diagonals, is
+    dense at once.  Otherwise the diagonals are counted in pairs, -d and
+    +d, outward from the main one until every nonzero is found, so a band
+    matrix is done after max(kl, ku) steps.  A nonzero left past diagonal
+    d makes one width at least d + 1, so the walk stops, dense, as soon
+    as BAND_RATIO * (d + 1 + min(kl, ku)) >= n.
     """
     n = values.shape[0]
     nonzero = np.not_equal(values, 0, order="C")
     flat = nonzero.reshape(-1)
     count = np.count_nonzero
     left = count(flat)
-    limit = _walk_limit(n)
-    if left > n * (2 * limit + 1):
-        return _skew_widths(nonzero)
+    if left > n * ((n - 1) // BAND_RATIO + 1):
+        return None
     left -= count(flat[::n + 1])
     kl = ku = d = 0
     while left:
+        if BAND_RATIO * (d + 1 + min(kl, ku)) >= n:
+            return None
         d += 1
-        if d > limit:
-            return _skew_widths(nonzero)
         # diagonal -d starts at row d, diagonal +d at column d
         lower = count(flat[d * n::n + 1])
         upper = count(flat[d:(n - d) * n:n + 1])
@@ -264,33 +266,7 @@ def bandwidths(values: np.ndarray) -> tuple[int, int]:
         if upper:
             ku = d
         left -= lower + upper
-    return kl, ku
-
-
-def _walk_limit(n: int) -> int:
-    """How far bandwidths walks: to the widest band that takes the band
-    path, and at most n // 16 steps.  A step costs about 1-2 us at
-    n = 64-512, and _skew_widths about as much as n // 16 steps, so a
-    diagonal plus one far corner costs at most about twice the one
-    reduction."""
-    return min((n - 1) // BAND_RATIO, n // 16)
-
-
-def _skew_widths(nonzero: np.ndarray) -> tuple[int, int]:
-    """bandwidths of a mask by one reduction.  The mask goes into an
-    (n + 1) x 2n array of zeros, each row followed by n zeros.  Read in
-    rows of 2n + 1, that array holds diagonal d >= 0 in column d and
-    diagonal d < 0 in column 2n + 1 + d, so one reduction over its rows
-    finds every diagonal that holds a nonzero, whatever the width."""
-    n = nonzero.shape[0]
-    marks = np.zeros((n + 1, 2 * n), dtype=bool)
-    marks[:n, :n] = nonzero
-    skewed = marks.reshape(-1)[:n * (2 * n + 1)].reshape(n, 2 * n + 1)
-    hit = np.flatnonzero(skewed.any(axis=0))
-    upper = hit[hit < n]
-    lower = hit[hit > n]
-    return (int(2 * n + 1 - lower[0]) if lower.size else 0,
-            int(upper[-1]) if upper.size else 0)
+    return (kl, ku) if BAND_RATIO * (kl + ku) < n else None
 
 
 def _factor_banded(values: np.ndarray, kl: int, ku: int,
@@ -299,7 +275,7 @@ def _factor_banded(values: np.ndarray, kl: int, ku: int,
     # row ku - d of B's band holds diagonal d
     band = np.zeros((kl + ku + 1, n), order="F")
     for d in range(-kl, ku + 1):
-        band[ku - d, max(d, 0):n + min(d, 0)] = np.diagonal(values, d)
+        band[ku - d, max(d, 0):n + min(d, 0)] = values.diagonal(d)
     # gbtrf's array is D's band below kl rows of room for fill-in
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     ab[kl:] = -a_times_h * band
@@ -309,7 +285,7 @@ def _factor_banded(values: np.ndarray, kl: int, ku: int,
     if info < 0:
         raise ValueError(f"dgbtrf rejected argument {-info}")
     # info > 0 flags an exactly zero pivot, which the floor also catches
-    if float(np.min(np.abs(lu[kl + ku]))) < PIVOT_FLOOR * scale:
+    if float(np.abs(lu[kl + ku]).min()) < PIVOT_FLOOR * scale:
         raise SingularMatrix(f"pivot below {PIVOT_FLOOR:.0e} * scale")
     return _BandedFactorization(lu, piv, kl, ku, band)
 
@@ -348,33 +324,34 @@ def factor(B: JacobianApprox, a_times_h: float) -> Factorization:
     The factorization carries B as b_matvec and b_diag.  A DiagonalMatrix
     of at most SMALL_N entries is factored on Python floats, and its
     factorization also carries B's diagonal floats as b_floats; a
-    DenseMatrix with a narrow band of nonzero entries is factored in band
-    storage (see BAND_RATIO).  Raises SingularMatrix when any pivot falls
-    below 1e-14 times the matrix scale (non-finite input counts as
-    singular), and DimensionMismatch when B is of neither matrix type.
+    DenseMatrix whose bandwidths satisfy BAND_RATIO * (kl + ku) < n is
+    factored in band storage, any other dense (band_layout).  Raises
+    SingularMatrix when any pivot falls below 1e-14 times the matrix scale
+    (non-finite input counts as singular), and DimensionMismatch when B is
+    of neither matrix type.
     """
     if isinstance(B, DiagonalMatrix):
         if B.dim <= SMALL_N:
             return _factor_diagonal_floats(B, a_times_h)
         d = 1.0 - a_times_h * B.values
         scale = _scale(d)
-        if float(np.min(np.abs(d))) < PIVOT_FLOOR * scale:
+        if float(np.abs(d).min()) < PIVOT_FLOOR * scale:
             raise SingularMatrix(
                 f"diagonal pivot below {PIVOT_FLOOR:.0e} * scale")
         return _DiagonalFactorization(1.0 / d, B)
     if isinstance(B, DenseMatrix):
         if dgetrf is None:
             _bind_lapack()
-        kl, ku = bandwidths(B.values)
-        if BAND_RATIO * (kl + ku) < B.dim:
-            return _factor_banded(B.values, kl, ku, a_times_h)
+        layout = band_layout(B.values)
+        if layout is not None:
+            return _factor_banded(B.values, *layout, a_times_h)
         D = np.eye(B.dim) - a_times_h * B.values
         scale = _scale(D)
         lu, piv, info = dgetrf(D, overwrite_a=1)
         if info < 0:
             raise ValueError(f"dgetrf rejected argument {-info}")
         # info > 0 flags an exactly zero pivot, which the floor also catches
-        if float(np.min(np.abs(np.diag(lu)))) < PIVOT_FLOOR * scale:
+        if float(np.abs(lu.diagonal()).min()) < PIVOT_FLOOR * scale:
             raise SingularMatrix(f"pivot below {PIVOT_FLOOR:.0e} * scale")
         return _DenseFactorization(lu, piv, B)
     raise DimensionMismatch(f"unsupported matrix type {type(B).__name__}")

@@ -49,9 +49,10 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._codegen import (_compile_generated, _emit_rhs_call, _not_numbers,
-                       _wrong_length, _zero_denominator, each,
-                       emit_denominators, emit_each, emit_finite, emit_max)
+from ._codegen import (_compile_generated, _emit_rhs_call, _n_items,
+                       _not_numbers, _stage_value, _wrong_length,
+                       _zero_denominator, each, emit_denominators, emit_each,
+                       emit_finite, emit_max)
 from .exceptions import StepsizeUnderflow
 from .linalg import SMALL_N
 from .problems import Tolerances, check_start
@@ -166,8 +167,14 @@ class ExplicitTableau:
                 raise ValueError(
                     f"{self.name}: {label} weights violate an order-"
                     f"{order} condition (residual {worst:.3e})")
-        if not self.stability_span > 0.0:
-            raise ValueError(f"{self.name}: stability span must be positive")
+        # no explicit method of s stages is stable on a real interval
+        # longer than 2*s**2 (Chebyshev's bound), and up to it the check
+        # below cannot overflow, which would make numpy's solve raise
+        longest = 2.0 * s * s
+        if not 0.0 < self.stability_span <= longest:
+            raise ValueError(f"{self.name}: stability span must be positive "
+                             f"and at most {longest:g}, the longest of any "
+                             f"explicit method of {s} stages")
         # 257 points across the span, then one just beyond it
         zs = np.append(np.linspace(0.0, -self.stability_span, 257),
                        -1.02 * self.stability_span)
@@ -228,17 +235,6 @@ FEHLBERG45 = ExplicitTableau(
 )
 
 TABLEAUS = {t.name: t for t in (MERSON, FEHLBERG45)}
-
-
-def _n_items(k, n: int):
-    """k when it is a sequence of n items, else _wrong_length's error:
-    the rule the generated steps apply by unpacking."""
-    try:
-        if len(k) == n:
-            return k
-    except TypeError:
-        pass
-    raise _wrong_length(k, n)
 
 
 def _scaled_error(y_next, est, atol, rtol) -> float:
@@ -371,19 +367,6 @@ def _rk_step_loop(tableau: ExplicitTableau, f: Callable, y: tuple,
                 if q > v:
                     v = q
     return tuple(y_next), tuple(est), v, err
-
-
-def _stage_value(f: Callable, u: np.ndarray, n: int) -> np.ndarray:
-    """f(u) as a float64 array of n items: _n_items' rule and messages
-    first, then anything but n numbers raises _not_numbers()."""
-    k = _n_items(f(u), n)
-    try:
-        k = np.asarray(k, dtype=float)
-    except (TypeError, ValueError):
-        raise _not_numbers() from None
-    if k.shape != (n,):
-        raise _not_numbers()
-    return k
 
 
 def _combine(start: np.ndarray, h: float, coeffs, ks: list) -> np.ndarray:

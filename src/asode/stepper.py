@@ -76,7 +76,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from ._codegen import (_compile_generated, _emit_rhs_call, _not_numbers,
-                       _wrong_length, _zero_denominator, each,
+                       _stage_value, _wrong_length, _zero_denominator, each,
                        emit_denominators, emit_each, emit_finite, emit_max)
 from .coefficients import EmbeddedCoefficients, SchemeCoefficients
 from .exceptions import (
@@ -194,9 +194,9 @@ def error_norm(y, y2, tol: Tolerances) -> float:
                                 f"{len(tol.atol)} tolerances differ")
     y = np.asarray(y, dtype=float)
     den = tol.atol + tol.rtol * np.abs(y)
-    if np.any(den == 0.0):
+    if (den == 0.0).any():
         raise _zero_denominator()
-    return float(np.max(np.abs(y - np.asarray(y2, dtype=float)) / den))
+    return float((np.abs(y - np.asarray(y2, dtype=float)) / den).max())
 
 
 def stability_estimate(y, u6, k1, k6) -> float:
@@ -218,11 +218,11 @@ def stability_estimate(y, u6, k1, k6) -> float:
                                 f"and {len(k6)} differ")
     y, u6, k1, k6 = (np.asarray(x, dtype=float) for x in (y, u6, k1, k6))
     den = np.abs(u6 - y)
-    keep = den >= np.maximum(PROBE_SHARE_FLOOR * np.max(den),
+    keep = den >= np.maximum(PROBE_SHARE_FLOOR * den.max(),
                              PROBE_FLOOR * (1.0 + np.abs(y)))
-    if not np.any(keep):
+    if not keep.any():
         return 0.0
-    return float(np.max(np.abs(k6 - k1)[keep] / den[keep]))
+    return float((np.abs(k6 - k1)[keep] / den[keep]).max())
 
 
 def propose_next_h(h: float, err: float, v: Optional[float],
@@ -258,15 +258,6 @@ def propose_next_h(h: float, err: float, v: Optional[float],
     if H_MIN > h_accept:
         h_accept = H_MIN
     return h_accept
-
-
-def _rhs(full, u: np.ndarray) -> np.ndarray:
-    """full(u) as a float array of u's shape, else DimensionMismatch."""
-    f = np.asarray(full(u), dtype=float)
-    if f.shape != u.shape:
-        raise DimensionMismatch(f"right-hand side returned shape {f.shape} "
-                                f"for a state of shape {u.shape}")
-    return f
 
 
 # The stages and both solutions of an attempt, written once in array
@@ -331,7 +322,7 @@ def _stages(problem: SplitProblem, y, h: float,
     factored from.  factor picks the path: a factorization that carries
     B's diagonal as floats sends the attempt to the generated float
     function for its dimension, and y_next and drift are then lists; any
-    other runs _numpy_stages on arrays, with F = _rhs(full, .),
+    other runs _numpy_stages on arrays, with F = _stage_value(full, ., n),
     B = fact.b_matvec and S = fact.solve.  y and drift may be either.
     Raises SingularMatrix when the stage matrix cannot be factored,
     ZeroToleranceDenominator as error_norm does, ValueError (for_state)
@@ -360,8 +351,9 @@ def _stages(problem: SplitProblem, y, h: float,
             y if type(y) is list else y_arr.tolist(), h, weights, atol, rtol,
             control, drift)
     y_next, y_emb, k1, k6, u6 = _numpy_stages(
-        partial(_rhs, full), fact.b_matvec, fact.solve, y_arr, h, weights)
-    if not (np.all(np.isfinite(y_next)) and np.all(np.isfinite(y_emb))):
+        partial(_stage_value, full, n=n), fact.b_matvec, fact.solve, y_arr,
+        h, weights)
+    if not (np.isfinite(y_next).all() and np.isfinite(y_emb).all()):
         return None
     err = error_norm(y_next, y_emb, tol)
     if not err <= 1.0:
@@ -534,7 +526,7 @@ def _drift_update(drift, h: float, b_diag: np.ndarray, y: np.ndarray,
     decay = np.exp(np.minimum(0.0, h * b_diag))
     drift = np.asarray(drift) * decay + (y - y_emb)
     den = tol.atol + tol.rtol * np.abs(y)
-    return drift, float(np.max(np.abs(drift) / den))
+    return drift, float((np.abs(drift) / den).max())
 
 
 def integrate(problem: SplitProblem, scheme: SchemeCoefficients,

@@ -158,30 +158,46 @@ def test_selection_rule_boundary(kl, ku, path):
     assert np.allclose(fact.solve(rhs), expected, atol=1e-10, rtol=1e-10)
 
 
+def band_rule(A):
+    """scipy.linalg.bandwidth's (kl, ku) when BAND_RATIO * (kl + ku) < n,
+    else None: the layout factor must pick."""
+    kl, ku = scipy.linalg.bandwidth(A)
+    return (kl, ku) if linalg.BAND_RATIO * (kl + ku) < A.shape[0] else None
+
+
 def test_bandwidths():
-    bandwidths = linalg.bandwidths
-    A = np.zeros((6, 6))
-    assert bandwidths(A) == (0, 0)
-    A[2, 0] = 1.0       # lower bandwidth 2
-    A[1, 4] = -3.0      # upper bandwidth 3
-    assert bandwidths(A) == (2, 3)
-    A[5, 5] = 2.0       # rows 3 and 4 stay all zero
-    assert bandwidths(A) == (2, 3)
-    A[0, 5] = np.nan    # non-finite entries count as nonzero
-    assert bandwidths(A) == (2, 5)
-    A[5, 0] = -np.inf
-    assert bandwidths(A) == (5, 5)
+    band_layout = linalg.band_layout
+    # at n = 6 any two widths past 1 leave the band path; at n = 41 the
+    # same entries keep it, and their widths are exact
+    for n in (6, 41):
+        band = n == 41
+        A = np.zeros((n, n))
+        assert band_layout(A) == (0, 0)
+        A[2, 0] = 1.0       # lower bandwidth 2
+        A[1, 4] = -3.0      # upper bandwidth 3
+        assert band_layout(A) == ((2, 3) if band else None)
+        A[5, 5] = 2.0       # rows 3 and 4 stay all zero
+        assert band_layout(A) == ((2, 3) if band else None)
+        A[0, 5] = np.nan    # non-finite entries count as nonzero
+        assert band_layout(A) == ((2, 5) if band else None)
+        A[5, 0] = -np.inf
+        assert band_layout(A) == ((5, 5) if band else None)
+        A[40 if band else 5, 0] = 1.0
+        assert band_layout(A) is None
     # only strictly upper entries: the band still holds the diagonal
-    assert bandwidths(np.triu(np.ones((4, 4)), 2)) == (0, 3)
+    assert band_layout(np.triu(np.ones((4, 4)), 2)) is None
+    assert band_layout(np.triu(np.tril(np.ones((16, 16)), 3), 2)) == (0, 3)
     # memory layout does not matter
-    B = np.zeros((8, 8))
-    B[4, 0] = 1e-300
-    B[0, 2] = -0.0      # negative zero is zero
-    B[2, 7] = 1.0
-    assert bandwidths(np.asfortranarray(B)) == (4, 5)
-    view = B[::2, ::2]
-    assert not view.flags.c_contiguous and not view.flags.f_contiguous
-    assert bandwidths(view) == bandwidths(view.copy()) == (2, 0)
+    for n, widths in ((8, None), (40, (4, 5))):
+        B = np.zeros((n, n))
+        B[4, 0] = 1e-300
+        B[0, 2] = -0.0      # negative zero is zero
+        B[2, 7] = 1.0
+        assert band_layout(np.asfortranarray(B)) == widths
+        view = B[::2, ::2]
+        assert not view.flags.c_contiguous and not view.flags.f_contiguous
+        assert band_layout(view) == band_layout(view.copy()) == (
+            (2, 0) if n == 40 else None)
 
 
 def random_sparse(rng, n):
@@ -209,17 +225,16 @@ def test_bandwidths_match_scipy():
     for _ in range(2000):
         n = int(rng.integers(1, 13))
         A = random_sparse(rng, n)
-        expected = scipy.linalg.bandwidth(A)
-        assert linalg.bandwidths(A) == expected
+        assert linalg.band_layout(A) == band_rule(A)
     for n in rng.integers(13, 65, 50):
         A = random_sparse(rng, int(n))
-        assert linalg.bandwidths(A) == scipy.linalg.bandwidth(A)
+        assert linalg.band_layout(A) == band_rule(A)
     for n in (1, 5):
-        assert linalg.bandwidths(np.zeros((n, n))) == (0, 0)
-        assert linalg.bandwidths(np.full((n, n), -0.0)) == (0, 0)
+        assert linalg.band_layout(np.zeros((n, n))) == (0, 0)
+        assert linalg.band_layout(np.full((n, n), -0.0)) == (0, 0)
         full = np.ones((n, n))
-        assert linalg.bandwidths(full) == scipy.linalg.bandwidth(full)
-    assert linalg.bandwidths(np.array([[np.nan]])) == (0, 0)
+        assert linalg.band_layout(full) == band_rule(full)
+    assert linalg.band_layout(np.array([[np.nan]])) == (0, 0)
 
 
 def layouts(A):
@@ -230,33 +245,28 @@ def layouts(A):
 
 
 @pytest.mark.parametrize("n", [16, 64, 200])
-def test_band_search_matches_scipy(n, monkeypatch):
-    # a narrow band is found by the walk; a diagonal with one far corner,
-    # NaN or inf far off the band, and a dense matrix by the skew reduction
-    skews = []
-    skew = linalg._skew_widths
-
-    def counted(nonzero):
-        skews.append(nonzero.shape)
-        return skew(nonzero)
-
-    monkeypatch.setattr(linalg, "_skew_widths", counted)
+def test_band_search_matches_scipy(n):
+    # narrow bands, and bands whose widths sum to the widest the band path
+    # takes or one past it, split several ways between kl and ku, with NaN
+    # and inf at the band's edges; then a diagonal with one far corner,
+    # NaN or inf far off the band, and a dense matrix
     rng = np.random.default_rng(n)
-    limit = linalg._walk_limit(n)
-    assert limit >= 1
-    walked = []
-    for kl, ku in ((0, 0), (1, 0), (0, 1), (limit, 1), (1, limit),
-                   (limit, limit)):
+    widest = (n - 1) // linalg.BAND_RATIO
+    assert widest >= 3
+    edges = [(0, 0), (1, 0), (0, 1), (widest, 0), (0, widest)]
+    for total in (widest, widest + 1):
+        edges += [(kl, total - kl)
+                  for kl in sorted({1, 2, total // 2, total - 2, total - 1})]
+    edges += [(0, widest + 1), (widest + 1, 0), (widest + 1, widest + 1)]
+    for kl, ku in edges:
         A = random_banded(rng, n, kl, ku).values.copy()
         A[rng.random((n, n)) < 0.1] = 0.0
         A[kl, 0] = np.nan if kl else A[kl, 0]
         A[0, ku] = np.inf if ku else A[0, ku]
         A[n - 1, 0] = A[0, n - 1] = -0.0
-        walked.append(A)
-    for A in walked:
         for M in layouts(A):
-            assert linalg.bandwidths(M) == scipy.linalg.bandwidth(M)
-    assert skews == []
+            assert linalg.band_layout(M) == band_rule(M) == (
+                (kl, ku) if kl + ku <= widest else None)
     far = []
     corner = np.eye(n)
     corner[n - 1, 0] = 1.0
@@ -270,8 +280,7 @@ def test_band_search_matches_scipy(n, monkeypatch):
     far.append(rng.standard_normal((n, n)))
     for A in far:
         for M in layouts(A):
-            assert linalg.bandwidths(M) == scipy.linalg.bandwidth(M)
-    assert len(skews) == 3 * len(far)
+            assert linalg.band_layout(M) is band_rule(M) is None
 
 
 def test_factor_reads_the_band_on_every_call():

@@ -79,7 +79,13 @@ class TestTableauConstruction:
         ({"stability_span": 4.0}, "inside"),
         ({"stability_span": 2.0}, "understates"),
         ({"stability_span": -1.0}, "positive"),
+        # spans past the 2 * stages**2 bound: their checks would overflow
+        ({"stability_span": math.inf}, "at most 50"),
+        ({"stability_span": 1e308}, "at most 50"),
+        ({"stability_span": 1e300}, "at most 50"),
+        ({"stability_span": 51.0}, "at most 50"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_broken_tableau_rejected(self, broken, match):
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(MERSON, **broken)

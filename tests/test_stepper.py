@@ -514,6 +514,16 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatch, match="right-hand side"):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
 
+    def test_rhs_returning_no_numbers_raises_on_the_numpy_path(self):
+        # a dense B takes the numpy path, whose float conversion raised a
+        # bare ValueError for these items
+        ex1 = builtin("example1")
+        B = linalg.DenseMatrix(-np.eye(3))
+        prob = dataclasses.replace(ex1, full=lambda y: ["a"] * 3,
+                                   jac=lambda y: B)
+        with pytest.raises(DimensionMismatch, match="not numbers"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
+
     @pytest.mark.parametrize("make_B", [
         lambda: DiagonalMatrix(np.full(4, -1.0)),
         lambda: linalg.DenseMatrix(np.full((4, 4), -1.0)),
@@ -628,7 +638,7 @@ class TestBandedStageMatrix:
         runs = [integrate(pentadiagonal_problem(jac), SCHEME, EMBEDDED,
                           Tolerances.uniform(1e-5, PENTA_N))
                 for jac in (fresh, in_place)]
-        assert linalg.bandwidths(shared.values) == (2, 2)
+        assert linalg.band_layout(shared.values) == (2, 2)
         assert linalg.BAND_RATIO * 4 < PENTA_N
         assert runs[0].stats.steps_accepted > 10
         assert runs[1].y.tobytes() == runs[0].y.tobytes()

@@ -5,10 +5,9 @@
 #
 #     tools/stable_outputs.sh OUT_DIR
 #
-# OUT_DIR receives the benchmark matrix CSV (serial, ASODE_THREADS=1), the
-# per-step trace CSVs with each run's summary of example1-4 x
-# asode3/asode3-nocontrol and of example1/3/4 x merson/rkf45, each at tol
-# 1e-2 and 1e-4, two runs of example1 x asode3/asode3-nocontrol at a
+# OUT_DIR receives the per-step trace CSVs with each run's summary of
+# example1-4 x asode3/asode3-nocontrol and of example1/3/4 x
+# merson/rkf45, each at tol 1e-2 and 1e-4, two runs of example1 x asode3/asode3-nocontrol at a
 # tolerance of 1e-20 that end in a stepsize underflow (their traces hold
 # the steps they accepted), a successful example1 trace and the failed
 # 1e-20 run's trace written over it (stale_trace*), the coeffs,
@@ -23,8 +22,10 @@
 # OUT_DIR/sources receives the generated code: the numpy path's stage
 # function, and for n = 1..16 the float path's stage function and the
 # Merson and RKF45 comparator steps.
-# Run it on two trees and compare with `diff -r OUT_A OUT_B`.  The serial
-# benchmark alone takes about a minute and a half.
+# Run it on two trees and compare with `diff -r OUT_A OUT_B`.  The bench
+# CSV is not written here: tier-1's criterion 5 compares its bytes with
+# tests/golden/bench.csv, and tests/test_golden_sources.py the sources'
+# digests with tests/golden/sources.sha256.
 set -eu
 
 if [ "$#" -ne 1 ]; then
@@ -51,9 +52,6 @@ run() {
     echo "$name $code" >> exit_codes.txt
 }
 
-ASODE_THREADS=1 run bench bench --csv bench.csv
-# the table carries wall times; the CSV holds the counters
-rm bench.txt
 # solve NAME ARGS...: asode solve ARGS with its trace in NAME.csv
 solve() {
     local name=$1
