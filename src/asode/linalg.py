@@ -11,16 +11,18 @@ through them applies the B its solves invert.
 A dense B whose nonzero entries lie in a narrow band is factored in LAPACK
 band storage (gbtrf/gbtrs) instead of as a full matrix (getrf/getrs); both
 paths call scipy's LAPACK wrappers directly.  Those and BLAS gbmv are
-imported on the first DenseMatrix factorization in a process, so a run
-on a diagonal B never loads scipy.linalg, which is most of the package's
-import time and memory.  One rule picks the path: each factor(B, ...)
-takes the band path exactly when B's lower and upper bandwidths kl, ku
-(NaN and inf count as nonzero) satisfy BAND_RATIO * (kl + ku) < n, and
-band_layout() answers with kl and ku then and with None otherwise.  The
-band path copies B's band, (kl + ku + 1) x n in LAPACK band layout, fills
-gbtrf's array from it and keeps it on the factorization, whose b_matvec
-(BLAS gbmv, O(n * (kl + ku))) and b_diag read B as it was when factored;
-the other factorizations take both from the matrix (B.matvec, B's
+loaded on the first DenseMatrix factorization in a process, from scipy's
+compiled _flapack and _fblas modules alone: the scipy.linalg package,
+most of scipy's import time and memory, is never imported, and a run on
+a diagonal B loads neither module.  One rule picks the path: each
+factor(B, ...) takes the band path exactly when B's lower and upper
+bandwidths kl, ku (NaN and inf count as nonzero) satisfy
+BAND_RATIO * (kl + ku) < n, and band_layout() answers with kl and ku
+then and with None otherwise.  The band path copies B's band,
+(kl + ku + 1) x n in LAPACK band layout, fills gbtrf's array from it and
+keeps it on the factorization, whose b_matvec (BLAS gbmv,
+O(n * (kl + ku))) and b_diag read B as it was when factored; the other
+factorizations take both from the matrix (B.matvec, a view of B's
 diagonal).  Both paths build the same D and apply the same singularity
 checks.  The band LU pivots as the dense one does but orders its
 arithmetic differently, so its solutions differ from the dense LU's at
@@ -43,7 +45,10 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Callable
 
 import numpy as np
@@ -51,7 +56,8 @@ import numpy as np
 from .exceptions import DimensionMismatch, SingularMatrix
 
 # scipy's BLAS/LAPACK wrappers, bound by _bind_lapack on the first
-# DenseMatrix factorization; until then scipy.linalg is not imported
+# DenseMatrix factorization from scipy's compiled _fblas and _flapack
+# modules; the scipy.linalg package itself is never imported
 dgbmv = dgbtrf = dgbtrs = dgetrf = dgetrs = None
 
 # A pivot below PIVOT_FLOOR times the matrix scale is treated as singular.
@@ -181,8 +187,7 @@ class _DenseFactorization(Factorization):
         self._lu = lu
         self._piv = piv
         self.b_matvec = B.matvec
-        # a copy: a view would keep all of B alive with the diagonal
-        self.b_diag = B.values.diagonal().copy()
+        self.b_diag = B.values.diagonal()
         self.dim = lu.shape[0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -215,12 +220,33 @@ class _BandedFactorization(Factorization):
                      self._checked(v))
 
 
+def _scipy_linalg_module(name: str):
+    """scipy.linalg.<name>, a compiled module, loaded under its full name
+    from scipy's linalg folder without running the scipy.linalg package.
+
+    Raises ImportError naming the module and scipy's version when scipy
+    has no such module.
+    """
+    import scipy  # sets up the bundled library path where one is needed
+    fullname = f"scipy.linalg.{name}"
+    spec = PathFinder.find_spec(
+        fullname, [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no module "
+                          f"{fullname}", name=fullname)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bind_lapack() -> None:
-    """Import the five scipy routines that the dense and band paths call
+    """Load the five scipy routines that the dense and band paths call
     into this module's globals, where solve and b_matvec look them up."""
     global dgbmv, dgbtrf, dgbtrs, dgetrf, dgetrs
-    from scipy.linalg.blas import dgbmv
-    from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
+    dgbmv = _scipy_linalg_module("_fblas").dgbmv
+    lapack = _scipy_linalg_module("_flapack")
+    dgbtrf, dgbtrs = lapack.dgbtrf, lapack.dgbtrs
+    dgetrf, dgetrs = lapack.dgetrf, lapack.dgetrs
 
 
 def _scale(entries: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -510,13 +511,20 @@ def test_band_matvec_propagates_non_finite_entries(kl, ku):
 
 # a fresh interpreter: the package, its bench module and its CLI, a
 # diagonal-B solve and a Merson run load neither scipy.linalg nor the
-# process pool; the first DenseMatrix factorization loads scipy.linalg
+# process pool; the DenseMatrix factorizations load scipy's compiled
+# LAPACK/BLAS modules but not the scipy.linalg package.  argv[2] says
+# when the script imports scipy.linalg itself: never, before the first
+# factor or after it; once it has, the five routines must be the objects
+# scipy.linalg exports and scipy.linalg.lu_factor must still run.
 _COLD_START = """
 import json, sys
 import numpy as np
+folder, order = sys.argv[1:]
+if order == "before":
+    import scipy.linalg
 import asode, asode.benchmark, asode.cli
 from asode import MERSON, builtin, derive_embedded, derive_scheme
-from asode import integrate, rk_integrate
+from asode import integrate, rk_integrate, linalg
 from asode.linalg import DenseMatrix, factor
 from asode.problems import Tolerances
 
@@ -528,18 +536,28 @@ rk_integrate(MERSON, p.full, tuple(p.y0), (p.t0, p.t_end), tol, p.h0)
 out = {"loaded": [m for m in ("scipy.linalg", "concurrent.futures.process")
                   if m in sys.modules], "kinds": [], "after": []}
 for name in ("dense", "band"):
-    B, rhs, v = (np.load(f"{sys.argv[1]}/{name}_{x}.npy")
+    B, rhs, v = (np.load(f"{folder}/{name}_{x}.npy")
                  for x in ("B", "rhs", "v"))
     fact = factor(DenseMatrix(B), 0.3)
     out["kinds"].append(type(fact).__name__)
     out["after"].append("scipy.linalg" in sys.modules)
-    np.save(f"{sys.argv[1]}/{name}_x.npy", fact.solve(rhs))
-    np.save(f"{sys.argv[1]}/{name}_Bv.npy", fact.b_matvec(v))
+    np.save(f"{folder}/{name}_x.npy", fact.solve(rhs))
+    np.save(f"{folder}/{name}_Bv.npy", fact.b_matvec(v))
+if order != "never":
+    import scipy.linalg
+    from scipy.linalg import blas, lapack
+    out["same"] = [getattr(linalg, f) is getattr(lapack, f, None)
+                   for f in ("dgbtrf", "dgbtrs", "dgetrf", "dgetrs")]
+    out["same"].append(linalg.dgbmv is blas.dgbmv)
+    lu, _ = scipy.linalg.lu_factor(np.load(f"{folder}/dense_B.npy"))
+    np.save(f"{folder}/lu.npy", lu)
 print(json.dumps(out))
 """
 
 
-def test_cold_start_binds_lapack_on_the_first_dense_factor(tmp_path):
+def _cold_start(tmp_path, order):
+    """Run _COLD_START in a fresh interpreter; check that its solves and
+    products are this process's, bit for bit, and return its report."""
     rng = np.random.default_rng(27)
     cases = {"dense": (DenseMatrix(rng.standard_normal((8, 8))),
                        linalg._DenseFactorization),
@@ -551,13 +569,12 @@ def test_cold_start_binds_lapack_on_the_first_dense_factor(tmp_path):
             np.save(tmp_path / f"{name}_{x}.npy", a)
     src = os.path.dirname(os.path.dirname(asode.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=60)
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path), order],
+        env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout)
-    assert got["loaded"] == []
     assert got["kinds"] == [cls.__name__ for _, cls in cases.values()]
-    assert got["after"] == [True, True]
     for name, (B, cls) in cases.items():
         fact = factor(B, 0.3)
         assert type(fact) is cls
@@ -565,3 +582,26 @@ def test_cold_start_binds_lapack_on_the_first_dense_factor(tmp_path):
         for x, here in (("x", fact.solve(rhs)), ("Bv", fact.b_matvec(v))):
             assert np.load(tmp_path / f"{name}_{x}.npy").tobytes() \
                 == here.tobytes()
+    return got
+
+
+def test_cold_start_binds_lapack_on_the_first_dense_factor(tmp_path):
+    got = _cold_start(tmp_path, "never")
+    assert got["loaded"] == []
+    assert got["after"] == [False, False]
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_lapack_routines_are_the_ones_scipy_linalg_exports(tmp_path, order):
+    got = _cold_start(tmp_path, order)
+    assert got["after"] == [order == "before"] * 2
+    assert got["same"] == [True] * 5
+    lu, _ = scipy.linalg.lu_factor(np.load(tmp_path / "dense_B.npy"))
+    assert np.load(tmp_path / "lu.npy").tobytes() == lu.tobytes()
+
+
+def test_missing_scipy_linalg_module_raises_import_error():
+    with pytest.raises(ImportError, match=(
+            rf"scipy {re.escape(scipy.__version__)} has no module "
+            r"scipy\.linalg\._no_such_module$")):
+        linalg._scipy_linalg_module("_no_such_module")
