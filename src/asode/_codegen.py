@@ -7,7 +7,9 @@ writes lines into a generator's emit (a list's append).  Generated code
 looks its names up in the globals of its module, which imports the
 errors below.  The array paths (stepper._numpy_stages and
 reference_rk._rk_step_array) check each right-hand side's return with
-_stage_value, by the same rule and messages.
+_stage_value, by the same rule and messages; the generated functions
+unpack each return (_emit_rhs_call), and guard_not_numbers turns a
+TypeError from their own arithmetic into _not_numbers().
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ def emit_each(emit: Callable, fmt: str, n: int,
         emit(indent + fmt.format(m=m))
 
 
+# the line that _emit_rhs_call opens with, and guard_not_numbers finds
+_RHS_CALL = "    k = "
+
+
 def _emit_rhs_call(emit: Callable, call: str, out: str, n: int) -> None:
     """Emit generated code that calls a right-hand side and unpacks it.
 
@@ -86,22 +92,30 @@ def _emit_rhs_call(emit: Callable, call: str, out: str, n: int) -> None:
     out_<n-1>.  A k that is not a sequence of n items raises
     _wrong_length's DimensionMismatch.
     """
-    emit(f"    k = {call}")
+    emit(f"{_RHS_CALL}{call}")
     emit("    try:")
     emit(f"        {each(out + '_{m}', n)}= k")
     emit("    except (TypeError, ValueError):")
     emit(f"        raise _wrong_length(k, {n}) from None")
 
 
-def emit_finite(emit: Callable, names: list, on_type_error: str) -> None:
+def emit_finite(emit: Callable, names: list,
+                on_type_error: str | None = None) -> None:
     """Emit `finite = ` math.isfinite of every local in names, in order;
-    an item that is no number runs the statement on_type_error."""
+    an item that is no number runs the statement on_type_error, or with
+    None raises the TypeError that guard_not_numbers turns into
+    _not_numbers()."""
     emit("    isfinite = math.isfinite")
-    emit("    try:")
-    emit("        finite = (" + "\n                  and ".join(
-        f"isfinite({name})" for name in names) + ")")
-    emit("    except TypeError:")
-    emit(f"        {on_type_error}")
+    indent = "    " if on_type_error is None else "        "
+    test = f"{indent}finite = (" + f"\n{indent}          and ".join(
+        f"isfinite({name})" for name in names) + ")"
+    if on_type_error is None:
+        emit(test)
+    else:
+        emit("    try:")
+        emit(test)
+        emit("    except TypeError:")
+        emit(f"        {on_type_error}")
 
 
 def emit_denominators(emit: Callable, n: int, indent: str) -> None:
@@ -127,6 +141,29 @@ def emit_max(emit: Callable, out: str, fmt: str, n: int,
         emit(f"{indent}q = {fmt.format(m=m)}")
         emit(f"{indent}if {better}:")
         emit(f"{indent}    {out} = q")
+
+
+def guard_not_numbers(lines: list) -> str:
+    """The source of the generated function whose lines these are, with
+    every line from its first right-hand-side call on in one try block.
+
+    A TypeError there comes from the function's own arithmetic on items
+    that are no numbers, and raises _not_numbers(), unless it came from a
+    call line: a TypeError raised inside the right-hand side, or by
+    calling it, propagates unchanged.  The block costs its `try` line's
+    one NOP per call until it catches.
+    """
+    first = next(i for i, line in enumerate(lines)
+                 if line.startswith(_RHS_CALL))
+    source = lines[:first] + ["    try:"]
+    source += ["    " + line for line in "\n".join(lines[first:]).split("\n")]
+    calls = tuple(number for number, line in enumerate(source, start=1)
+                  if line.startswith("    " + _RHS_CALL))
+    source += ["    except TypeError as exc:",
+               f"        if exc.__traceback__.tb_lineno in {calls}:",
+               "            raise",
+               "        raise _not_numbers() from None"]
+    return "\n".join(source) + "\n"
 
 
 def _compile_generated(source: str, name: str, filename: str,

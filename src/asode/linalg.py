@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
@@ -225,10 +226,16 @@ def _scipy_linalg_module(name: str):
     from scipy's linalg folder without running the scipy.linalg package.
 
     Raises ImportError naming the module and scipy's version when scipy
-    has no such module.
+    has no such module.  Loading leaves no entry in sys.modules: an entry
+    there would keep a later import of scipy.linalg from loading the
+    module again and binding it as the package's attribute (the same
+    routine objects: scipy's compiled modules are initialized once per
+    process).
     """
-    import scipy  # sets up the bundled library path where one is needed
     fullname = f"scipy.linalg.{name}"
+    if fullname in sys.modules:  # scipy.linalg is imported already
+        return sys.modules[fullname]
+    import scipy  # sets up the bundled library path where one is needed
     spec = PathFinder.find_spec(
         fullname, [os.path.join(path, "linalg") for path in scipy.__path__])
     if spec is None:
@@ -236,6 +243,7 @@ def _scipy_linalg_module(name: str):
                           f"{fullname}", name=fullname)
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
+    sys.modules.pop(fullname, None)
     return module
 
 

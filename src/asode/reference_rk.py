@@ -52,7 +52,7 @@ import numpy as np
 from ._codegen import (_compile_generated, _emit_rhs_call, _n_items,
                        _not_numbers, _stage_value, _wrong_length,
                        _zero_denominator, each, emit_denominators, emit_each,
-                       emit_finite, emit_max)
+                       emit_finite, emit_max, guard_not_numbers)
 from .exceptions import StepsizeUnderflow
 from .linalg import SMALL_N
 from .problems import Tolerances, check_start
@@ -461,7 +461,8 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
     b - 0.0*a is b for a finite a, so the third direction repeats the
     second whenever every first difference is finite, and is skipped
     then.  The probe floors are looked up in this module at call time,
-    as the loop does.
+    as the loop does.  A TypeError from the step's arithmetic on items
+    that are no numbers raises DimensionMismatch (guard_not_numbers).
     """
     comps = range(n)
     lines = [f"def {name}(f, y, h, atol, rtol):",
@@ -536,7 +537,7 @@ def _step_source(tableau: ExplicitTableau, n: int, name: str) -> str:
             emit(f"{indent}        if q > v:")
             emit(f"{indent}            v = q")
     emit(f"    return ({yn}), ({e}), v, err")
-    return "\n".join(lines) + "\n"
+    return guard_not_numbers(lines)
 
 
 def _generate_step(tableau: ExplicitTableau, n: int) -> Callable:

@@ -77,7 +77,8 @@ import numpy as np
 
 from ._codegen import (_compile_generated, _emit_rhs_call, _not_numbers,
                        _stage_value, _wrong_length, _zero_denominator, each,
-                       emit_denominators, emit_each, emit_finite, emit_max)
+                       emit_denominators, emit_each, emit_finite, emit_max,
+                       guard_not_numbers)
 from .coefficients import EmbeddedCoefficients, SchemeCoefficients
 from .exceptions import (
     DimensionMismatch,
@@ -374,7 +375,8 @@ def _float_stages_source(n: int, name: str) -> str:
     order.  Zero weights are multiplied as numpy multiplies them, so
     signed zeros and NaN come out the same.  F(x) calls full on a tuple
     of x's components and unpacks its return into locals
-    (_emit_rhs_call); S(x) calls solve on the list of x's components, or
+    (_emit_rhs_call), and guard_not_numbers turns a TypeError from the
+    arithmetic on items that are no numbers into DimensionMismatch; S(x) calls solve on the list of x's components, or
     on the list a stage's solve returned when x names it, and binds the
     result both as that list and as locals.  The weights arrive as one
     argument (weights, unpacked by _UNPACK_WEIGHTS), so one function
@@ -424,8 +426,7 @@ def _float_stages_source(n: int, name: str) -> str:
         else:
             emit_each(emit, f"{target}_{{m}} = {component(expr)}", n)
     # the finiteness of y_next, then of y_emb
-    emit_finite(emit, [f"yn_{m}" for m in comps] + [f"ye_{m}" for m in comps],
-                "raise _not_numbers() from None")
+    emit_finite(emit, [f"yn_{m}" for m in comps] + [f"ye_{m}" for m in comps])
     emit("    if not finite:")
     emit("        return None")
     emit_denominators(emit, n, "    ")  # error_norm
@@ -461,7 +462,7 @@ def _float_stages_source(n: int, name: str) -> str:
     emit_each(emit, "g_{m} = g_{m} * dk_{m} + (yn_{m} - ye_{m})", n)
     emit_max(emit, "g_norm", "abs(g_{m}) / den_{m}", n)
     emit(f"    return y_next, err, v, [{each('g_{m}', n)}], g_norm")
-    return "\n".join(lines) + "\n"
+    return guard_not_numbers(lines)
 
 
 def _float_stages(n: int) -> Callable:

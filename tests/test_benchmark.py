@@ -35,6 +35,7 @@ from asode.benchmark import (
 from asode.exceptions import (
     NonFiniteState,
     ReferenceUnavailable,
+    SingularMatrix,
     StepsizeUnderflow,
 )
 from asode.problems import Tolerances
@@ -365,12 +366,28 @@ class TestOrderStudy:
             order_study(h0=5.0)
 
     def test_reference_unavailable(self, monkeypatch):
+        # the powerlaw problem without its closed form, whose three
+        # ladders succeed at h0 = 0.16 (example1's Merson ladder diverges,
+        # and the ladders run first)
         def boom(*args, **kwargs):
             raise StepsizeUnderflow("stepsize collapsed")
 
+        monkeypatch.setitem(problems._REGISTRY, "blind",
+                            problems._REGISTRY["powerlaw"][:-1] + (None,))
         monkeypatch.setattr(benchmark, "integrate", boom)
         with pytest.raises(ReferenceUnavailable, match="reference"):
-            order_study("example1")
+            order_study("blind", h0=0.16)
+
+    def test_failing_ladder_raises_before_the_reference_run(self,
+                                                           monkeypatch):
+        # example3's additive ladder meets a singular stage matrix at
+        # t = 0.04; the 1e-10 reference run took most of a minute first
+        def no_reference(*args, **kwargs):
+            raise AssertionError("the reference run started")
+
+        monkeypatch.setattr(benchmark, "integrate", no_reference)
+        with pytest.raises(SingularMatrix, match="singular at t=0.04"):
+            order_study("example3")
 
     def test_divergent_explicit_ladder_is_reported(self, monkeypatch):
         # A strongly damped linear problem over a long span: the

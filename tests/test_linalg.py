@@ -515,7 +515,8 @@ def test_band_matvec_propagates_non_finite_entries(kl, ku):
 # LAPACK/BLAS modules but not the scipy.linalg package.  argv[2] says
 # when the script imports scipy.linalg itself: never, before the first
 # factor or after it; once it has, the five routines must be the objects
-# scipy.linalg exports and scipy.linalg.lu_factor must still run.
+# scipy.linalg exports, the package must hold its _flapack and _fblas
+# modules, and scipy.linalg.lu_factor must still run.
 _COLD_START = """
 import json, sys
 import numpy as np
@@ -549,6 +550,7 @@ if order != "never":
     out["same"] = [getattr(linalg, f) is getattr(lapack, f, None)
                    for f in ("dgbtrf", "dgbtrs", "dgetrf", "dgetrs")]
     out["same"].append(linalg.dgbmv is blas.dgbmv)
+    out["bound"] = [hasattr(scipy.linalg, m) for m in ("_flapack", "_fblas")]
     lu, _ = scipy.linalg.lu_factor(np.load(f"{folder}/dense_B.npy"))
     np.save(f"{folder}/lu.npy", lu)
 print(json.dumps(out))
@@ -596,6 +598,7 @@ def test_lapack_routines_are_the_ones_scipy_linalg_exports(tmp_path, order):
     got = _cold_start(tmp_path, order)
     assert got["after"] == [order == "before"] * 2
     assert got["same"] == [True] * 5
+    assert got["bound"] == [True, True]
     lu, _ = scipy.linalg.lu_factor(np.load(tmp_path / "dense_B.npy"))
     assert np.load(tmp_path / "lu.npy").tobytes() == lu.tobytes()
 

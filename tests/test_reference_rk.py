@@ -477,6 +477,35 @@ class TestGeneratedStep:
 
     @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
                              ids=lambda t: t.name)
+    def test_rhs_returning_strings_raises(self, tab):
+        # the generated step's arithmetic on the items raised a bare
+        # TypeError
+        ex1 = builtin("example1")
+        with pytest.raises(DimensionMismatch, match="not numbers"):
+            rk_integrate(tab, lambda y: ["a"] * 3, tuple(ex1.y0),
+                         (ex1.t0, ex1.t_end), Tolerances.uniform(1e-2, 3),
+                         ex1.h0)
+
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
+    def test_type_error_inside_rhs_propagates(self, tab):
+        # raised by the user's code, not by the step's arithmetic: every
+        # stage's call passes it on unchanged
+        ex1 = builtin("example1")
+        for bad_call in range(len(tab.b)):
+            calls = []
+
+            def f(y):
+                calls.append(y)
+                if len(calls) == bad_call + 1:
+                    raise TypeError("raised in f")
+                return ex1.full(y)
+
+            with pytest.raises(TypeError, match="^raised in f$"):
+                rk_step(tab, f, tuple(ex1.y0), ex1.h0)
+
+    @pytest.mark.parametrize("tab", [MERSON, FEHLBERG45],
+                             ids=lambda t: t.name)
     @pytest.mark.parametrize("n", [2, 20], ids=["generated", "loop"])
     def test_rhs_returning_a_column_raises(self, tab, n):
         # an (n, 1) array has n items, so it unpacks, but each is a

@@ -514,6 +514,36 @@ class TestIntegrate:
         with pytest.raises(DimensionMismatch, match="right-hand side"):
             integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
 
+    def test_rhs_returning_no_numbers_raises_on_the_float_path(self):
+        # the generated function's arithmetic on the items raised a bare
+        # TypeError
+        prob = dataclasses.replace(builtin("example1"),
+                                   full=lambda y: ["a"] * 3)
+        with pytest.raises(DimensionMismatch, match="not numbers"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
+
+    @pytest.mark.parametrize("bad_call", [0, 1, 2, "jac"])
+    def test_type_error_inside_rhs_or_jac_propagates(self, bad_call):
+        # raised by the user's code, not by the stages' arithmetic: each
+        # of the float path's three calls passes it on unchanged
+        ex1 = builtin("example1")
+        calls = []
+
+        def full(y):
+            calls.append(y)
+            if len(calls) == bad_call + 1:
+                raise TypeError("raised in full")
+            return ex1.full(y)
+
+        def jac(y):
+            if bad_call == "jac":
+                raise TypeError("raised in jac")
+            return ex1.jac(y)
+
+        prob = dataclasses.replace(ex1, full=full, jac=jac)
+        with pytest.raises(TypeError, match="^raised in"):
+            integrate(prob, SCHEME, EMBEDDED, Tolerances.uniform(1e-2, 3))
+
     def test_rhs_returning_no_numbers_raises_on_the_numpy_path(self):
         # a dense B takes the numpy path, whose float conversion raised a
         # bare ValueError for these items
